@@ -23,6 +23,7 @@ from .bside import (
     dual_ext,
     ext_pushforward,
     generation_certificate,
+    resolution_by_projective,
     resolution_summands,
     verify_prop6_via_resolution,
 )

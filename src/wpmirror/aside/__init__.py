@@ -17,6 +17,7 @@ from .words import (
     Letter,
     classify_disc_word,
     enumerate_accepted_words,
+    higher_product_report,
     higher_products_vanish,
     m2_product,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "Letter",
     "classify_disc_word",
     "enumerate_accepted_words",
+    "higher_product_report",
     "higher_products_vanish",
     "m2_product",
     "CriticalDatum",

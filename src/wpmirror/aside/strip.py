@@ -40,14 +40,6 @@ class StripCurve:
     arc_center: tuple
     arc_radius: int
 
-    def slope_plus(self, w):
-        """Slope of the segment from p_plus to q_plus."""
-        return 2 * self.index - 2 * w.l + 4 * w.a[0]
-
-    def slope_minus(self):
-        """Slope of the segment from p_minus to q_minus."""
-        return 2 * self.index
-
 
 def build_curves(w):
     """The l-1 vanishing cycles of the strip model, exact coordinates."""
@@ -133,12 +125,14 @@ def intersections(w, j, k):
                                 ExteriorBasisElement(()))]
     if w.a[0] <= k - j:
         x = _seg_pm_x(w, j, k)
-        assert 0 < x < 1, f"seg_pm x={x} outside (0,1)"
+        if not 0 < x < 1:
+            raise ArithmeticError(f"seg_pm x={x} outside (0,1)")
         points.append(IntersectionPoint(j, k, PointKind.SEG_PM, x, 0, 1,
                                         ExteriorBasisElement((0,))))
     if w.a[1] <= k - j:
         x = _seg_mp_x(w, j, k)
-        assert 0 < x < 1, f"seg_mp x={x} outside (0,1)"
+        if not 0 < x < 1:
+            raise ArithmeticError(f"seg_mp x={x} outside (0,1)")
         points.append(IntersectionPoint(j, k, PointKind.SEG_MP, x, -1, 1,
                                         ExteriorBasisElement((1,))))
     return points

@@ -18,7 +18,7 @@ which carry the product structure.
 
 from dataclasses import dataclass
 
-from .strip import IntersectionPoint, PointKind, intersections
+from .strip import PointKind, intersections
 
 SEG_PLUS = "s+"
 ARC = "C"
@@ -76,10 +76,23 @@ def _next_piece(piece, sign):
     return order[idx + 1] if idx + 1 < len(order) else None
 
 
-def _corner_point(w, lower, upper):
+def _point_table(w):
+    """The intersection points of curves lo < hi, keyed by kind, as a lookup
+    that builds each pair once and lives as long as the caller keeps it."""
+    table = {}
+
+    def points(lo, hi):
+        found = table.get((lo, hi))
+        if found is None:
+            found = table[lo, hi] = {p.kind: p for p in intersections(w, lo, hi)}
+        return found
+
+    return points
+
+
+def _corner_point(points, lower, upper):
     """The intersection point between a letter on the lower curve and one
     on the upper curve, or None if those pieces never meet."""
-    lo, hi = lower.curve, upper.curve
     if lower.piece == ARC and upper.piece == ARC:
         kind = PointKind.ARC
     elif lower.piece == SEG_PLUS and upper.piece == SEG_MINUS:
@@ -88,10 +101,7 @@ def _corner_point(w, lower, upper):
         kind = PointKind.SEG_MP
     else:
         return None
-    for p in intersections(w, lo, hi):
-        if p.kind is kind:
-            return p
-    return None
+    return points(lower.curve, upper.curve).get(kind)
 
 
 def _seg_jump_ok(prev, nxt):
@@ -137,16 +147,18 @@ def _canonical_triangle(letters):
     return None
 
 
-def _check_word(w, letters):
+def _check_word(w, letters, points):
     """Core rule pipeline.  Returns (corners, None) on accept or
-    (None, reason) on reject; raises MalformedWord for non-words."""
+    (None, reason) on reject; raises MalformedWord for non-words.
+    `points` is the corner lookup of `_point_table`."""
     if not letters:
         raise MalformedWord("empty word")
+    top = w.l - 2
     for x in letters:
         if not isinstance(x, Letter):
             raise MalformedWord(f"not a letter: {x!r}")
-        if x.curve > w.l - 2:
-            raise MalformedWord(f"curve {x.curve} outside [0, {w.l - 2}]")
+        if x.curve > top:
+            raise MalformedWord(f"curve {x.curve} outside [0, {top}]")
 
     curves = [x.curve for x in letters]
     if any(b < a for a, b in zip(curves, curves[1:])):
@@ -220,7 +232,7 @@ def _check_word(w, letters):
                 return None, "orientation pairing"
         else:
             return None, "missing corner"
-        point = _corner_point(w, lower, upper)
+        point = _corner_point(points, lower, upper)
         if point is None:
             return None, "missing corner"
         corners.append(point)
@@ -251,7 +263,7 @@ def classify_disc_word(w, word):
     Malformed input raises MalformedWord instead of classifying.
     """
     letters = tuple(word.letters) if isinstance(word, DiscWord) else tuple(word)
-    corners, reason = _check_word(w, letters)
+    corners, reason = _check_word(w, letters, _point_table(w))
     if corners is None:
         return False, reason
     return True, None
@@ -265,15 +277,14 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
     on every closable word.  Pure-arc words are emitted with the canonical
     (+,-,+) orientation only, so each disc appears exactly once.
     """
-    if w.l < 4 and max_len >= 0:
-        pass  # one or two curves still enumerate; nothing special needed
     if curves is None:
         curves = range(w.l - 1)
     curves = sorted(curves)
     accepted = []
     attempts = [0]
+    points = _point_table(w)
 
-    def may_extend(stack, arc_count, seg_count, arc_adjacent_ok):
+    def may_extend(arc_count, seg_count, arc_adjacent_ok):
         if arc_count > 3:
             return False
         if seg_count and arc_count > 2:
@@ -286,11 +297,11 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
         if stack[0].curve >= stack[-1].curve:
             return
         attempts[0] += 1
-        corners, reason = _check_word(w, tuple(stack))
+        corners, reason = _check_word(w, tuple(stack), points)
         if corners is not None:
             accepted.append(DiscWord(tuple(stack), corners))
 
-    def successors(last, seg_run):
+    def successors(last):
         out = []
         nxt = _next_piece(last.piece, last.sign)
         if nxt is not None:
@@ -312,7 +323,7 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
         close(stack)
         if len(stack) >= max_len:
             return
-        for nxt in successors(stack[-1], seg_run):
+        for nxt in successors(stack[-1]):
             n_arc = arc_count + (nxt.piece == ARC)
             n_seg = seg_count + nxt.is_segment
             n_run = seg_run + 1 if nxt.is_segment else 0
@@ -321,7 +332,7 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
             trial = stack + [nxt]
             arcs = [i for i, x in enumerate(trial) if x.piece == ARC]
             adjacent = len(arcs) == 2 and arcs[1] == arcs[0] + 1
-            if not may_extend(trial, n_arc, n_seg, adjacent or len(arcs) < 2):
+            if not may_extend(n_arc, n_seg, adjacent or len(arcs) < 2):
                 continue
             dfs(trial, n_arc, n_seg, n_run)
 
@@ -373,15 +384,14 @@ class HigherProductReport:
     offenders: list
 
 
-def higher_products_vanish(w, max_word_len=8):
-    """Enumerate all accepted words up to the length bound and check that
-    every one is a triangle (three corners), so no products beyond the
-    two-fold one receive contributions."""
+def higher_product_report(words, max_word_len):
+    """Check that every accepted word of one enumeration bounded by
+    `max_word_len` is a triangle (three corners), so no products beyond
+    the two-fold one receive contributions."""
     if max_word_len < 6:
         raise ValueError("word-length bound below 6 cannot cover the triangles")
     counts = {}
     offenders = []
-    words = enumerate_accepted_words(w, max_len=max_word_len)
     for word in words:
         counts[len(word.letters)] = counts.get(len(word.letters), 0) + 1
         if len(word.corners) != 3:
@@ -393,3 +403,10 @@ def higher_products_vanish(w, max_word_len=8):
         counts_by_length=counts,
         offenders=offenders,
     )
+
+
+def higher_products_vanish(w, max_word_len=8):
+    """Enumerate all accepted words up to the length bound and report
+    whether every one is a triangle."""
+    return higher_product_report(
+        enumerate_accepted_words(w, max_len=max_word_len), max_word_len)

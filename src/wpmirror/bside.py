@@ -273,25 +273,35 @@ def resolution_summands(w, k, positions=None):
     return out
 
 
-def verify_prop6_via_resolution(w, k, i):
-    """Independent oracle for the dual Ext algebra: scan the full resolution
-    of the simple at k and count occurrences of P_i by total grading.
+def resolution_by_projective(w, k):
+    """Independent oracle for the dual Ext algebra out of the simple at k:
+    scan the full resolution of the simple once and group its summands by
+    projective index, each P_i counted by total grading.
 
-    The differential restricted to these summands vanishes, so the counts
-    are the Ext dimensions; must agree with dual_ext(w, k, i).
+    The differential restricted to these summands vanishes, so entry i is
+    the Ext space to the simple at i; it must agree with dual_ext(w, k, i).
+    Returns one BigradedHom per object i in [0, l-2].
     """
     _check_object_index(w, k)
-    _check_object_index(w, i)
     # The resolution extends past position n; position k - a_J + |J| is the
     # last one at which a given subset J contributes.
     max_pos = max((k - sum(w.a[x] for x in J) + len(J)
                    for r in range(w.n + 2)
                    for J in combinations(range(w.n + 1), r)
                    if sum(w.a[x] for x in J) <= k), default=-1)
-    basis = []
-    for summand in resolution_summands(w, k, positions=range(max_pos + 1)):
-        if summand.projective_index == i:
-            total_grading = len(summand.witness_subset)
-            basis.append((total_grading, ExteriorBasisElement(summand.witness_subset)))
-    basis.sort(key=lambda t: (t[0], t[1].subset))
-    return BigradedHom(k, i, tuple(basis))
+    summands = resolution_summands(w, k, positions=range(max_pos + 1))
+    # Sorting the scan by (total grading, subset) puts every group in basis
+    # order.
+    summands.sort(key=lambda s: (len(s.witness_subset), s.witness_subset))
+    bases = [[] for _ in range(w.l - 1)]
+    for summand in summands:
+        bases[summand.projective_index].append(
+            (len(summand.witness_subset), ExteriorBasisElement(summand.witness_subset)))
+    return [BigradedHom(k, i, tuple(basis)) for i, basis in enumerate(bases)]
+
+
+def verify_prop6_via_resolution(w, k, i):
+    """The resolution oracle's Ext space from the simple at k to the simple
+    at i; see resolution_by_projective."""
+    _check_object_index(w, i)
+    return resolution_by_projective(w, k)[i]

@@ -307,7 +307,9 @@ def run(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        # Input the library cannot work with: a bad value, an arithmetic
+        # invariant, or a seeded draw that found no generic configuration.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

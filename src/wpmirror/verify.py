@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .aside import enumerate_accepted_words, higher_products_vanish, hom_space
-from .bside import DualElement, compose_dual, dual_ext, verify_prop6_via_resolution
+from .aside import enumerate_accepted_words, higher_product_report, hom_space
+from .bside import DualElement, compose_dual, dual_ext, resolution_by_projective
 from .weights import Weights
 
 TOOL_VERSION = "0.1.0"
@@ -30,15 +30,11 @@ def _label_key(label):
     return list(label.subset)
 
 
-def aside_digest(w):
-    """Sorted nonzero two-fold product table of the Fukaya side, with every
-    entry keyed by the triple and the three point labels.
-
-    One exhaustive word enumeration covers all triples: every accepted
-    triangle contributes exactly one structure constant +1.
-    """
+def _triangle_digest(words):
+    """Sorted two-fold product entries of the accepted triangles among
+    `words`: each contributes exactly one structure constant +1."""
     entries = []
-    for word in enumerate_accepted_words(w):
+    for word in words:
         if len(word.corners) != 3:
             continue
         p0, p1, out = word.corners
@@ -53,15 +49,26 @@ def aside_digest(w):
     return entries
 
 
+def aside_digest(w):
+    """Sorted nonzero two-fold product table of the Fukaya side, with every
+    entry keyed by the triple and the three point labels.
+
+    One exhaustive word enumeration covers all triples.
+    """
+    return _triangle_digest(enumerate_accepted_words(w))
+
+
 def bside_digest(w):
     """Sorted nonzero truncated-wedge product table of the dual algebra,
     over the same index triples and labels."""
+    objects = range(w.l - 1)
+    bases = {(k, i): dual_ext(w, k, i).basis for i in objects for k in objects if i < k}
     entries = []
-    for i in range(w.l - 1):
+    for i in objects:
         for j in range(i + 1, w.l - 1):
             for k in range(j + 1, w.l - 1):
-                for _, lab0 in dual_ext(w, j, i).basis:
-                    for _, lab1 in dual_ext(w, k, j).basis:
+                for _, lab0 in bases[j, i]:
+                    for _, lab1 in bases[k, j]:
                         prod = compose_dual(w, DualElement(j, i, lab0),
                                             DualElement(k, j, lab1))
                         if prod is not None and not prod.is_zero():
@@ -124,24 +131,31 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
     if not isinstance(w, Weights):
         w = Weights(w)
     failures = []
+    objects = range(w.l - 1)
+    dual = {(k, i): dual_ext(w, k, i) for k in objects for i in objects}
 
     dim_table = {}
-    for j in range(w.l - 1):
+    for j in objects:
         for k in range(j, w.l - 1):
-            da = hom_space(w, j, k).dims_by_degree
-            db = dual_ext(w, k, j).dims_by_degree
+            hom_a, hom_b = hom_space(w, j, k), dual[k, j]
+            da, db = hom_a.dims_by_degree, hom_b.dims_by_degree
             dim_table[f"{j},{k}"] = {
                 "aside": {str(d): v for d, v in sorted(da.items())},
                 "bside": {str(d): v for d, v in sorted(db.items())},
             }
             if da != db:
                 failures.append(f"dimension mismatch at pair ({j},{k}): {da} vs {db}")
-            labels_a = sorted(_label_key(lab) for _, lab in hom_space(w, j, k).basis)
-            labels_b = sorted(_label_key(lab) for _, lab in dual_ext(w, k, j).basis)
+            labels_a = sorted(_label_key(lab) for _, lab in hom_a.basis)
+            labels_b = sorted(_label_key(lab) for _, lab in hom_b.basis)
             if labels_a != labels_b:
                 failures.append(f"label mismatch at pair ({j},{k})")
 
-    dig_a = aside_digest(w)
+    # One enumeration serves both the triangle digest and the higher-product
+    # report: triangles have 3 or 5 letters, within any bound the report
+    # accepts.
+    words = enumerate_accepted_words(w, max_len=max_word_len)
+    hp = higher_product_report(words, max_word_len)
+    dig_a = _triangle_digest(words)
     dig_b = bside_digest(w)
     if corrupt is not None:
         side, idx = corrupt
@@ -153,7 +167,6 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
     if [list(e) for e in dig_a] != [list(e) for e in dig_b]:
         failures.append("composition digests differ")
 
-    hp = higher_products_vanish(w, max_word_len)
     higher = {
         "ok": hp.ok,
         "max_word_len": hp.max_word_len,
@@ -165,11 +178,10 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
                         + "; ".join(str(x) for x in hp.offenders[:3]))
 
     res_ok = True
-    for k in range(w.l - 1):
-        for i in range(w.l - 1):
-            oracle = verify_prop6_via_resolution(w, k, i)
-            direct = dual_ext(w, k, i)
-            if oracle.basis != direct.basis:
+    for k in objects:
+        oracle = resolution_by_projective(w, k)
+        for i in objects:
+            if oracle[i].basis != dual[k, i].basis:
                 res_ok = False
                 failures.append(f"resolution oracle disagrees at (k={k}, i={i})")
     resolution_check = {"ok": res_ok}

@@ -16,6 +16,7 @@ from wpmirror.bside import (
     dual_identity,
     ext_pushforward,
     generation_certificate,
+    resolution_by_projective,
     resolution_summands,
     verify_prop6_via_resolution,
 )
@@ -181,6 +182,26 @@ class TestResolution:
         w = Weights((2, 3))
         for s in resolution_summands(w, 0, positions=range(6)):
             assert s.projective_index >= 0
+
+    @pytest.mark.parametrize("a", [
+        a for n in (3, 4)
+        for a in itertools.combinations_with_replacement(range(1, 11), n)
+        if sum(a) <= 10])
+    def test_oracle_agrees_with_dual_ext_three_and_four_weights(self, a):
+        w = Weights(a)
+        for k in range(w.l - 1):
+            for i in range(w.l - 1):
+                assert verify_prop6_via_resolution(w, k, i).basis \
+                    == dual_ext(w, k, i).basis
+
+    def test_one_scan_serves_every_target(self):
+        w = Weights((1, 2, 3))
+        for k in range(w.l - 1):
+            by_target = resolution_by_projective(w, k)
+            assert len(by_target) == w.l - 1
+            for i, hom in enumerate(by_target):
+                assert (hom.source, hom.target) == (k, i)
+                assert hom == verify_prop6_via_resolution(w, k, i)
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (2, 2, 5), (1, 1)])
     def test_oracle_agrees_with_dual_ext(self, a):

@@ -164,6 +164,19 @@ class TestBisect:
         assert run(["bisect", "validate", "--config", str(path)]) == 1
         capsys.readouterr()
 
+    def test_undrawable_track_config_invalid(self, capsys, tmp_path):
+        # No seeded coefficient vector keeps the critical values 10x the
+        # tolerance apart, so the run cannot start.
+        path = tmp_path / "undrawable.json"
+        path.write_text(json.dumps({
+            "A": [[-1], [0], [1], [2]], "A0": [[-1], [0], [1]], "A1": [[1], [2]],
+            "tolerance": 1000,
+        }))
+        assert run(["bisect", "track", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_missing_config_invalid(self, capsys, tmp_path):
         assert run(["bisect", "validate", "--config",
                     str(tmp_path / "nope.json")]) == 2

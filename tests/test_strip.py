@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wpmirror.aside import strip
 from wpmirror.aside.strip import (
     PointKind,
     build_curves,
@@ -121,6 +122,13 @@ class TestIntersections:
     def test_invalid_pair(self):
         with pytest.raises(ValueError):
             intersections(Weights((2, 3)), 2, 1)
+
+    @pytest.mark.parametrize("name", ["_seg_pm_x", "_seg_mp_x"])
+    def test_crossing_outside_strip_raises(self, monkeypatch, name):
+        # Raised, not asserted, so the check also holds under python -O.
+        monkeypatch.setattr(strip, name, lambda w, j, k: Fraction(3, 2))
+        with pytest.raises(ArithmeticError, match="outside"):
+            intersections(Weights((2, 3)), 0, 3)
 
 
 class TestMaslov:

@@ -1,10 +1,13 @@
 """Tests for the cross-verification certificates and the sweep."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from wpmirror.verify import hms_certificate, sweep
+from wpmirror import verify
+from wpmirror.aside import words
+from wpmirror.verify import aside_digest, hms_certificate, sweep
 from wpmirror.weights import Weights
 
 
@@ -51,6 +54,44 @@ class TestCertificate:
                                          "weight_convention",
                                          "orientation_convention"}
         assert cert.tool_version
+
+
+class TestOncePerCertificate:
+    @pytest.mark.parametrize("a", [(1, 4), (2, 3), (3, 5)])
+    def test_one_enumeration_and_one_corner_build_per_pair(self, monkeypatch, a):
+        enumerations = []
+        built = Counter()
+        real_enumerate = words.enumerate_accepted_words
+        real_intersections = words.intersections
+
+        def counting_enumerate(*args, **kwargs):
+            enumerations.append(args)
+            return real_enumerate(*args, **kwargs)
+
+        def counting_intersections(w, j, k):
+            built[j, k] += 1
+            return real_intersections(w, j, k)
+
+        # Both modules that look the enumeration up by name.
+        monkeypatch.setattr(verify, "enumerate_accepted_words", counting_enumerate)
+        monkeypatch.setattr(words, "enumerate_accepted_words", counting_enumerate)
+        monkeypatch.setattr(words, "intersections", counting_intersections)
+        cert = hms_certificate(Weights(a))
+        assert cert.passed
+        assert len(enumerations) == 1
+        assert built and max(built.values()) == 1
+
+    @pytest.mark.parametrize("a", [(1, 3), (2, 3), (2, 5)])
+    def test_triangle_digest_independent_of_word_bound(self, a):
+        w = Weights(a)
+        digests = [hms_certificate(w, max_word_len=n).aside_digest for n in (6, 8, 10)]
+        assert digests[0]
+        assert digests[0] == digests[1] == digests[2]
+        assert digests[0] == [list(e) for e in aside_digest(w)]
+
+    def test_word_bound_below_triangles_rejected(self):
+        with pytest.raises(ValueError):
+            hms_certificate(Weights((2, 3)), max_word_len=5)
 
 
 class TestMutation:
