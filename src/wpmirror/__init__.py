@@ -2,6 +2,10 @@
 projective blowups: exact computation of both sides of the equivalence,
 machine-checkable certificates, and the polytope-bisection machinery."""
 
+# The one version string: the CLI, the certificates (whose hashed payload
+# holds it) and the package metadata all read it from here.
+__version__ = "0.1.0"
+
 from .weights import (
     ExteriorBasisElement,
     LatticePolytope,
@@ -28,5 +32,3 @@ from .bside import (
     verify_prop6_via_resolution,
 )
 from .verify import Certificate, hms_certificate, sweep
-
-__version__ = "0.1.0"

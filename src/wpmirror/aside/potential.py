@@ -78,7 +78,7 @@ def h_poly_roots(w, q, rtol=1e-4):
 def monodromy_data(w):
     """Local monodromy weights of the fibration around the torus-fixed
     points and the ramification order of the branched covering; the two
-    winding numbers are congruent mod l-1, which is asserted."""
+    winding numbers are congruent mod l-1; ArithmeticError if they are not."""
     a0, a1 = w.a[0], w.a[1]
     data = {
         "around_100": a0,
@@ -86,7 +86,7 @@ def monodromy_data(w):
         "branch_ramification": w.l - 1,
     }
     if (a0 - (1 - a1)) % (w.l - 1) != 0:
-        raise AssertionError(
+        raise ArithmeticError(
             f"monodromy congruence failed for weights {w.a}"
         )
     return data

@@ -147,10 +147,9 @@ def _canonical_triangle(letters):
     return None
 
 
-def _check_word(w, letters, points):
-    """Core rule pipeline.  Returns (corners, None) on accept or
-    (None, reason) on reject; raises MalformedWord for non-words.
-    `points` is the corner lookup of `_point_table`."""
+def _check_letters(w, letters):
+    """Raise MalformedWord unless `letters` is a nonempty sequence of
+    letters on the curves 0..l-2."""
     if not letters:
         raise MalformedWord("empty word")
     top = w.l - 2
@@ -160,6 +159,11 @@ def _check_word(w, letters, points):
         if x.curve > top:
             raise MalformedWord(f"curve {x.curve} outside [0, {top}]")
 
+
+def _word_rules(w, letters, points):
+    """Core rule pipeline on a word of valid letters (see _check_letters).
+    Returns (corners, None) on accept or (None, reason) on reject.
+    `points` is the corner lookup of `_point_table`."""
     curves = [x.curve for x in letters]
     if any(b < a for a, b in zip(curves, curves[1:])):
         return None, "non-decreasing subscripts"
@@ -210,13 +214,14 @@ def _check_word(w, letters, points):
 
     # Jump and wrap corners: consecutive letters on different curves and
     # the closing pair (last letter, first letter).
-    boundary_pairs = []  # (prev_letter, next_letter, is_wrap)
+    boundary_pairs = []  # (prev_position, next_position, is_wrap)
     for grp, nxt in zip(groups, groups[1:]):
-        boundary_pairs.append((grp[-1][1], nxt[0][1], False))
-    boundary_pairs.append((groups[-1][-1][1], groups[0][0][1], True))
+        boundary_pairs.append((grp[-1][0], nxt[0][0], False))
+    boundary_pairs.append((groups[-1][-1][0], groups[0][0][0], True))
 
     corners = []
-    for prev, nxt, is_wrap in boundary_pairs:
+    for ip, inx, is_wrap in boundary_pairs:
+        prev, nxt = letters[ip], letters[inx]
         if is_wrap:
             lower, upper = nxt, prev
         else:
@@ -238,15 +243,15 @@ def _check_word(w, letters, points):
         corners.append(point)
 
     # Boundary monotonicity: a letter carrying two corners must pass them
-    # in the direction of its sign; positions compared exactly.
+    # in the direction of its sign; positions compared exactly.  Letters are
+    # keyed by position, since equal letters may be one shared object.
     enter = {}
     leave = {}
-    npairs = len(boundary_pairs)
-    for idx, (prev, nxt, _) in enumerate(boundary_pairs):
-        leave[id(prev)] = corners[idx]
-        enter[id(nxt)] = corners[idx]
-    for x in letters:
-        pin, pout = enter.get(id(x)), leave.get(id(x))
+    for (ip, inx, _), corner in zip(boundary_pairs, corners):
+        leave[ip] = corner
+        enter[inx] = corner
+    for pos, x in enumerate(letters):
+        pin, pout = enter.get(pos), leave.get(pos)
         if pin is None or pout is None or pin is pout:
             continue
         param = _seg_param if x.is_segment else _arc_param
@@ -263,7 +268,8 @@ def classify_disc_word(w, word):
     Malformed input raises MalformedWord instead of classifying.
     """
     letters = tuple(word.letters) if isinstance(word, DiscWord) else tuple(word)
-    corners, reason = _check_word(w, letters, _point_table(w))
+    _check_letters(w, letters)
+    corners, reason = _word_rules(w, letters, _point_table(w))
     if corners is None:
         return False, reason
     return True, None
@@ -280,6 +286,10 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
     if curves is None:
         curves = range(w.l - 1)
     curves = sorted(curves)
+    # Every letter of the search lies on one of these curves, so the words
+    # go to the rule core without a per-word letter check.
+    if curves and not 0 <= curves[0] <= curves[-1] <= w.l - 2:
+        raise MalformedWord(f"curves {curves} outside [0, {w.l - 2}]")
     accepted = []
     attempts = [0]
     points = _point_table(w)
@@ -293,55 +303,69 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
             return False
         return True
 
+    interned = {}  # (piece, curve, sign) -> the one Letter of this call
+    successor_table = {}  # Letter -> the letters that may follow it
+
+    def letter(piece, curve, sign):
+        found = interned.get((piece, curve, sign))
+        if found is None:
+            found = interned[piece, curve, sign] = Letter(piece, curve, sign)
+        return found
+
     def close(stack):
         if stack[0].curve >= stack[-1].curve:
             return
         attempts[0] += 1
-        corners, reason = _check_word(w, tuple(stack), points)
+        corners, reason = _word_rules(w, stack, points)
         if corners is not None:
-            accepted.append(DiscWord(tuple(stack), corners))
+            accepted.append(DiscWord(stack, corners))
 
     def successors(last):
+        found = successor_table.get(last)
+        if found is not None:
+            return found
         out = []
         nxt = _next_piece(last.piece, last.sign)
         if nxt is not None:
-            out.append(Letter(nxt, last.curve, last.sign))
+            out.append(letter(nxt, last.curve, last.sign))
         for c2 in curves:
             if c2 <= last.curve:
                 continue
             gap = c2 - last.curve
             if last.piece == ARC:
                 # arc signs alternate; keep the canonical +,-,+ start
-                out.append(Letter(ARC, c2, -last.sign))
+                out.append(letter(ARC, c2, -last.sign))
             elif last.piece == SEG_MINUS and last.sign == 1 and w.a[1] <= gap:
-                out.append(Letter(SEG_PLUS, c2, 1))
+                out.append(letter(SEG_PLUS, c2, 1))
             elif last.piece == SEG_PLUS and last.sign == -1 and w.a[0] <= gap:
-                out.append(Letter(SEG_MINUS, c2, -1))
-        return out
+                out.append(letter(SEG_MINUS, c2, -1))
+        found = successor_table[last] = tuple(out)
+        return found
 
-    def dfs(stack, arc_count, seg_count, seg_run):
+    def dfs(stack, arcs, seg_count, seg_run):
+        """`arcs` holds the positions of the arc letters in `stack`."""
         close(stack)
         if len(stack) >= max_len:
             return
         for nxt in successors(stack[-1]):
-            n_arc = arc_count + (nxt.piece == ARC)
-            n_seg = seg_count + nxt.is_segment
-            n_run = seg_run + 1 if nxt.is_segment else 0
-            if n_run >= 3:
+            if nxt.piece == ARC:
+                n_arcs, n_seg, n_run = arcs + (len(stack),), seg_count, 0
+            else:
+                n_arcs, n_seg, n_run = arcs, seg_count + 1, seg_run + 1
+                if n_run >= 3:
+                    continue
+            adjacent = len(n_arcs) < 2 or (
+                len(n_arcs) == 2 and n_arcs[1] == n_arcs[0] + 1)
+            if not may_extend(len(n_arcs), n_seg, adjacent):
                 continue
-            trial = stack + [nxt]
-            arcs = [i for i, x in enumerate(trial) if x.piece == ARC]
-            adjacent = len(arcs) == 2 and arcs[1] == arcs[0] + 1
-            if not may_extend(n_arc, n_seg, adjacent or len(arcs) < 2):
-                continue
-            dfs(trial, n_arc, n_seg, n_run)
+            dfs(stack + (nxt,), n_arcs, n_seg, n_run)
 
     for c in curves:
         for piece in _FLOW_ORDER:
-            signs = (1,) if piece == ARC else (1, -1)
-            for sign in signs:
-                dfs([Letter(piece, c, sign)], int(piece == ARC),
-                    int(piece != ARC), int(piece != ARC))
+            is_arc = piece == ARC
+            for sign in (1,) if is_arc else (1, -1):
+                dfs((letter(piece, c, sign),), (0,) if is_arc else (),
+                    int(not is_arc), int(not is_arc))
     return accepted
 
 

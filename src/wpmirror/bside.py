@@ -263,13 +263,18 @@ def resolution_summands(w, k, positions=None):
     _check_object_index(w, k)
     if positions is None:
         positions = range(w.n + 1)
+    # (J, |J| - a_J) for every index subset J, by size and then in
+    # lexicographic order, so each subset's weight is summed once per scan.
+    offsets = [(J, r - sum(w.a[x] for x in J))
+               for r in range(w.n + 2) for J in combinations(range(w.n + 1), r)]
     out = []
     for j in positions:
-        for r in range(min(j, w.n + 1) + 1):
-            for J in combinations(range(w.n + 1), r):
-                i = k - j + len(J) - sum(w.a[x] for x in J)
-                if i >= 0:
-                    out.append(ResolutionSummand(j, i, len(J) - j, J))
+        for J, offset in offsets:
+            if len(J) > j:
+                break
+            i = k - j + offset
+            if i >= 0:
+                out.append(ResolutionSummand(j, i, len(J) - j, J))
     return out
 
 
@@ -283,20 +288,21 @@ def resolution_by_projective(w, k):
     Returns one BigradedHom per object i in [0, l-2].
     """
     _check_object_index(w, k)
-    # The resolution extends past position n; position k - a_J + |J| is the
-    # last one at which a given subset J contributes.
-    max_pos = max((k - sum(w.a[x] for x in J) + len(J)
-                   for r in range(w.n + 2)
-                   for J in combinations(range(w.n + 1), r)
-                   if sum(w.a[x] for x in J) <= k), default=-1)
-    summands = resolution_summands(w, k, positions=range(max_pos + 1))
+    # The resolution extends past position n; position k + |J| - a_J is the
+    # last one at which a given subset J contributes.  Every weight is at
+    # least 1, so that position is at most k, reached by the empty subset.
+    summands = resolution_summands(w, k, positions=range(k + 1))
     # Sorting the scan by (total grading, subset) puts every group in basis
     # order.
     summands.sort(key=lambda s: (len(s.witness_subset), s.witness_subset))
+    labels = {}
     bases = [[] for _ in range(w.l - 1)]
     for summand in summands:
-        bases[summand.projective_index].append(
-            (len(summand.witness_subset), ExteriorBasisElement(summand.witness_subset)))
+        J = summand.witness_subset
+        label = labels.get(J)
+        if label is None:
+            label = labels[J] = ExteriorBasisElement(J)
+        bases[summand.projective_index].append((len(J), label))
     return [BigradedHom(k, i, tuple(basis)) for i, basis in enumerate(bases)]
 
 

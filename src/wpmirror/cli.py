@@ -10,6 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .aside import (build_curves, critical_data, h_poly_roots, hom_space,
                     intersections, monodromy_data)
 from .aside.potential import CriticalDatum
@@ -18,7 +19,7 @@ from .bside import (dual_ext, ext_pushforward, generation_certificate,
 from .bisection import (bisection_from_config, coherence_weight, load_config,
                         reparameterized_weight, track_splitting,
                         validate_bisection)
-from .verify import TOOL_VERSION, hms_certificate, sweep
+from .verify import hms_certificate, sweep
 from .weights import Weights
 
 
@@ -266,7 +267,7 @@ def build_parser():
         prog="wpmirror",
         description="Mirror-symmetry verification for weighted blowups",
     )
-    parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bside", help="derived-category side computations")

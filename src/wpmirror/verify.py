@@ -13,11 +13,12 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
 from .bside import DualElement, compose_dual, dual_ext, resolution_by_projective
 from .weights import Weights
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 CONVENTIONS = {
     "object_identification": "curve k on the A-side corresponds to the simple module at k",
@@ -60,24 +61,37 @@ def aside_digest(w):
 
 def bside_digest(w):
     """Sorted nonzero truncated-wedge product table of the dual algebra,
-    over the same index triples and labels."""
+    over the same index triples and labels.
+
+    A product of unit-coefficient basis elements depends only on the two
+    subsets and the span k - i, so each distinct product is computed once
+    per call and looked up for every later triple.
+    """
     objects = range(w.l - 1)
     bases = {(k, i): dual_ext(w, k, i).basis for i in objects for k in objects if i < k}
+    products = {}  # (subset0, subset1, k - i) -> (label subset, sign) or None
     entries = []
     for i in objects:
         for j in range(i + 1, w.l - 1):
             for k in range(j + 1, w.l - 1):
                 for _, lab0 in bases[j, i]:
                     for _, lab1 in bases[k, j]:
-                        prod = compose_dual(w, DualElement(j, i, lab0),
-                                            DualElement(k, j, lab1))
-                        if prod is not None and not prod.is_zero():
+                        key = (lab0.subset, lab1.subset, k - i)
+                        if key in products:
+                            found = products[key]
+                        else:
+                            prod = compose_dual(w, DualElement(j, i, lab0),
+                                                DualElement(k, j, lab1))
+                            found = products[key] = (
+                                None if prod is None or prod.is_zero()
+                                else (prod.label.subset, int(prod.coefficient)))
+                        if found is not None:
                             entries.append((
                                 [i, j, k],
                                 _label_key(lab0),
                                 _label_key(lab1),
-                                _label_key(prod.label),
-                                int(prod.coefficient),
+                                list(found[0]),
+                                found[1],
                             ))
     entries.sort()
     return entries

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wpmirror import bside
 from wpmirror.bside import (
     DualElement,
     QuiverElement,
@@ -202,6 +203,23 @@ class TestResolution:
             for i, hom in enumerate(by_target):
                 assert (hom.source, hom.target) == (k, i)
                 assert hom == verify_prop6_via_resolution(w, k, i)
+
+    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (1, 1, 2, 3)])
+    def test_one_label_per_subset(self, monkeypatch, a):
+        built = []
+        real_element = bside.ExteriorBasisElement
+
+        def counting_element(subset):
+            built.append(subset)
+            return real_element(subset)
+
+        monkeypatch.setattr(bside, "ExteriorBasisElement", counting_element)
+        w = Weights(a)
+        for k in range(w.l - 1):
+            built.clear()
+            resolution_by_projective(w, k)
+            assert len(built) <= 2 ** (w.n + 1)
+            assert len(built) == len(set(built))
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (2, 2, 5), (1, 1)])
     def test_oracle_agrees_with_dual_ext(self, a):

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+import wpmirror
 from wpmirror.cli import run
+from wpmirror.verify import hms_certificate
+from wpmirror.weights import Weights
 
 
 def out_json(capsys):
@@ -187,3 +190,9 @@ class TestVersion:
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+    def test_one_version_string(self, capsys):
+        assert run(["--version"]) == 0
+        cert = hms_certificate(Weights((1, 2)))
+        assert capsys.readouterr().out.strip() == wpmirror.__version__ \
+            == cert.tool_version == json.loads(cert.to_json())["tool_version"]

@@ -2,12 +2,14 @@
 
 import json
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
 from wpmirror import verify
 from wpmirror.aside import words
-from wpmirror.verify import aside_digest, hms_certificate, sweep
+from wpmirror.bside import DualElement, compose_dual, dual_ext
+from wpmirror.verify import aside_digest, bside_digest, hms_certificate, sweep
 from wpmirror.weights import Weights
 
 
@@ -92,6 +94,57 @@ class TestOncePerCertificate:
     def test_word_bound_below_triangles_rejected(self):
         with pytest.raises(ValueError):
             hms_certificate(Weights((2, 3)), max_word_len=5)
+
+
+def direct_bside_digest(w):
+    """Reference for bside_digest: one compose_dual per basis pair of every
+    triple, with no product table."""
+    objects = range(w.l - 1)
+    entries = []
+    for i in objects:
+        for j in range(i + 1, w.l - 1):
+            for k in range(j + 1, w.l - 1):
+                for _, lab0 in dual_ext(w, j, i).basis:
+                    for _, lab1 in dual_ext(w, k, j).basis:
+                        prod = compose_dual(w, DualElement(j, i, lab0),
+                                            DualElement(k, j, lab1))
+                        if prod is not None and not prod.is_zero():
+                            entries.append(([i, j, k], list(lab0.subset),
+                                            list(lab1.subset),
+                                            list(prod.label.subset),
+                                            int(prod.coefficient)))
+    entries.sort()
+    return entries
+
+
+class TestBsideProductTable:
+    def test_matches_direct_loop_three_and_four_weights(self):
+        signs = set()
+        for a in [a for n in (3, 4)
+                  for a in combinations_with_replacement(range(1, 11), n)
+                  if sum(a) <= 10]:
+            digest = bside_digest(Weights(a))
+            assert digest == direct_bside_digest(Weights(a)), a
+            signs |= {e[4] for e in digest}
+        # Three or more weights give products with sign -1.
+        assert signs == {1, -1}
+
+    def test_matches_direct_loop_two_weights(self):
+        for a in [(a0, a1) for a0 in range(1, 12) for a1 in range(a0, 13 - a0)]:
+            assert bside_digest(Weights(a)) == direct_bside_digest(Weights(a)), a
+
+    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (1, 1, 2, 3)])
+    def test_one_product_per_key(self, monkeypatch, a):
+        keys = []
+        real_compose = verify.compose_dual
+
+        def counting_compose(w, u, v):
+            keys.append((u.label.subset, v.label.subset, v.source - u.target))
+            return real_compose(w, u, v)
+
+        monkeypatch.setattr(verify, "compose_dual", counting_compose)
+        assert bside_digest(Weights(a))
+        assert len(keys) == len(set(keys))
 
 
 class TestMutation:

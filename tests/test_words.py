@@ -93,11 +93,24 @@ class TestEnumeration:
         assert by_len == {3: 4, 5: 2}
 
     def test_every_word_classifies_as_accepted(self):
-        for a in [(1, 3), (2, 3), (3, 4)]:
+        # The search skips the letter validation; the validating classifier
+        # must agree with it on every word of every pair with l <= 10.
+        for a in [(a0, a1) for a0 in range(1, 10) for a1 in range(a0, 11 - a0)]:
             w = Weights(a)
             for word in enumerate_accepted_words(w):
                 assert classify_disc_word(w, word) == (True, None)
                 assert len(word.corners) == 3
+
+    def test_equal_letters_are_one_object(self):
+        seen = {}
+        for word in enumerate_accepted_words(Weights((2, 5))):
+            for x in word.letters:
+                assert seen.setdefault(x, x) is x
+        assert len(seen) > 1
+
+    def test_curves_outside_range_rejected(self):
+        with pytest.raises(MalformedWord):
+            enumerate_accepted_words(W23, curves=(0, 1, 4))
 
     def test_no_duplicate_words(self):
         for a in [(2, 3), (3, 4)]:
