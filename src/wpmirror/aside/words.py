@@ -26,6 +26,12 @@ SEG_MINUS = "s-"
 
 _FLOW_ORDER = (SEG_PLUS, ARC, SEG_MINUS)
 
+# (piece, sign) -> the next piece along the curve in that direction, or None.
+_NEXT_PIECE = {
+    (SEG_PLUS, 1): ARC, (ARC, 1): SEG_MINUS, (SEG_MINUS, 1): None,
+    (SEG_MINUS, -1): ARC, (ARC, -1): SEG_PLUS, (SEG_PLUS, -1): None,
+}
+
 
 @dataclass(frozen=True)
 class Letter:
@@ -40,10 +46,6 @@ class Letter:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.curve < 0:
             raise ValueError(f"negative curve index {self.curve}")
-
-    @property
-    def is_segment(self):
-        return self.piece != ARC
 
     def __str__(self):
         mark = "+" if self.sign > 0 else "-"
@@ -69,39 +71,28 @@ class MalformedWord(ValueError):
     """The letters do not form a syntactically valid word at all."""
 
 
-def _next_piece(piece, sign):
-    """The next piece along the curve in the given direction, or None."""
-    order = _FLOW_ORDER if sign > 0 else _FLOW_ORDER[::-1]
-    idx = order.index(piece)
-    return order[idx + 1] if idx + 1 < len(order) else None
+# Point kind -> the pieces (lower curve, upper curve) that cross there.
+_KIND_PIECES = {
+    PointKind.ARC: (ARC, ARC),
+    PointKind.SEG_PM: (SEG_PLUS, SEG_MINUS),
+    PointKind.SEG_MP: (SEG_MINUS, SEG_PLUS),
+}
 
 
 def _point_table(w):
-    """The intersection points of curves lo < hi, keyed by kind, as a lookup
-    that builds each pair once and lives as long as the caller keeps it."""
+    """The intersection points of curves lo < hi, keyed by the pieces
+    (lower, upper) that cross there, as a lookup that builds each pair once
+    and lives as long as the caller keeps it."""
     table = {}
 
     def points(lo, hi):
         found = table.get((lo, hi))
         if found is None:
-            found = table[lo, hi] = {p.kind: p for p in intersections(w, lo, hi)}
+            found = table[lo, hi] = {_KIND_PIECES[p.kind]: p
+                                     for p in intersections(w, lo, hi)}
         return found
 
     return points
-
-
-def _corner_point(points, lower, upper):
-    """The intersection point between a letter on the lower curve and one
-    on the upper curve, or None if those pieces never meet."""
-    if lower.piece == ARC and upper.piece == ARC:
-        kind = PointKind.ARC
-    elif lower.piece == SEG_PLUS and upper.piece == SEG_MINUS:
-        kind = PointKind.SEG_PM
-    elif lower.piece == SEG_MINUS and upper.piece == SEG_PLUS:
-        kind = PointKind.SEG_MP
-    else:
-        return None
-    return points(lower.curve, upper.curve).get(kind)
 
 
 def _seg_jump_ok(prev, nxt):
@@ -113,26 +104,6 @@ def _seg_jump_ok(prev, nxt):
     if prev.piece == SEG_PLUS and nxt.piece == SEG_MINUS:
         return prev.sign == -1 and nxt.sign == -1
     return False
-
-
-def _arc_height(w, curve, partner):
-    """Twice the height of the half-circle crossing of two curves; exact."""
-    center = lambda m: 2 * m + 1 - (w.l - 1)
-    return center(curve) + center(partner)
-
-
-def _seg_param(w, letter, point):
-    """Position of a corner along a segment letter, increasing with the
-    curve's flow."""
-    x = point.x
-    return x if letter.piece == SEG_MINUS else 1 - x
-
-
-def _arc_param(w, letter, point):
-    """Position of a corner along a half-circle letter, increasing with the
-    flow (which runs top to bottom)."""
-    partner = point.j if point.k == letter.curve else point.k
-    return -_arc_height(w, letter.curve, partner)
 
 
 def _canonical_triangle(letters):
@@ -160,33 +131,27 @@ def _check_letters(w, letters):
             raise MalformedWord(f"curve {x.curve} outside [0, {top}]")
 
 
-def _word_rules(w, letters, points):
+def _word_rules(letters, points):
     """Core rule pipeline on a word of valid letters (see _check_letters).
     Returns (corners, None) on accept or (None, reason) on reject.
     `points` is the corner lookup of `_point_table`."""
     curves = [x.curve for x in letters]
-    if any(b < a for a, b in zip(curves, curves[1:])):
+    if sorted(curves) != curves:
         return None, "non-decreasing subscripts"
 
-    # Split into groups of consecutive letters on one curve and check that
-    # each group walks its curve consecutively in a single direction.
-    groups = []
-    for i, x in enumerate(letters):
-        if groups and groups[-1][-1][1].curve == x.curve:
-            groups[-1].append((i, x))
-        else:
-            groups.append([(i, x)])
-    for grp in groups:
-        for (_, a), (_, b) in zip(grp, grp[1:]):
-            if b.sign != a.sign or b.piece != _next_piece(a.piece, a.sign):
-                return None, "orientation pairing"
+    # Consecutive letters on one curve walk it consecutively in a single
+    # direction.
+    for a, b in zip(letters, letters[1:]):
+        if a.curve == b.curve and (
+                b.sign != a.sign or b.piece != _NEXT_PIECE[a.piece, a.sign]):
+            return None, "orientation pairing"
 
-    if len(groups) < 2:
+    if curves[0] == curves[-1]:  # sorted, so every letter is on one curve
         return None, "missing corner"
 
     run = 0
     for x in letters:
-        run = run + 1 if x.is_segment else 0
+        run = run + 1 if x.piece != ARC else 0
         if run >= 3:
             return None, "three consecutive segments"
 
@@ -196,13 +161,12 @@ def _word_rules(w, letters, points):
 
     if len(arc_positions) == len(letters):
         # All-arc word: only the triangle closes up.
-        if len(letters) != 3 or len(groups) != 3:
+        if len(letters) != 3 or not curves[0] < curves[1] < curves[2]:
             return None, "endpoints both arcs"
         canon = _canonical_triangle(letters)
         if canon is None:
             return None, "orientation pairing"
         letters = canon
-        groups = [[(i, x)] for i, x in enumerate(letters)]
     else:
         if letters[0].piece == ARC and letters[-1].piece == ARC:
             return None, "endpoints both arcs"
@@ -214,22 +178,19 @@ def _word_rules(w, letters, points):
 
     # Jump and wrap corners: consecutive letters on different curves and
     # the closing pair (last letter, first letter).
-    boundary_pairs = []  # (prev_position, next_position, is_wrap)
-    for grp, nxt in zip(groups, groups[1:]):
-        boundary_pairs.append((grp[-1][0], nxt[0][0], False))
-    boundary_pairs.append((groups[-1][-1][0], groups[0][0][0], True))
+    last = len(letters) - 1
+    # (prev_position, next_position, is_wrap)
+    boundary_pairs = [(i, i + 1, False) for i in range(last) if curves[i] != curves[i + 1]]
+    boundary_pairs.append((last, 0, True))
 
     corners = []
     for ip, inx, is_wrap in boundary_pairs:
         prev, nxt = letters[ip], letters[inx]
-        if is_wrap:
-            lower, upper = nxt, prev
-        else:
-            lower, upper = prev, nxt
+        lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
         if prev.piece == ARC and nxt.piece == ARC:
             if prev.sign == nxt.sign and not is_wrap:
                 return None, "orientation pairing"
-        elif prev.is_segment and nxt.is_segment:
+        elif prev.piece != ARC and nxt.piece != ARC:
             if is_wrap:
                 if prev.sign == nxt.sign:
                     return None, "orientation pairing"
@@ -237,26 +198,33 @@ def _word_rules(w, letters, points):
                 return None, "orientation pairing"
         else:
             return None, "missing corner"
-        point = _corner_point(points, lower, upper)
+        point = points(lower.curve, upper.curve).get((lower.piece, upper.piece))
         if point is None:
             return None, "missing corner"
         corners.append(point)
 
-    # Boundary monotonicity: a letter carrying two corners must pass them
-    # in the direction of its sign; positions compared exactly.  Letters are
-    # keyed by position, since equal letters may be one shared object.
-    enter = {}
-    leave = {}
-    for (ip, inx, _), corner in zip(boundary_pairs, corners):
-        leave[ip] = corner
-        enter[inx] = corner
-    for pos, x in enumerate(letters):
-        pin, pout = enter.get(pos), leave.get(pos)
-        if pin is None or pout is None or pin is pout:
+    # Boundary monotonicity: a letter whose neighbours both lie on other
+    # curves enters at the corner of one boundary pair and leaves at the
+    # corner of the next, and must pass the two in the direction of its
+    # sign; positions compared exactly.  Along the flow a
+    # half-circle meets its crossings with curves of decreasing index (the
+    # crossing height is affine in the partner index), s- meets increasing
+    # x and s+ decreasing x.  So a < b exactly when the letter runs from
+    # its entering to its leaving corner with the flow.
+    for k, (_, pos, _) in enumerate(boundary_pairs):
+        nk = (k + 1) % len(corners)
+        pin, pout = corners[k], corners[nk]
+        if boundary_pairs[nk][0] != pos or pin is pout:
             continue
-        param = _seg_param if x.is_segment else _arc_param
-        t_in, t_out = param(w, x, pin), param(w, x, pout)
-        if t_in == t_out or (t_out - t_in > 0) != (x.sign > 0):
+        x = letters[pos]
+        if x.piece == ARC:
+            a = pout.j if pout.k == x.curve else pout.k
+            b = pin.j if pin.k == x.curve else pin.k
+        elif x.piece == SEG_MINUS:
+            a, b = pin.x, pout.x
+        else:
+            a, b = pout.x, pin.x
+        if a == b or (a < b) != (x.sign > 0):
             return None, "non-monotone boundary"
 
     return tuple(corners), None
@@ -269,7 +237,7 @@ def classify_disc_word(w, word):
     """
     letters = tuple(word.letters) if isinstance(word, DiscWord) else tuple(word)
     _check_letters(w, letters)
-    corners, reason = _word_rules(w, letters, _point_table(w))
+    corners, reason = _word_rules(letters, _point_table(w))
     if corners is None:
         return False, reason
     return True, None
@@ -316,7 +284,7 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
         if stack[0].curve >= stack[-1].curve:
             return
         attempts[0] += 1
-        corners, reason = _word_rules(w, stack, points)
+        corners, reason = _word_rules(stack, points)
         if corners is not None:
             accepted.append(DiscWord(stack, corners))
 
@@ -325,7 +293,7 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
         if found is not None:
             return found
         out = []
-        nxt = _next_piece(last.piece, last.sign)
+        nxt = _NEXT_PIECE[last.piece, last.sign]
         if nxt is not None:
             out.append(letter(nxt, last.curve, last.sign))
         for c2 in curves:

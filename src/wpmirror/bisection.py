@@ -17,7 +17,8 @@ from math import gcd
 
 import numpy as np
 
-from .weights import LatticePolytope, normalized_volume, _affine_rank, _convex_hull_2d
+from .weights import (LatticePolytope, affine_rank, as_2d, convex_hull_2d,
+                      normalized_volume)
 
 
 def _pt(p):
@@ -27,19 +28,15 @@ def _pt(p):
     return tuple(int(x) for x in p)
 
 
-def _as2(p):
-    return p if len(p) == 2 else (p[0], 0)
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _contains(poly, p, strict=False):
     """Exact membership of a point in a 1- or 2-dimensional polytope."""
-    pts = [_as2(v) for v in poly.vertices]
-    q = _as2(p)
-    if _affine_rank(pts) <= 1:
+    pts = [as_2d(v) for v in poly.vertices]
+    q = as_2d(p)
+    if affine_rank(pts) <= 1:
         # Interval (possibly embedded in the plane): parametrize along it.
         base = min(pts)
         direction = (max(pts)[0] - base[0], max(pts)[1] - base[1])
@@ -50,7 +47,7 @@ def _contains(poly, p, strict=False):
         t = Fraction((q[0] - base[0]) * direction[0] + (q[1] - base[1]) * direction[1],
                      direction[0] ** 2 + direction[1] ** 2)
         return (0 < t < 1) if strict else (0 <= t <= 1)
-    hull = _convex_hull_2d(pts)
+    hull = convex_hull_2d(pts)
     for i in range(len(hull)):
         c = _cross(hull[i], hull[(i + 1) % len(hull)], q)
         if c < 0 or (strict and c == 0):
@@ -80,12 +77,12 @@ class MarkedPolytope:
         return out
 
     def _hull_vertices(self):
-        pts = [_as2(v) for v in self.Q.vertices]
-        if _affine_rank(pts) <= 1:
+        pts = [as_2d(v) for v in self.Q.vertices]
+        if affine_rank(pts) <= 1:
             lo, hi = min(pts), max(pts)
             verts = [lo, hi]
         else:
-            verts = _convex_hull_2d(pts)
+            verts = convex_hull_2d(pts)
         if self.Q.ambient_dim == 1:
             return [(v[0],) for v in verts]
         return verts
@@ -134,8 +131,8 @@ class ValidationReport:
 
 def _shared_region_1d(c0, c1):
     """Intersection of two intervals, as a (lo, hi) pair or None."""
-    pts0 = [_as2(v)[0] for v in c0.Q.vertices]
-    pts1 = [_as2(v)[0] for v in c1.Q.vertices]
+    pts0 = [as_2d(v)[0] for v in c0.Q.vertices]
+    pts1 = [as_2d(v)[0] for v in c1.Q.vertices]
     lo, hi = max(min(pts0), min(pts1)), min(max(pts0), max(pts1))
     if lo > hi:
         return None
@@ -149,9 +146,9 @@ def _edges(hull):
 def _clip_polygons(c0, c1):
     """Exact intersection of two convex polygons (Sutherland–Hodgman with
     rational vertices); returns the list of intersection vertices."""
-    subject = [tuple(map(Fraction, _as2(v))) for v in _convex_hull_2d(
-        [_as2(v) for v in c0.Q.vertices])]
-    clip = _convex_hull_2d([_as2(v) for v in c1.Q.vertices])
+    subject = [tuple(map(Fraction, as_2d(v))) for v in convex_hull_2d(
+        [as_2d(v) for v in c0.Q.vertices])]
+    clip = convex_hull_2d([as_2d(v) for v in c1.Q.vertices])
     for a, b in _edges(clip):
         if not subject:
             break
@@ -209,9 +206,9 @@ def validate_subdivision(s, parent):
         for v in mp.violations():
             fail(v)
 
-    dim = _affine_rank([_as2(v) for v in parent.Q.vertices])
+    dim = affine_rank([as_2d(v) for v in parent.Q.vertices])
     for idx, cell in enumerate(s.cells):
-        if _affine_rank([_as2(v) for v in cell.Q.vertices]) != dim:
+        if affine_rank([as_2d(v) for v in cell.Q.vertices]) != dim:
             fail(f"cell {idx} is not full-dimensional")
         for v in cell.Q.vertices:
             if not _contains(parent.Q, v):
@@ -237,10 +234,10 @@ def validate_subdivision(s, parent):
             else:
                 x = shared[0]
                 shared_pts = [(x,) if parent.Q.ambient_dim == 1 else (x, 0)]
-                ends_i = [min(_as2(v)[0] for v in ci.Q.vertices),
-                          max(_as2(v)[0] for v in ci.Q.vertices)]
-                ends_j = [min(_as2(v)[0] for v in cj.Q.vertices),
-                          max(_as2(v)[0] for v in cj.Q.vertices)]
+                ends_i = [min(as_2d(v)[0] for v in ci.Q.vertices),
+                          max(as_2d(v)[0] for v in ci.Q.vertices)]
+                ends_j = [min(as_2d(v)[0] for v in cj.Q.vertices),
+                          max(as_2d(v)[0] for v in cj.Q.vertices)]
                 if x not in ends_i or x not in ends_j:
                     fail(f"cells {i},{j} meet at {x}, not a face of both")
         else:
@@ -268,11 +265,11 @@ def _on_region(p, region):
     vertices (a point or a segment)."""
     if not region:
         return False
-    q = tuple(map(Fraction, _as2(p)))
+    q = tuple(map(Fraction, as_2d(p)))
     if len(region) == 1:
-        return q == tuple(map(Fraction, _as2(region[0])))
-    a, b = (tuple(map(Fraction, _as2(region[0]))),
-            tuple(map(Fraction, _as2(region[-1]))))
+        return q == tuple(map(Fraction, as_2d(region[0])))
+    a, b = (tuple(map(Fraction, as_2d(region[0]))),
+            tuple(map(Fraction, as_2d(region[-1]))))
     if _cross(a, b, q) != 0:
         return False
     dot = (q[0] - a[0]) * (b[0] - a[0]) + (q[1] - a[1]) * (b[1] - a[1])
@@ -284,7 +281,7 @@ def _is_common_face(ci, cj, inter):
     """The exact intersection (a point or segment) must be a vertex or a
     full edge of both polygons."""
     def faces(c):
-        hull = _convex_hull_2d([_as2(v) for v in c.Q.vertices])
+        hull = convex_hull_2d([as_2d(v) for v in c.Q.vertices])
         out = [frozenset([(Fraction(v[0]), Fraction(v[1]))]) for v in hull]
         out += [frozenset([(Fraction(a[0]), Fraction(a[1])),
                            (Fraction(b[0]), Fraction(b[1]))])
@@ -320,7 +317,7 @@ def _wall_functional(b):
         if shared is None or shared[0] != shared[1]:
             raise ValueError("cells do not share a wall point")
         wall = shared[0]
-        pts1 = [_as2(v)[0] for v in b.cell1.Q.vertices]
+        pts1 = [as_2d(v)[0] for v in b.cell1.Q.vertices]
         mid1 = Fraction(sum(pts1), len(pts1))
         sign = -1 if mid1 > wall else 1
         return (-sign * wall, (sign,))
@@ -333,7 +330,7 @@ def _wall_functional(b):
     g = gcd(int(d[0]), int(d[1]))
     normal = (int(d[1]) // g, -int(d[0]) // g)
     const = -(normal[0] * p[0] + normal[1] * p[1])
-    hull1 = _convex_hull_2d([_as2(v) for v in b.cell1.Q.vertices])
+    hull1 = convex_hull_2d([as_2d(v) for v in b.cell1.Q.vertices])
     cx = Fraction(sum(v[0] for v in hull1), len(hull1))
     cy = Fraction(sum(v[1] for v in hull1), len(hull1))
     if normal[0] * cx + normal[1] * cy + const > 0:
@@ -350,7 +347,7 @@ def coherence_weight(b):
     const, grad = _wall_functional(b)
 
     def lam(p):
-        q = _as2(p)
+        q = as_2d(p)
         return int(const + sum(g * x for g, x in zip(grad, q)))
 
     values = {}
@@ -372,7 +369,7 @@ def reparameterized_weight(b):
     eta = coherence_weight(b)
 
     def lam(p):
-        q = _as2(p)
+        q = as_2d(p)
         return int(const + grad[0] * q[0] + (grad[1] * q[1] if len(grad) > 1 else 0))
 
     values = {p: v - lam(p) for p, v in eta.values}

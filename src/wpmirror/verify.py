@@ -9,9 +9,10 @@ either side flips it to fail.
 """
 
 import hashlib
-import json
+import marshal
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
@@ -27,25 +28,20 @@ CONVENTIONS = {
 }
 
 
-def _label_key(label):
-    return list(label.subset)
-
-
 def _triangle_digest(words):
     """Sorted two-fold product entries of the accepted triangles among
-    `words`: each contributes exactly one structure constant +1."""
+    `words`: each contributes exactly one structure constant +1.
+
+    Entries on both sides have one form, `((i, j, k), J0, J1, Jout, c)`
+    with int tuples, from construction to the encoded certificate.
+    """
     entries = []
     for word in words:
         if len(word.corners) != 3:
             continue
         p0, p1, out = word.corners
-        entries.append((
-            [p0.j, p0.k, p1.k],
-            _label_key(p0.label),
-            _label_key(p1.label),
-            _label_key(out.label),
-            1,
-        ))
+        entries.append(((p0.j, p0.k, p1.k), p0.label.subset, p1.label.subset,
+                        out.label.subset, 1))
     entries.sort()
     return entries
 
@@ -86,15 +82,73 @@ def bside_digest(w):
                                 None if prod is None or prod.is_zero()
                                 else (prod.label.subset, int(prod.coefficient)))
                         if found is not None:
-                            entries.append((
-                                [i, j, k],
-                                _label_key(lab0),
-                                _label_key(lab1),
-                                list(found[0]),
-                                found[1],
-                            ))
+                            entries.append(((i, j, k), lab0.subset, lab1.subset,
+                                            found[0], found[1]))
     entries.sort()
     return entries
+
+
+def _json_text(value):
+    """The text of `json.dumps(value, sort_keys=True, indent=2)` for values
+    made of dicts with str keys, lists, tuples, str, int, bool and None;
+    any other type raises TypeError.
+
+    The C encoder of `json` ignores `indent`, so `json.dumps` would run its
+    pure-Python encoder here, at about three times the cost.  A table that
+    lives for one call formats each distinct tuple once per indent level,
+    so a digest entry, and every triple and subset inside it, is formatted
+    once however often it repeats.  The table is keyed by marshal bytes,
+    which tell True from 1 where tuple equality does not; version 2 writes
+    no back-references, so equal values give equal bytes.
+    """
+    texts = {}
+
+    def encode(o, level):
+        t = type(o)
+        if t is tuple:
+            try:
+                key = level, marshal.dumps(o, 2)
+            except ValueError:  # a type marshal cannot write; encode rejects it
+                return sequence(o, level)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = sequence(o, level)
+            return text
+        if t is int:
+            return int.__repr__(o)
+        if t is str:
+            return encode_basestring_ascii(o)
+        if t is list:
+            return sequence(o, level)
+        if t is dict:
+            return mapping(o, level)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    def sequence(o, level):
+        if not o:
+            return "[]"
+        newline = "\n" + "  " * (level + 1)
+        return ("[" + newline
+                + ("," + newline).join([encode(x, level + 1) for x in o])
+                + newline[:-2] + "]")
+
+    def mapping(o, level):
+        if not o:
+            return "{}"
+        newline = "\n" + "  " * (level + 1)
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        return ("{" + newline
+                + ("," + newline).join([encode_basestring_ascii(k) + ": " + encode(v, level + 1)
+                                        for k, v in sorted(o.items())])
+                + newline[:-2] + "}")
+
+    return encode(value, 0)
 
 
 @dataclass
@@ -128,7 +182,7 @@ class Certificate:
         }
         if include_timestamp:
             payload["timestamp"] = self.timestamp
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _json_text(payload)
 
     def digest(self):
         """Content hash, excluding the timestamp."""
@@ -159,8 +213,8 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
             }
             if da != db:
                 failures.append(f"dimension mismatch at pair ({j},{k}): {da} vs {db}")
-            labels_a = sorted(_label_key(lab) for _, lab in hom_a.basis)
-            labels_b = sorted(_label_key(lab) for _, lab in hom_b.basis)
+            labels_a = sorted(lab.subset for _, lab in hom_a.basis)
+            labels_b = sorted(lab.subset for _, lab in hom_b.basis)
             if labels_a != labels_b:
                 failures.append(f"label mismatch at pair ({j},{k})")
 
@@ -178,7 +232,7 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
             entry = list(target[idx % len(target)])
             entry[4] += 1
             target[idx % len(target)] = tuple(entry)
-    if [list(e) for e in dig_a] != [list(e) for e in dig_b]:
+    if dig_a != dig_b:
         failures.append("composition digests differ")
 
     higher = {
@@ -204,8 +258,8 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
         weights=tuple(w.a),
         l=w.l,
         dim_table=dim_table,
-        aside_digest=[list(e[:4]) + [e[4]] for e in dig_a],
-        bside_digest=[list(e[:4]) + [e[4]] for e in dig_b],
+        aside_digest=dig_a,
+        bside_digest=dig_b,
         higher_products=higher,
         resolution_check=resolution_check,
         conventions=dict(CONVENTIONS),

@@ -191,9 +191,14 @@ def exterior_basis(w, r, s):
     return out
 
 
-def _affine_rank(points):
+def as_2d(p):
+    """A 1- or 2-dimensional point as a point of the plane: (x,) is (x, 0)."""
+    return p if len(p) == 2 else (p[0], 0)
+
+
+def affine_rank(points):
     """Affine rank of a set of 1- or 2-dimensional integer points."""
-    pts = [p if len(p) == 2 else (p[0], 0) for p in points]
+    pts = [as_2d(p) for p in points]
     base = pts[0]
     vecs = [(p[0] - base[0], p[1] - base[1]) for p in pts[1:]]
     vecs = [v for v in vecs if v != (0, 0)]
@@ -206,7 +211,7 @@ def _affine_rank(points):
     return 1
 
 
-def _convex_hull_2d(points):
+def convex_hull_2d(points):
     """Andrew's monotone chain; returns hull vertices counterclockwise."""
     pts = sorted(set(points))
     if len(pts) <= 2:
@@ -234,10 +239,10 @@ def normalized_volume(p):
 
     Zero-dimensional input is rejected.
     """
-    rank = _affine_rank(p.vertices)
+    rank = affine_rank(p.vertices)
     if rank == 0:
         raise ValueError("degenerate polytope: all vertices coincide")
-    pts = [v if len(v) == 2 else (v[0], 0) for v in p.vertices]
+    pts = [as_2d(v) for v in p.vertices]
     if rank == 1:
         base = pts[0]
         # Project onto the carrier line and take the extreme points.
@@ -248,7 +253,7 @@ def normalized_volume(p):
                   for q in pts]
         lo, hi = pts[params.index(min(params))], pts[params.index(max(params))]
         return gcd(abs(hi[0] - lo[0]), abs(hi[1] - lo[1]))
-    hull = _convex_hull_2d(pts)
+    hull = convex_hull_2d(pts)
     twice_area = 0
     for i in range(len(hull)):
         x0, y0 = hull[i]

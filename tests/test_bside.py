@@ -114,6 +114,16 @@ class TestComposeDual:
         v = DualElement(4, 3, ExteriorBasisElement((1,)))
         assert compose_dual(w, u, v) is None
 
+    def test_weight_truncation_bound(self):
+        # e0 after e1 over span 2: weight 5 > 2 for (2, 3) is cut, while
+        # weight 2 = 2 for (1, 1, 2) is kept.
+        u, v = (DualElement(1, 0, ExteriorBasisElement((0,))),
+                DualElement(2, 1, ExteriorBasisElement((1,))))
+        assert compose_dual(Weights((2, 3)), u, v) is None
+        out = compose_dual(Weights((1, 1, 2)), u, v)
+        assert (out.source, out.target) == (2, 0)
+        assert out.label.subset == (0, 1) and out.coefficient == 1
+
     def test_overlap_kills(self):
         w = Weights((1, 1, 3))
         u = DualElement(2, 1, ExteriorBasisElement((0,)))

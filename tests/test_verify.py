@@ -3,8 +3,11 @@
 import json
 from collections import Counter
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wpmirror import verify
 from wpmirror.aside import words
@@ -89,7 +92,7 @@ class TestOncePerCertificate:
         digests = [hms_certificate(w, max_word_len=n).aside_digest for n in (6, 8, 10)]
         assert digests[0]
         assert digests[0] == digests[1] == digests[2]
-        assert digests[0] == [list(e) for e in aside_digest(w)]
+        assert digests[0] == aside_digest(w)
 
     def test_word_bound_below_triangles_rejected(self):
         with pytest.raises(ValueError):
@@ -109,9 +112,8 @@ def direct_bside_digest(w):
                         prod = compose_dual(w, DualElement(j, i, lab0),
                                             DualElement(k, j, lab1))
                         if prod is not None and not prod.is_zero():
-                            entries.append(([i, j, k], list(lab0.subset),
-                                            list(lab1.subset),
-                                            list(prod.label.subset),
+                            entries.append(((i, j, k), lab0.subset, lab1.subset,
+                                            prod.label.subset,
                                             int(prod.coefficient)))
     entries.sort()
     return entries
@@ -145,6 +147,57 @@ class TestBsideProductTable:
         monkeypatch.setattr(verify, "compose_dual", counting_compose)
         assert bside_digest(Weights(a))
         assert len(keys) == len(set(keys))
+
+
+# Digests recorded by the benchmark for every pair with a0 + a1 <= 25.
+EXPECTED_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "sweep-2w.json"
+
+PAIRS_L12 = [(a0, a1) for a0 in range(1, 12) for a1 in range(a0, 13 - a0)]
+
+
+@pytest.fixture(scope="module")
+def certificates_l12():
+    return {a: hms_certificate(Weights(a)) for a in PAIRS_L12}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+class TestDigestEncoding:
+    @given(json_values)
+    # True == 1 and False == 0, so equal tuples may need different text.
+    @example([(1,), (True,), (False, 0), (0, False)])
+    @example([(True,), (1,), ((True, 1),), ((1, True),)])
+    @example({"b": [(0,), [(False,)]], "a": [(False,), [(0,)]]})
+    @example({"\u00e9": "\x00\x1f\u2028\ud800 \U0001f600", "\x7f": ["\t\n"]})
+    @example({"z": [], "y": (), "x": {}, "w": [[], (), {}]})
+    def test_matches_json_dumps(self, value):
+        assert verify._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.0, (1, 2.5), {1: "a"}, {"a": {2}}, [object()],
+                                       (1, object())])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            verify._json_text(value)
+
+    def test_to_json_matches_json_dumps(self, certificates_l12):
+        for a, cert in certificates_l12.items():
+            payload = dict(vars(cert))
+            assert cert.to_json() == json.dumps(payload, sort_keys=True, indent=2), a
+            del payload["timestamp"]
+            assert cert.to_json(include_timestamp=False) == \
+                json.dumps(payload, sort_keys=True, indent=2), a
+
+    def test_digests_match_recorded(self, certificates_l12):
+        with open(EXPECTED_SWEEP) as fh:
+            recorded = json.load(fh)["digests"]
+        for a, cert in certificates_l12.items():
+            assert cert.digest() == recorded[f"{a[0]},{a[1]}"], a
 
 
 class TestMutation:
