@@ -10,7 +10,6 @@ from .strip import (
     hom_space,
     intersections,
     maslov_degree,
-    shift_period,
 )
 from .words import (
     DiscWord,
@@ -37,7 +36,6 @@ __all__ = [
     "hom_space",
     "intersections",
     "maslov_degree",
-    "shift_period",
     "DiscWord",
     "Letter",
     "classify_disc_word",

@@ -3,8 +3,8 @@
 Each curve lives in the strip 0 <= Re(z) <= 1 with vertical period 4(l-1)
 and consists of two straight segments joined by a half-circle in the
 Re(z) <= 0 half-plane.  All coordinates are Gaussian integers or exact
-rationals; Maslov degrees are computed as rational multiples of pi that
-must cancel to integers exactly.
+rationals; Maslov degrees are computed exactly in integer units of
+pi / 2(l-1) and must cancel to integer multiples of pi.
 """
 
 import enum
@@ -61,24 +61,6 @@ def build_curves(w):
             arc_radius=l - 1,
         ))
     return curves
-
-
-def shift_period(curve, w, steps=1):
-    """The curve translated by `steps` vertical periods 4(l-1)."""
-    dy = 4 * (w.l - 1) * steps
-
-    def sh(p):
-        return (p[0], p[1] + dy)
-
-    return StripCurve(
-        index=curve.index,
-        p_plus=sh(curve.p_plus),
-        p_minus=sh(curve.p_minus),
-        q_plus=sh(curve.q_plus),
-        q_minus=sh(curve.q_minus),
-        arc_center=sh(curve.arc_center),
-        arc_radius=curve.arc_radius,
-    )
 
 
 @dataclass(frozen=True)
@@ -138,31 +120,35 @@ def intersections(w, j, k):
     return points
 
 
+# Every angle of the Maslov pipeline is a multiple of pi / D with
+# D = 2(l - 1), so the pipeline runs on integers in that unit.
+
 def _phi_plus(w, i):
-    """Boundary grading at the upper endpoint of curve i, in units of pi."""
+    """Boundary grading at the upper endpoint of curve i, in units of pi/D."""
     q_plus_im = 4 * i + 1 - 2 * (w.l - 1) + 4 * w.a[0] - 2
-    return 1 - Fraction(q_plus_im, 2 * (w.l - 1))
+    return 2 * (w.l - 1) - q_plus_im
 
 
 def _phi_minus(w, i):
-    """Boundary grading at the lower endpoint of curve i, in units of pi."""
+    """Boundary grading at the lower endpoint of curve i, in units of pi/D."""
     q_minus_im = 4 * i + 1 - 2 * (w.l - 1)
-    return Fraction(-q_minus_im, 2 * (w.l - 1))
+    return -q_minus_im
 
 
-def _xi_semicircle(w, r):
+def _xi_semicircle(w, two_r):
     """Angle swept along the boundary semicircle of height parameter r,
-    in units of pi."""
-    return 1 - Fraction(r, w.l - 1)
+    given as 2r, in units of pi/D."""
+    return 2 * (w.l - 1) - two_r
 
 
 def maslov_degree(w, p):
     """Maslov degree of an intersection point via the exact angle pipeline.
 
-    Every case-specific path decomposition is evaluated as a rational
-    multiple of pi; the result must cancel to an integer exactly.
+    Every case-specific path decomposition is evaluated in units of pi/D;
+    the result must cancel to a multiple of D, an integer multiple of pi.
     """
     _require_strip_weights(w)
+    d = 2 * (w.l - 1)
     j, k = p.j, p.k
     # Path endpoints: the marked boundary points of curves k (upper role)
     # and j (lower role).
@@ -172,36 +158,40 @@ def maslov_degree(w, p):
     phi_j = _phi_minus(w, j)
     if p.kind is PointKind.ARC:
         # Boundary semicircle traversed backwards, no extra loop.
-        r = Fraction(q_plus_im_k - q_minus_im_j, 2)
-        xi = -_xi_semicircle(w, r)
+        xi = -_xi_semicircle(w, q_plus_im_k - q_minus_im_j)
         orientation = 0
     elif p.kind is PointKind.SEG_PM:
         # Same semicircle plus a full backwards loop around the boundary.
-        r = Fraction(q_plus_im_k - q_minus_im_j, 2)
-        xi = -_xi_semicircle(w, r) - 2
-        orientation = 1
+        xi = -_xi_semicircle(w, q_plus_im_k - q_minus_im_j) - 2 * d
+        orientation = d
     elif p.kind is PointKind.SEG_MP:
         # Straight chord between the endpoint gradings, then a backwards loop.
-        xi = (phi_j - phi_k) - 2
-        orientation = 1
+        xi = (phi_j - phi_k) - 2 * d
+        orientation = d
     else:  # pragma: no cover
         raise ValueError(f"unknown point kind {p.kind}")
     mu = -(xi + orientation + phi_k - phi_j)
-    if mu.denominator != 1:
+    if mu % d:
         raise ArithmeticError(
-            f"Maslov pipeline failed to cancel: mu = {mu} pi for {p}"
+            f"Maslov pipeline failed to cancel: mu = {mu}/{d} pi for {p}"
         )
-    return int(mu)
+    return mu // d
 
 
-def hom_space(w, j, k):
+def hom_space(w, j, k, points=None):
     """The morphism space from curve j to curve k: labeled intersection
-    points graded by Maslov degree; identity for j = k, zero for j > k."""
+    points graded by Maslov degree; identity for j = k, zero for j > k.
+
+    `points`, for j < k, are the intersection points of the pair if the
+    caller has already built them; by default they are built here.
+    """
     _require_strip_weights(w)
     if j == k:
         return BigradedHom(j, k, ((0, ExteriorBasisElement(())),))
     if j > k:
         return BigradedHom(j, k, ())
-    basis = [(maslov_degree(w, p), p.label) for p in intersections(w, j, k)]
+    if points is None:
+        points = intersections(w, j, k)
+    basis = [(maslov_degree(w, p), p.label) for p in points]
     basis.sort(key=lambda t: (t[0], t[1].subset))
     return BigradedHom(j, k, tuple(basis))

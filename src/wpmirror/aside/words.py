@@ -31,6 +31,7 @@ _NEXT_PIECE = {
     (SEG_PLUS, 1): ARC, (ARC, 1): SEG_MINUS, (SEG_MINUS, 1): None,
     (SEG_MINUS, -1): ARC, (ARC, -1): SEG_PLUS, (SEG_PLUS, -1): None,
 }
+_OTHER_SEGMENT = {SEG_PLUS: SEG_MINUS, SEG_MINUS: SEG_PLUS}
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def _canonical_triangle(letters):
     """All-arc words: the flow convention makes the triangle (+,-,+); the
     reversed alternation (-,+,-) names the same disc and is accepted as an
     alias, normalized here."""
-    signs = tuple(x.sign for x in letters)
+    signs = (letters[0].sign, letters[1].sign, letters[2].sign)
     if signs == (1, -1, 1):
         return letters
     if signs == (-1, 1, -1):
@@ -129,6 +130,76 @@ def _check_letters(w, letters):
             raise MalformedWord(f"not a letter: {x!r}")
         if x.curve > top:
             raise MalformedWord(f"curve {x.curve} outside [0, {top}]")
+
+
+def _shape(letters, arcs):
+    """Word-shape rules, given the positions `arcs` of the arc letters.
+    Returns (letters, None), with an all-arc triangle in its canonical
+    orientation, or (None, reason)."""
+    if not arcs:
+        return None, "segment-only disc"
+    if len(arcs) == len(letters):
+        # All-arc word: only the triangle closes up.
+        if len(letters) != 3 or not letters[0].curve < letters[1].curve < letters[2].curve:
+            return None, "endpoints both arcs"
+        canon = _canonical_triangle(letters)
+        if canon is None:
+            return None, "orientation pairing"
+        return canon, None
+    if letters[0].piece == ARC and letters[-1].piece == ARC:
+        return None, "endpoints both arcs"
+    if len(arcs) != 2 or arcs[1] != arcs[0] + 1:
+        return None, "orientation pairing"
+    a, b = letters[arcs[0]], letters[arcs[1]]
+    if a.curve == b.curve or a.sign == b.sign:
+        return None, "orientation pairing"
+    return letters, None
+
+
+def _corner(prev, nxt, is_wrap, points):
+    """The corner where `prev` hands over to `nxt`: a jump to a higher
+    curve, or the wrap from the last letter back to the first.  Returns
+    (point, None), or (None, reason) when the two letters cannot meet.
+    `points` is the corner lookup of `_point_table`."""
+    if prev.piece == ARC and nxt.piece == ARC:
+        if prev.sign == nxt.sign and not is_wrap:
+            return None, "orientation pairing"
+    elif prev.piece != ARC and nxt.piece != ARC:
+        if is_wrap:
+            if prev.sign == nxt.sign:
+                return None, "orientation pairing"
+        elif not _seg_jump_ok(prev, nxt):
+            return None, "orientation pairing"
+    else:
+        return None, "missing corner"
+    lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
+    point = points(lower.curve, upper.curve).get((lower.piece, upper.piece))
+    if point is None:
+        return None, "missing corner"
+    return point, None
+
+
+def _monotone(letter, corner_in, corner_out):
+    """Boundary monotonicity of a letter entered at `corner_in` and left at
+    `corner_out`, both on other curves: the letter must pass the two in the
+    direction of its sign; positions compared exactly.
+
+    Along the flow a half-circle meets its crossings with curves of
+    decreasing index (the crossing height is affine in the partner index),
+    s- meets increasing x and s+ decreasing x.  So a < b exactly when the
+    letter runs from `corner_in` to `corner_out` with the flow.  A letter
+    entered and left at one point has nothing to order.
+    """
+    if corner_in is corner_out:
+        return True
+    if letter.piece == ARC:
+        a = corner_out.j if corner_out.k == letter.curve else corner_out.k
+        b = corner_in.j if corner_in.k == letter.curve else corner_in.k
+    elif letter.piece == SEG_MINUS:
+        a, b = corner_in.x, corner_out.x
+    else:
+        a, b = corner_out.x, corner_in.x
+    return a != b and (a < b) == (letter.sign > 0)
 
 
 def _word_rules(letters, points):
@@ -155,76 +226,28 @@ def _word_rules(letters, points):
         if run >= 3:
             return None, "three consecutive segments"
 
-    arc_positions = [i for i, x in enumerate(letters) if x.piece == ARC]
-    if not arc_positions:
-        return None, "segment-only disc"
+    letters, reason = _shape(letters, [i for i, x in enumerate(letters) if x.piece == ARC])
+    if reason is not None:
+        return None, reason
 
-    if len(arc_positions) == len(letters):
-        # All-arc word: only the triangle closes up.
-        if len(letters) != 3 or not curves[0] < curves[1] < curves[2]:
-            return None, "endpoints both arcs"
-        canon = _canonical_triangle(letters)
-        if canon is None:
-            return None, "orientation pairing"
-        letters = canon
-    else:
-        if letters[0].piece == ARC and letters[-1].piece == ARC:
-            return None, "endpoints both arcs"
-        if len(arc_positions) != 2 or arc_positions[1] != arc_positions[0] + 1:
-            return None, "orientation pairing"
-        a, b = letters[arc_positions[0]], letters[arc_positions[1]]
-        if a.curve == b.curve or a.sign == b.sign:
-            return None, "orientation pairing"
-
-    # Jump and wrap corners: consecutive letters on different curves and
-    # the closing pair (last letter, first letter).
+    # Corners: the jumps between consecutive letters on different curves,
+    # in order, then the wrap (last letter, first letter).  starts[k] is
+    # the position of the letter that leaves at corner k.
     last = len(letters) - 1
-    # (prev_position, next_position, is_wrap)
-    boundary_pairs = [(i, i + 1, False) for i in range(last) if curves[i] != curves[i + 1]]
-    boundary_pairs.append((last, 0, True))
-
+    starts = [i for i in range(last) if curves[i] != curves[i + 1]] + [last]
     corners = []
-    for ip, inx, is_wrap in boundary_pairs:
-        prev, nxt = letters[ip], letters[inx]
-        lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
-        if prev.piece == ARC and nxt.piece == ARC:
-            if prev.sign == nxt.sign and not is_wrap:
-                return None, "orientation pairing"
-        elif prev.piece != ARC and nxt.piece != ARC:
-            if is_wrap:
-                if prev.sign == nxt.sign:
-                    return None, "orientation pairing"
-            elif not _seg_jump_ok(prev, nxt):
-                return None, "orientation pairing"
-        else:
-            return None, "missing corner"
-        point = points(lower.curve, upper.curve).get((lower.piece, upper.piece))
+    for i in starts:
+        point, reason = _corner(letters[i], letters[(i + 1) % len(letters)],
+                                i == last, points)
         if point is None:
-            return None, "missing corner"
+            return None, reason
         corners.append(point)
 
-    # Boundary monotonicity: a letter whose neighbours both lie on other
-    # curves enters at the corner of one boundary pair and leaves at the
-    # corner of the next, and must pass the two in the direction of its
-    # sign; positions compared exactly.  Along the flow a
-    # half-circle meets its crossings with curves of decreasing index (the
-    # crossing height is affine in the partner index), s- meets increasing
-    # x and s+ decreasing x.  So a < b exactly when the letter runs from
-    # its entering to its leaving corner with the flow.
-    for k, (_, pos, _) in enumerate(boundary_pairs):
-        nk = (k + 1) % len(corners)
-        pin, pout = corners[k], corners[nk]
-        if boundary_pairs[nk][0] != pos or pin is pout:
-            continue
-        x = letters[pos]
-        if x.piece == ARC:
-            a = pout.j if pout.k == x.curve else pout.k
-            b = pin.j if pin.k == x.curve else pin.k
-        elif x.piece == SEG_MINUS:
-            a, b = pin.x, pout.x
-        else:
-            a, b = pout.x, pin.x
-        if a == b or (a < b) != (x.sign > 0):
+    # A letter that is entered at corner k and left at the next corner.
+    for k, i in enumerate(starts):
+        nk = (k + 1) % len(starts)
+        pos = (i + 1) % len(letters)
+        if starts[nk] == pos and not _monotone(letters[pos], corners[k], corners[nk]):
             return None, "non-monotone boundary"
 
     return tuple(corners), None
@@ -243,36 +266,48 @@ def classify_disc_word(w, word):
     return True, None
 
 
-def enumerate_accepted_words(w, max_len=8, curves=None):
+def enumerate_accepted_words(w, max_len=8, curves=None, points=None):
     """Exhaustively enumerate accepted words up to the given length.
 
-    The search walks extendable letter sequences, pruning prefixes that can
-    no longer satisfy the structural rules, and runs the full rule pipeline
-    on every closable word.  Pure-arc words are emitted with the canonical
-    (+,-,+) orientation only, so each disc appears exactly once.
+    The search walks extendable letter sequences and prunes prefixes that
+    can no longer satisfy the rules of `_word_rules`.  It checks each jump
+    corner once per letter edge and each letter's monotonicity when the
+    jump that leaves it is pushed; a failure there stays in every extension,
+    so the whole subtree goes.  A closable word then needs only the shape
+    rules, its wrap corner and the monotonicity of the two letters that
+    touch the wrap.  Pure-arc words are emitted with the canonical (+,-,+)
+    orientation only, so each disc appears exactly once.
+
+    `points` is a `_point_table(w)` the caller shares; by default the call
+    builds its own.
     """
     if curves is None:
         curves = range(w.l - 1)
     curves = sorted(curves)
     # Every letter of the search lies on one of these curves, so the words
-    # go to the rule core without a per-word letter check.
+    # go to the rules without a per-word letter check.
     if curves and not 0 <= curves[0] <= curves[-1] <= w.l - 2:
         raise MalformedWord(f"curves {curves} outside [0, {w.l - 2}]")
+    if points is None:
+        points = _point_table(w)
     accepted = []
-    attempts = [0]
-    points = _point_table(w)
 
-    def may_extend(arc_count, seg_count, arc_adjacent_ok):
-        if arc_count > 3:
+    def may_extend(arcs, seg_count):
+        """Caps on a word that may still grow, given its arc positions: at
+        most three arcs, and with any segment at most two, adjacent."""
+        if len(arcs) > 3:
             return False
-        if seg_count and arc_count > 2:
-            return False
-        if seg_count and arc_count == 2 and not arc_adjacent_ok:
-            return False
+        if seg_count and len(arcs) > 1:
+            return len(arcs) == 2 and arcs[1] == arcs[0] + 1
         return True
 
+    # Tables of this call.  Letters are interned, so the tables key them by
+    # id, which is cheaper than the dataclass hash.
     interned = {}  # (piece, curve, sign) -> the one Letter of this call
-    successor_table = {}  # Letter -> the letters that may follow it
+    successor_table = {}  # id(letter) -> ((next letter, jump corner or None), ...)
+    # id(last) -> _corner(last, first, True, points) for the first letter of
+    # the subtree being searched; cleared when the first letter changes.
+    wraps = {}
 
     def letter(piece, curve, sign):
         found = interned.get((piece, curve, sign))
@@ -280,59 +315,79 @@ def enumerate_accepted_words(w, max_len=8, curves=None):
             found = interned[piece, curve, sign] = Letter(piece, curve, sign)
         return found
 
-    def close(stack):
-        if stack[0].curve >= stack[-1].curve:
+    def close(stack, corners, arcs):
+        first, last = stack[0], stack[-1]
+        if first.curve >= last.curve:
             return
-        attempts[0] += 1
-        corners, reason = _word_rules(stack, points)
-        if corners is not None:
-            accepted.append(DiscWord(stack, corners))
+        # Search words are canonical, so _shape hands the stack back as is.
+        if _shape(stack, arcs)[1] is not None:
+            return
+        found = wraps.get(id(last))
+        if found is None:
+            found = wraps[id(last)] = _corner(last, first, True, points)
+        wrap = found[0]
+        if wrap is None:
+            return
+        # Only the first and last letters touch the wrap corner; the search
+        # checked every other letter's monotonicity as it pushed the jump
+        # that leaves it.
+        if stack[1].curve != first.curve and not _monotone(first, wrap, corners[0]):
+            return
+        if stack[-2].curve != last.curve and not _monotone(last, corners[-1], wrap):
+            return
+        accepted.append(DiscWord(stack, corners + (wrap,)))
 
     def successors(last):
-        found = successor_table.get(last)
+        found = successor_table.get(id(last))
         if found is not None:
             return found
         out = []
         nxt = _NEXT_PIECE[last.piece, last.sign]
         if nxt is not None:
-            out.append(letter(nxt, last.curve, last.sign))
+            out.append((letter(nxt, last.curve, last.sign), None))
+        # A jump meets an arc from an arc, the other segment from a
+        # segment; _corner decides the sign and whether the point exists.
+        piece = ARC if last.piece == ARC else _OTHER_SEGMENT[last.piece]
         for c2 in curves:
-            if c2 <= last.curve:
-                continue
-            gap = c2 - last.curve
-            if last.piece == ARC:
-                # arc signs alternate; keep the canonical +,-,+ start
-                out.append(letter(ARC, c2, -last.sign))
-            elif last.piece == SEG_MINUS and last.sign == 1 and w.a[1] <= gap:
-                out.append(letter(SEG_PLUS, c2, 1))
-            elif last.piece == SEG_PLUS and last.sign == -1 and w.a[0] <= gap:
-                out.append(letter(SEG_MINUS, c2, -1))
-        found = successor_table[last] = tuple(out)
+            if c2 > last.curve:
+                for sign in (1, -1):
+                    cand = letter(piece, c2, sign)
+                    corner = _corner(last, cand, False, points)[0]
+                    if corner is not None:
+                        out.append((cand, corner))
+        found = successor_table[id(last)] = tuple(out)
         return found
 
-    def dfs(stack, arcs, seg_count, seg_run):
-        """`arcs` holds the positions of the arc letters in `stack`."""
-        close(stack)
-        if len(stack) >= max_len:
+    def dfs(stack, corners, arcs, seg_count, seg_run):
+        """`corners` holds the jump corners of `stack`, `arcs` the
+        positions of its arc letters."""
+        close(stack, corners, arcs)
+        depth = len(stack)
+        if depth >= max_len:
             return
-        for nxt in successors(stack[-1]):
+        last = stack[-1]
+        # The corner `last` was entered at, if it was entered by a jump.
+        entered = corners[-1] if depth > 1 and stack[-2].curve != last.curve else None
+        for nxt, corner in successors(last):
             if nxt.piece == ARC:
-                n_arcs, n_seg, n_run = arcs + (len(stack),), seg_count, 0
+                n_arcs, n_seg, n_run = arcs + (depth,), seg_count, 0
             else:
                 n_arcs, n_seg, n_run = arcs, seg_count + 1, seg_run + 1
                 if n_run >= 3:
                     continue
-            adjacent = len(n_arcs) < 2 or (
-                len(n_arcs) == 2 and n_arcs[1] == n_arcs[0] + 1)
-            if not may_extend(len(n_arcs), n_seg, adjacent):
+            if not may_extend(n_arcs, n_seg):
                 continue
-            dfs(stack + (nxt,), n_arcs, n_seg, n_run)
+            if corner is None:
+                dfs(stack + (nxt,), corners, n_arcs, n_seg, n_run)
+            elif entered is None or _monotone(last, entered, corner):
+                dfs(stack + (nxt,), corners + (corner,), n_arcs, n_seg, n_run)
 
     for c in curves:
         for piece in _FLOW_ORDER:
             is_arc = piece == ARC
             for sign in (1,) if is_arc else (1, -1):
-                dfs((letter(piece, c, sign),), (0,) if is_arc else (),
+                wraps.clear()
+                dfs((letter(piece, c, sign),), (), (0,) if is_arc else (),
                     int(not is_arc), int(not is_arc))
     return accepted
 
@@ -379,7 +434,21 @@ class HigherProductReport:
 def higher_product_report(words, max_word_len):
     """Check that every accepted word of one enumeration bounded by
     `max_word_len` is a triangle (three corners), so no products beyond
-    the two-fold one receive contributions."""
+    the two-fold one receive contributions.
+
+    Lemma (length bound).  The search never builds a word of more than 5
+    letters, so no accepted word has more; the search's caps and gap
+    conditions, not `max_word_len`, set this bound.  The caps admit at most
+    three arcs in an all-arc word and, once a segment occurs, at most two
+    adjacent arcs between runs of at most two segments: 6 letters at most.
+    A segment meets an arc only on its own curve, and a segment on another
+    curve only by the jumps s-(+) s+(+), of gap at least a1, and
+    s+(-) s-(-), of gap at least a0.  So a 6-letter word is
+    s-(+) s+(+) C(+) C(-) s+(-) s-(-) or s+(-) s-(-) C(-) C(+) s-(+) s+(+),
+    whose curves span at least a0 + a1 + 1 = l + 1, more than the curves
+    0..l-2 allow.  Any bound of at least 6 gives the same words; the bound
+    is recorded in the payload but limits nothing.
+    """
     if max_word_len < 6:
         raise ValueError("word-length bound below 6 cannot cover the triangles")
     counts = {}

@@ -8,13 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .weights import (
-    ExteriorBasisElement,
-    Monomial,
-    exterior_basis,
-    graded_dim,
-    monomial_basis,
-)
+from .weights import ExteriorBasisElement, Monomial, monomial_basis
 
 
 def _check_object_index(w, idx, name="index"):

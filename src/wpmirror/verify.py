@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
+from .aside.words import _point_table
 from .bside import DualElement, compose_dual, dual_ext, resolution_by_projective
 from .weights import Weights
 
@@ -201,11 +202,15 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
     failures = []
     objects = range(w.l - 1)
     dual = {(k, i): dual_ext(w, k, i) for k in objects for i in objects}
+    # One point table serves the dimension table and the word enumeration,
+    # so each pair's intersections are built once.
+    points = _point_table(w)
 
     dim_table = {}
     for j in objects:
         for k in range(j, w.l - 1):
-            hom_a, hom_b = hom_space(w, j, k), dual[k, j]
+            hom_a = hom_space(w, j, k, points(j, k).values() if j < k else None)
+            hom_b = dual[k, j]
             da, db = hom_a.dims_by_degree, hom_b.dims_by_degree
             dim_table[f"{j},{k}"] = {
                 "aside": {str(d): v for d, v in sorted(da.items())},
@@ -221,7 +226,7 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
     # One enumeration serves both the triangle digest and the higher-product
     # report: triangles have 3 or 5 letters, within any bound the report
     # accepts.
-    words = enumerate_accepted_words(w, max_len=max_word_len)
+    words = enumerate_accepted_words(w, max_len=max_word_len, points=points)
     hp = higher_product_report(words, max_word_len)
     dig_a = _triangle_digest(words)
     dig_b = bside_digest(w)

@@ -13,7 +13,6 @@ from wpmirror.aside.strip import (
     hom_space,
     intersections,
     maslov_degree,
-    shift_period,
 )
 from wpmirror.bside import dual_ext
 from wpmirror.weights import Weights
@@ -67,12 +66,6 @@ class TestCurves:
         assert c.q_minus == (1, -7)
         assert c.q_plus == (1, -1)
         assert c.arc_center == (0, -3) and c.arc_radius == 4
-
-    def test_shift_period(self):
-        w = Weights((2, 3))
-        c = build_curves(w)[1]
-        s = shift_period(c, w, 2)
-        assert s.p_plus[1] - c.p_plus[1] == 8 * (w.l - 1)
 
     def test_requires_two_sorted_weights(self):
         with pytest.raises(ValueError):
@@ -131,8 +124,12 @@ class TestIntersections:
             intersections(Weights((2, 3)), 0, 3)
 
 
+# Every pair a0 <= a1 with l = a0 + a1 <= 25.
+PAIRS_UP_TO_25 = [(a0, a1) for a0 in range(1, 25) for a1 in range(a0, 26 - a0)]
+
+
 class TestMaslov:
-    @pytest.mark.parametrize("a", [(1, 2), (2, 3), (3, 4), (1, 6)])
+    @pytest.mark.parametrize("a", PAIRS_UP_TO_25)
     def test_arc_zero_segment_one(self, a):
         w = Weights(a)
         for j in range(w.l - 1):
@@ -140,6 +137,17 @@ class TestMaslov:
                 for p in intersections(w, j, k):
                     expected = 0 if p.kind is PointKind.ARC else 1
                     assert maslov_degree(w, p) == expected
+
+    @pytest.mark.parametrize("kind", [PointKind.ARC, PointKind.SEG_PM])
+    def test_inconsistent_grading_raises(self, monkeypatch, kind):
+        # An endpoint grading off by one unit of pi / 2(l-1) cannot cancel.
+        # (On the SEG_MP path the two gradings cancel identically.)
+        w = Weights((2, 3))
+        [p] = [p for p in intersections(w, 0, 3) if p.kind is kind]
+        real = strip._phi_plus
+        monkeypatch.setattr(strip, "_phi_plus", lambda w, i: real(w, i) + 1)
+        with pytest.raises(ArithmeticError):
+            maslov_degree(w, p)
 
 
 class TestHomSpace:

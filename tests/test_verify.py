@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wpmirror import verify
-from wpmirror.aside import words
+from wpmirror.aside import strip, words
 from wpmirror.bside import DualElement, compose_dual, dual_ext
 from wpmirror.verify import aside_digest, bside_digest, hms_certificate, sweep
 from wpmirror.weights import Weights
@@ -67,7 +67,7 @@ class TestOncePerCertificate:
         enumerations = []
         built = Counter()
         real_enumerate = words.enumerate_accepted_words
-        real_intersections = words.intersections
+        real_intersections = strip.intersections
 
         def counting_enumerate(*args, **kwargs):
             enumerations.append(args)
@@ -80,11 +80,16 @@ class TestOncePerCertificate:
         # Both modules that look the enumeration up by name.
         monkeypatch.setattr(verify, "enumerate_accepted_words", counting_enumerate)
         monkeypatch.setattr(words, "enumerate_accepted_words", counting_enumerate)
+        # Every module that looks `intersections` up by name, so the count
+        # covers the dimension table as well as the word search.
         monkeypatch.setattr(words, "intersections", counting_intersections)
+        monkeypatch.setattr(strip, "intersections", counting_intersections)
         cert = hms_certificate(Weights(a))
         assert cert.passed
         assert len(enumerations) == 1
-        assert built and max(built.values()) == 1
+        # Exactly one build per pair j < k for the whole certificate.
+        l = sum(a)
+        assert built == Counter({(j, k): 1 for j in range(l - 1) for k in range(j + 1, l - 1)})
 
     @pytest.mark.parametrize("a", [(1, 3), (2, 3), (2, 5)])
     def test_triangle_digest_independent_of_word_bound(self, a):

@@ -1,26 +1,101 @@
 """Tests for disc-word classification, enumeration, products, and the
 vanishing of higher products."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
-from wpmirror.aside.strip import PointKind, intersections
+from wpmirror.aside.strip import IntersectionPoint, PointKind, intersections
 from wpmirror.aside.words import (
+    _NEXT_PIECE,
+    ARC,
+    SEG_MINUS,
+    SEG_PLUS,
     DiscWord,
     Letter,
     MalformedWord,
+    _monotone,
+    _point_table,
+    _word_rules,
     classify_disc_word,
     enumerate_accepted_words,
     higher_products_vanish,
     m2_product,
 )
 from wpmirror.bside import DualElement, compose_dual
-from wpmirror.weights import Weights
+from wpmirror.weights import ExteriorBasisElement, Weights
 
 W23 = Weights((2, 3))
 
 
 def L(piece, curve, sign):
     return Letter(piece, curve, sign)
+
+
+def pairs_up_to(l_max):
+    """Every weight pair a0 <= a1 with l = a0 + a1 <= l_max."""
+    return [(a0, a1) for a0 in range(1, l_max) for a1 in range(a0, l_max + 1 - a0)]
+
+
+def closable_words(w, max_len, curves=None, caps=True):
+    """Every closable word of the search without pruning, in search order:
+    the successors of the search and, when `caps` is set, its caps (at most
+    three arcs; with any segment at most two, adjacent; no three
+    consecutive segments)."""
+    curves = sorted(range(w.l - 1) if curves is None else curves)
+
+    def successors(last):
+        out = []
+        nxt = _NEXT_PIECE[last.piece, last.sign]
+        if nxt is not None:
+            out.append(Letter(nxt, last.curve, last.sign))
+        for c2 in curves:
+            gap = c2 - last.curve
+            if gap <= 0:
+                continue
+            if last.piece == ARC:
+                out.append(Letter(ARC, c2, -last.sign))
+            elif last.piece == SEG_MINUS and last.sign == 1 and w.a[1] <= gap:
+                out.append(Letter(SEG_PLUS, c2, 1))
+            elif last.piece == SEG_PLUS and last.sign == -1 and w.a[0] <= gap:
+                out.append(Letter(SEG_MINUS, c2, -1))
+        return out
+
+    def within_caps(word):
+        arcs = [i for i, x in enumerate(word) if x.piece == ARC]
+        segments = len(word) - len(arcs)
+        run = len(word) - 1 - arcs[-1] if arcs else len(word)
+        if run >= 3 or len(arcs) > 3:
+            return False
+        if segments and len(arcs) > 2:
+            return False
+        return not (segments and len(arcs) == 2 and arcs[1] != arcs[0] + 1)
+
+    def dfs(word):
+        if word[0].curve < word[-1].curve:
+            yield word
+        if len(word) < max_len:
+            for nxt in successors(word[-1]):
+                if not caps or within_caps(word + (nxt,)):
+                    yield from dfs(word + (nxt,))
+
+    for c in curves:
+        for piece in (SEG_PLUS, ARC, SEG_MINUS):
+            for sign in (1,) if piece == ARC else (1, -1):
+                yield from dfs((Letter(piece, c, sign),))
+
+
+def reference_search(w, max_len, curves=None):
+    """The search as it was before pruning: `_word_rules` on every closable
+    word."""
+    points = _point_table(w)
+    accepted = []
+    for word in closable_words(w, max_len, curves):
+        corners, _ = _word_rules(word, points)
+        if corners is not None:
+            accepted.append(DiscWord(word, corners))
+    return accepted
 
 
 class TestClassify:
@@ -129,6 +204,96 @@ class TestEnumeration:
                 key = (p0.pair, p0.kind, p1.pair, p1.kind)
                 assert key not in seen
                 seen.add(key)
+
+
+def arc_point(j, k):
+    return IntersectionPoint(j, k, PointKind.ARC, None, None, 0, ExteriorBasisElement(()))
+
+
+def seg_point(x):
+    return IntersectionPoint(0, 1, PointKind.SEG_PM, Fraction(x), 0, 1,
+                             ExteriorBasisElement((0,)))
+
+
+class TestMonotone:
+    """The "non-monotone boundary" rule on synthetic (letter, entering
+    corner, leaving corner) triples.  Along the flow a half-circle meets
+    partners of decreasing index, s- increasing x and s+ decreasing x."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_arc(self, sign):
+        high, low = arc_point(2, 4), arc_point(1, 2)
+        # Entered from curve 4, left towards curve 1: with the flow.
+        assert _monotone(L("C", 2, sign), high, low) == (sign == 1)
+        assert _monotone(L("C", 2, sign), low, high) == (sign == -1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_segment_minus(self, sign):
+        left, right = seg_point("1/3"), seg_point("2/3")
+        assert _monotone(L("s-", 1, sign), left, right) == (sign == 1)
+        assert _monotone(L("s-", 1, sign), right, left) == (sign == -1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_segment_plus(self, sign):
+        left, right = seg_point("1/3"), seg_point("2/3")
+        assert _monotone(L("s+", 1, sign), right, left) == (sign == 1)
+        assert _monotone(L("s+", 1, sign), left, right) == (sign == -1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_equal_positions_rejected(self, sign):
+        # Two distinct corners at one position order nothing either way.
+        assert not _monotone(L("C", 2, sign), arc_point(1, 2), arc_point(1, 2))
+        for piece in ("s+", "s-"):
+            assert not _monotone(L(piece, 1, sign), seg_point("1/2"), seg_point("1/2"))
+
+    def test_one_corner_has_nothing_to_order(self):
+        p = seg_point("1/2")
+        assert _monotone(L("s-", 1, 1), p, p)
+
+
+class TestPrunedSearch:
+    """The search prunes on each corner as it pushes a letter; it must find
+    what the unpruned search finds, in the same order, with the same
+    corners."""
+
+    @pytest.mark.parametrize("max_len", [6, 8])
+    def test_matches_unpruned_search(self, max_len):
+        for a in pairs_up_to(12):
+            w = Weights(a)
+            assert enumerate_accepted_words(w, max_len=max_len) \
+                == reference_search(w, max_len), a
+
+    def test_matches_unpruned_search_on_three_curves(self):
+        # The restricted form that m2_product uses.
+        for a in pairs_up_to(10):
+            w = Weights(a)
+            for curves in combinations(range(w.l - 1), 3):
+                for max_len in (6, 8):
+                    assert enumerate_accepted_words(w, max_len, curves) \
+                        == reference_search(w, max_len, curves), (a, curves)
+
+
+class TestLengthBound:
+    def test_search_reaches_no_word_past_five_letters(self):
+        # The lemma of higher_product_report: the caps and gap conditions,
+        # not the length bound, stop the search at 5 letters.
+        lengths = set()
+        for a in pairs_up_to(12):
+            lengths |= {len(word) for word in closable_words(Weights(a), 12)}
+        assert lengths == {2, 3, 4, 5}
+
+    def test_rules_accept_no_word_of_six_to_eight_letters(self):
+        # Without the caps and the three-segment cut the search reaches
+        # thousands of closable words of 6-8 letters; the rules reject all.
+        long_words = 0
+        for a in pairs_up_to(10):
+            w = Weights(a)
+            points = _point_table(w)
+            for word in closable_words(w, 8, caps=False):
+                if len(word) >= 6:
+                    long_words += 1
+                    assert _word_rules(word, points)[0] is None, (a, word)
+        assert long_words > 1000
 
 
 class TestM2:
