@@ -20,10 +20,8 @@ from .weights import (
 from .bside import (
     BigradedHom,
     DualElement,
-    QuiverElement,
     cm_sequence,
     compose_dual,
-    compose_quiver,
     dual_ext,
     ext_pushforward,
     generation_certificate,

@@ -14,11 +14,9 @@ from .strip import (
 from .words import (
     DiscWord,
     Letter,
-    classify_disc_word,
     enumerate_accepted_words,
     higher_product_report,
     higher_products_vanish,
-    m2_product,
 )
 from .potential import (
     CriticalDatum,
@@ -38,11 +36,9 @@ __all__ = [
     "maslov_degree",
     "DiscWord",
     "Letter",
-    "classify_disc_word",
     "enumerate_accepted_words",
     "higher_product_report",
     "higher_products_vanish",
-    "m2_product",
     "CriticalDatum",
     "HPolyRoots",
     "critical_data",

@@ -63,14 +63,6 @@ class DiscWord:
     def __str__(self):
         return " ".join(str(x) for x in self.letters)
 
-    @property
-    def corner_count(self):
-        return len(self.corners)
-
-
-class MalformedWord(ValueError):
-    """The letters do not form a syntactically valid word at all."""
-
 
 # Point kind -> the pieces (lower curve, upper curve) that cross there.
 _KIND_PIECES = {
@@ -117,19 +109,6 @@ def _canonical_triangle(letters):
     if signs == (-1, 1, -1):
         return tuple(Letter(x.piece, x.curve, -x.sign) for x in letters)
     return None
-
-
-def _check_letters(w, letters):
-    """Raise MalformedWord unless `letters` is a nonempty sequence of
-    letters on the curves 0..l-2."""
-    if not letters:
-        raise MalformedWord("empty word")
-    top = w.l - 2
-    for x in letters:
-        if not isinstance(x, Letter):
-            raise MalformedWord(f"not a letter: {x!r}")
-        if x.curve > top:
-            raise MalformedWord(f"curve {x.curve} outside [0, {top}]")
 
 
 def _shape(letters, arcs):
@@ -203,9 +182,10 @@ def _monotone(letter, corner_in, corner_out):
 
 
 def _word_rules(letters, points):
-    """Core rule pipeline on a word of valid letters (see _check_letters).
-    Returns (corners, None) on accept or (None, reason) on reject.
-    `points` is the corner lookup of `_point_table`."""
+    """Core rule pipeline on a nonempty word of letters on the curves
+    0..l-2, and the reference the word search is tested against.  Returns
+    (corners, None) on accept or (None, reason) on reject.  `points` is the
+    corner lookup of `_point_table`."""
     curves = [x.curve for x in letters]
     if sorted(curves) != curves:
         return None, "non-decreasing subscripts"
@@ -253,21 +233,9 @@ def _word_rules(letters, points):
     return tuple(corners), None
 
 
-def classify_disc_word(w, word):
-    """Accept or reject a boundary word; rejects carry the violated rule.
-
-    Malformed input raises MalformedWord instead of classifying.
-    """
-    letters = tuple(word.letters) if isinstance(word, DiscWord) else tuple(word)
-    _check_letters(w, letters)
-    corners, reason = _word_rules(letters, _point_table(w))
-    if corners is None:
-        return False, reason
-    return True, None
-
-
-def enumerate_accepted_words(w, max_len=8, curves=None, points=None):
-    """Exhaustively enumerate accepted words up to the given length.
+def enumerate_accepted_words(w, max_len=8, points=None):
+    """Exhaustively enumerate the accepted words on the curves 0..l-2 up to
+    the given length.
 
     The search walks extendable letter sequences and prunes prefixes that
     can no longer satisfy the rules of `_word_rules`.  It checks each jump
@@ -281,13 +249,6 @@ def enumerate_accepted_words(w, max_len=8, curves=None, points=None):
     `points` is a `_point_table(w)` the caller shares; by default the call
     builds its own.
     """
-    if curves is None:
-        curves = range(w.l - 1)
-    curves = sorted(curves)
-    # Every letter of the search lies on one of these curves, so the words
-    # go to the rules without a per-word letter check.
-    if curves and not 0 <= curves[0] <= curves[-1] <= w.l - 2:
-        raise MalformedWord(f"curves {curves} outside [0, {w.l - 2}]")
     if points is None:
         points = _point_table(w)
     accepted = []
@@ -348,13 +309,12 @@ def enumerate_accepted_words(w, max_len=8, curves=None, points=None):
         # A jump meets an arc from an arc, the other segment from a
         # segment; _corner decides the sign and whether the point exists.
         piece = ARC if last.piece == ARC else _OTHER_SEGMENT[last.piece]
-        for c2 in curves:
-            if c2 > last.curve:
-                for sign in (1, -1):
-                    cand = letter(piece, c2, sign)
-                    corner = _corner(last, cand, False, points)[0]
-                    if corner is not None:
-                        out.append((cand, corner))
+        for c2 in range(last.curve + 1, w.l - 1):
+            for sign in (1, -1):
+                cand = letter(piece, c2, sign)
+                corner = _corner(last, cand, False, points)[0]
+                if corner is not None:
+                    out.append((cand, corner))
         found = successor_table[id(last)] = tuple(out)
         return found
 
@@ -382,7 +342,7 @@ def enumerate_accepted_words(w, max_len=8, curves=None, points=None):
             elif entered is None or _monotone(last, entered, corner):
                 dfs(stack + (nxt,), corners + (corner,), n_arcs, n_seg, n_run)
 
-    for c in curves:
+    for c in range(w.l - 1):
         for piece in _FLOW_ORDER:
             is_arc = piece == ARC
             for sign in (1,) if is_arc else (1, -1):
@@ -390,36 +350,6 @@ def enumerate_accepted_words(w, max_len=8, curves=None, points=None):
                 dfs((letter(piece, c, sign),), (), (0,) if is_arc else (),
                     int(not is_arc), int(not is_arc))
     return accepted
-
-
-def m2_product(w, p1, p0):
-    """The two-fold product of composable intersection points, computed by
-    searching for the accepted triangle word whose first two corners are
-    p0 and p1; returns the output point or None for zero.
-
-    p0 lies in Hom(L_i, L_j), p1 in Hom(L_j, L_k); the result lies in
-    Hom(L_i, L_k).
-    """
-    if p0.k != p1.j:
-        raise ValueError(
-            f"points do not compose: p0 targets {p0.k}, p1 starts at {p1.j}"
-        )
-    i, j, k = p0.j, p0.k, p1.k
-    results = []
-    for word in enumerate_accepted_words(w, max_len=8, curves=(i, j, k)):
-        if len(word.corners) != 3:
-            continue
-        c0, c1, out = word.corners
-        if (c0.pair, c0.kind) == ((i, j), p0.kind) and \
-           (c1.pair, c1.kind) == ((j, k), p1.kind):
-            results.append(out)
-    if not results:
-        return None
-    if len(results) > 1:
-        raise ArithmeticError(
-            f"multiple discs for one product: {p0} * {p1}"
-        )
-    return results[0]
 
 
 @dataclass

@@ -89,21 +89,9 @@ class MarkedPolytope:
 
 
 @dataclass(frozen=True)
-class Subdivision:
-    cells: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-
-
-@dataclass(frozen=True)
 class Bisection:
     cell0: MarkedPolytope
     cell1: MarkedPolytope
-
-    @property
-    def subdivision(self):
-        return Subdivision((self.cell0, self.cell1))
 
 
 @dataclass(frozen=True)
@@ -192,22 +180,22 @@ def _poly_area2(pts):
     return abs(s)
 
 
-def validate_subdivision(s, parent):
-    """Check the four subdivision clauses with exact arithmetic:
-    full-dimensional cells, union equal to the parent, pairwise common-face
-    intersections, and matching marked points on overlaps."""
+def validate_subdivision(cells, parent):
+    """Check the four clauses for `cells` to subdivide `parent`, with exact
+    arithmetic: full-dimensional cells, union equal to the parent, pairwise
+    common-face intersections, and matching marked points on overlaps."""
     report = ValidationReport(passed=True)
 
     def fail(msg):
         report.passed = False
         report.violations.append(msg)
 
-    for mp in list(s.cells) + [parent]:
+    for mp in list(cells) + [parent]:
         for v in mp.violations():
             fail(v)
 
     dim = affine_rank([as_2d(v) for v in parent.Q.vertices])
-    for idx, cell in enumerate(s.cells):
+    for idx, cell in enumerate(cells):
         if affine_rank([as_2d(v) for v in cell.Q.vertices]) != dim:
             fail(f"cell {idx} is not full-dimensional")
         for v in cell.Q.vertices:
@@ -219,11 +207,11 @@ def validate_subdivision(s, parent):
 
     # Union: containment plus additivity of measure (interiors disjoint is
     # implied by the face condition below).
-    total = sum(normalized_volume(c.Q) for c in s.cells)
+    total = sum(normalized_volume(c.Q) for c in cells)
     if total != normalized_volume(parent.Q):
         fail(f"cells cover measure {total}, parent has {normalized_volume(parent.Q)}")
 
-    for (i, ci), (j, cj) in itertools.combinations(enumerate(s.cells), 2):
+    for (i, ci), (j, cj) in itertools.combinations(enumerate(cells), 2):
         if dim == 1:
             shared = _shared_region_1d(ci, cj)
             if shared is None:
@@ -297,7 +285,7 @@ def _is_common_face(ci, cj, inter):
 def validate_bisection(b, parent):
     """A bisection is a two-cell subdivision with the origin interior to the
     first cell and the marked points jointly exhausting the parent's."""
-    report = validate_subdivision(b.subdivision, parent)
+    report = validate_subdivision((b.cell0, b.cell1), parent)
     origin = (0,) * parent.Q.ambient_dim
     if not _contains(b.cell0.Q, origin, strict=True):
         report.passed = False
@@ -471,13 +459,14 @@ def _extrapolate_to_zero(ts, vs):
 
 def _best_assignment(targets, values):
     """Injective nearest matching of each target to a distinct value,
-    minimizing the worst error; brute force, sizes stay tiny."""
+    minimizing the worst error; brute force, sizes stay tiny.  Returns
+    (worst error, combo), where target i matches values[combo[i]]."""
     best = None
     for combo in itertools.permutations(range(len(values)), len(targets)):
         errs = [abs(targets[i] - values[j]) for i, j in enumerate(combo)]
         worst = max(errs) if errs else 0.0
         if best is None or worst < best[0]:
-            best = (worst, combo, errs)
+            best = (worst, combo)
     return best
 
 
@@ -514,6 +503,9 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
         coeffs = seeded_coefficients(a_all, seed, tolerance,
                                      a0=b.cell0.A, a1=b.cell1.A)
     coeffs = {_pt(k): Fraction(v) for k, v in coeffs.items()}
+    stray = sorted(set(a_all) ^ set(coeffs))
+    if stray:
+        raise ValueError(f"the coefficients and the marked points differ at {stray[0][0]}")
 
     eta = coherence_weight(b)
     tau = reparameterized_weight(b)
@@ -529,29 +521,30 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
     if any(abs(v) < tolerance for v in targets1):
         violations.append("restriction to the second cell has a zero critical value")
 
-    steps = []
+    def values_at(weight, t):
+        deformed = deform_coeffs(DeformedPotential(tuple(coeffs.items()), weight, t))
+        return critical_values_univariate({p[0]: c for p, c in deformed.items()})
+
     r = None
-    for t in t_schedule:
-        w_t = deform_coeffs(DeformedPotential(tuple(coeffs.items()), eta, t))
-        wt_t = deform_coeffs(DeformedPotential(tuple(coeffs.items()), tau, t))
-        vals = critical_values_univariate({p[0]: c for p, c in w_t.items()})
-        vals_re = critical_values_univariate({p[0]: c for p, c in wt_t.items()})
+
+    def sample(t):
+        """The critical values at t under both weights, each matched to its
+        cell's targets; None, with a violation, when a count differs from
+        the first sample's r."""
+        nonlocal r
+        vals, vals_re = values_at(eta, t), values_at(tau, t)
         if r is None:
             r = len(vals)
         if len(vals) != r or len(vals_re) != r:
             violations.append(f"critical-value count changed at t={t}")
-            continue
-        err0, match0, _ = _best_assignment(targets0, vals)
-        err1, match1, _ = _best_assignment(targets1, vals_re)
-        steps.append({
-            "t": t,
-            "values": vals,
-            "values_rebased": vals_re,
-            "match_cell0": match0,
-            "match_cell1": match1,
-            "err_cell0": err0,
-            "err_cell1": err1,
-        })
+            return None
+        err0, match0 = _best_assignment(targets0, vals)
+        err1, match1 = _best_assignment(targets1, vals_re)
+        return {"t": t, "values": vals, "values_rebased": vals_re,
+                "match_cell0": match0, "match_cell1": match1,
+                "err_cell0": err0, "err_cell1": err1}
+
+    steps = [s for s in map(sample, t_schedule) if s is not None]
     if not steps:
         violations.append("no schedule step could be evaluated")
     else:
@@ -559,21 +552,11 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
         # t = 0 are recovered by polynomial extrapolation; two refinement
         # points below the schedule sharpen the limit estimate without
         # changing the tracked schedule itself.
-        refine = [t_schedule[-1] / 10, t_schedule[-1] / 100]
-        refined = []
-        for t in refine:
-            w_t = deform_coeffs(DeformedPotential(tuple(coeffs.items()), eta, t))
-            wt_t = deform_coeffs(DeformedPotential(tuple(coeffs.items()), tau, t))
-            vals = critical_values_univariate({p[0]: c for p, c in w_t.items()})
-            vals_re = critical_values_univariate({p[0]: c for p, c in wt_t.items()})
-            _, match0, _ = _best_assignment(targets0, vals)
-            _, match1, _ = _best_assignment(targets1, vals_re)
-            refined.append({"t": t, "values": vals, "values_rebased": vals_re,
-                            "match_cell0": match0, "match_cell1": match1})
+        refined = [sample(t_schedule[-1] / 10), sample(t_schedule[-1] / 100)]
+        samples = steps + [s for s in refined if s is not None]
+        ts = [float(s["t"]) for s in samples]
         for key, targets in (("cell0", targets0), ("cell1", targets1)):
             for ti, target in enumerate(targets):
-                samples = steps + refined
-                ts = [float(s["t"]) for s in samples]
                 vs = [s["values" if key == "cell0" else "values_rebased"]
                       [s[f"match_{key}"][ti]] for s in samples]
                 limit = _extrapolate_to_zero(ts, vs)
@@ -585,8 +568,6 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
         if len(steps) > 1 and (steps[-1]["err_cell0"] > steps[0]["err_cell0"] + tolerance
                                or steps[-1]["err_cell1"] > steps[0]["err_cell1"] + tolerance):
             violations.append("matching error not decreasing along the schedule")
-        if m + (r - m) != r:
-            violations.append("splitting counts do not conserve")
     return SplittingReport(
         ok=not violations,
         m=m,
@@ -598,54 +579,48 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
     )
 
 
-@dataclass(frozen=True)
-class Triangulation1D:
-    cells: tuple       # of (lo, hi) integer pairs
-    phi: tuple         # aligned with the input point list
-    coherent_assumed: bool = True
-
-
-def triangulations_1d(A):
-    """All triangulations of a 1D marked interval: one per subset of the
-    interior marked points, with the volume vector phi computed by lattice
-    lengths.  Every 1D triangulation is regular; the coherence flag records
-    that this is assumed rather than certified."""
-    pts = sorted(int(p if isinstance(p, int) else _pt(p)[0]) for p in A)
-    if len(pts) < 2:
-        raise ValueError("need at least two points")
-    interior = pts[1:-1]
-    out = []
-    for rbits in range(2 ** len(interior)):
-        used = [p for i, p in enumerate(interior) if rbits >> i & 1]
-        knots = [pts[0]] + used + [pts[-1]]
-        cells = tuple((a, b) for a, b in zip(knots, knots[1:]))
-        phi = tuple(sum(b - a for a, b in cells if p in (a, b)) for p in pts)
-        out.append(Triangulation1D(cells, phi))
-    return out
+def _config_point(p):
+    """A config point, an int or a one-element int list, as a 1-tuple."""
+    if isinstance(p, list) and len(p) == 1:
+        p = p[0]
+    if type(p) is not int:
+        raise ValueError(f"a point must be an int or a one-element int list, got {p!r}")
+    return (p,)
 
 
 def load_config(path):
     """Read a tracking-experiment config: marked points, the two cells,
-    coefficients or a seed, the schedule, and the tolerance."""
+    coefficients or a seed, the schedule, and the tolerance.  A value of
+    the wrong shape raises ValueError."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("the config must be a JSON object")
+    cfg = {}
     for key in ("A", "A0", "A1"):
         if key not in raw:
             raise ValueError(f"config missing {key}")
-    cfg = {
-        "A": [_pt(p) for p in raw["A"]],
-        "A0": [_pt(p) for p in raw["A0"]],
-        "A1": [_pt(p) for p in raw["A1"]],
-        "seed": raw.get("seed", 42),
-        "tolerance": float(raw.get("tolerance", 1e-4)),
-        "t_schedule": [Fraction(str(t)) for t in raw.get(
-            "t_schedule", ["1/10", "1/100", "1/1000"])],
-    }
+        if not isinstance(raw[key], list) or not raw[key]:
+            raise ValueError(f"{key} must be a nonempty list of points")
+        cfg[key] = [_config_point(p) for p in raw[key]]
+    cfg["seed"] = raw.get("seed", 42)
+    if type(cfg["seed"]) is not int:
+        raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
+    try:
+        cfg["tolerance"] = float(raw.get("tolerance", 1e-4))
+    except TypeError:
+        raise ValueError(f"tolerance must be a number, got {raw['tolerance']!r}")
+    if not 0 < cfg["tolerance"] < float("inf"):
+        raise ValueError(f"tolerance must be positive and finite, got {cfg['tolerance']}")
+    schedule = raw.get("t_schedule", ["1/10", "1/100", "1/1000"])
+    if not isinstance(schedule, list):
+        raise ValueError(f"t_schedule must be a list, got {schedule!r}")
+    cfg["t_schedule"] = [Fraction(str(t)) for t in schedule]
     if "coefficients" in raw:
-        cfg["coefficients"] = {
-            _pt(json.loads(k) if isinstance(k, str) else k): Fraction(str(v))
-            for k, v in raw["coefficients"].items()
-        }
+        if not isinstance(raw["coefficients"], dict):
+            raise ValueError("coefficients must be a JSON object")
+        cfg["coefficients"] = {_config_point(json.loads(k)): Fraction(str(v))
+                               for k, v in raw["coefficients"].items()}
     return cfg
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .weights import ExteriorBasisElement, Monomial, monomial_basis
+from .weights import ExteriorBasisElement, monomial_basis
 
 
 def _check_object_index(w, idx, name="index"):
@@ -45,27 +45,6 @@ class BigradedHom:
 
 
 @dataclass(frozen=True)
-class QuiverElement:
-    """A basis element of Ext between two pushed-forward line bundles.
-
-    The stored weight convention is wt = (target - source) + coh_degree,
-    the unique assignment making composition weight-additive.
-    """
-
-    source: int
-    target: int
-    coh_degree: int
-    monomial: Monomial
-    coefficient: Fraction = Fraction(1)
-
-    def weight(self):
-        return (self.target - self.source) + self.coh_degree
-
-    def is_zero(self):
-        return self.coefficient == 0
-
-
-@dataclass(frozen=True)
 class DualElement:
     """A basis element of Ext between simple modules: a scaled e_J."""
 
@@ -95,24 +74,6 @@ def ext_pushforward(w, j, k):
     basis = [(0, m) for m in monomial_basis(w, k - j)]
     basis += [(1, m) for m in monomial_basis(w, k - j - 1)]
     return BigradedHom(j, k, tuple(basis))
-
-
-def compose_quiver(g, f):
-    """Compose g after f.  Two degree-1 elements compose to zero; otherwise
-    the monomial parts multiply and the cohomological degrees add."""
-    if f.target != g.source:
-        raise ValueError(
-            f"cannot compose: f ends at {f.target}, g starts at {g.source}"
-        )
-    if f.coh_degree + g.coh_degree > 1:
-        return None
-    return QuiverElement(
-        source=f.source,
-        target=g.target,
-        coh_degree=f.coh_degree + g.coh_degree,
-        monomial=f.monomial * g.monomial,
-        coefficient=f.coefficient * g.coefficient,
-    )
 
 
 def dual_ext(w, k, i):
@@ -163,21 +124,9 @@ def compose_dual(w, u, v):
     )
 
 
-def dual_identity(w, i):
-    """The identity element of the dual algebra at object i."""
-    return DualElement(source=i, target=i, label=ExteriorBasisElement(()))
-
-
-@dataclass(frozen=True)
-class CmVector:
-    """The m-th term of the lexicographically characterized filling sequence
-    in Z^{n+1}: fill coordinate 0 up to a_0, then coordinate 1, and so on."""
-
-    m: int
-    c: tuple
-
-
 def cm_sequence(w, m):
+    """The m-th term c_m of the filling sequence in Z^{n+1}: fill
+    coordinate 0 up to a_0, then coordinate 1, and so on."""
     if not 0 <= m <= w.l:
         raise ValueError(f"m={m} outside [0, {w.l}]")
     c = []
@@ -186,7 +135,7 @@ def cm_sequence(w, m):
         take = min(a, remaining)
         c.append(take)
         remaining -= take
-    return CmVector(m, tuple(c))
+    return tuple(c)
 
 
 @dataclass
@@ -211,12 +160,12 @@ def generation_certificate(w):
     report = GenerationReport(passed=True)
     l = w.l
     subsets = [J for r in range(w.n + 2) for J in combinations(range(w.n + 1), r)]
-    if cm_sequence(w, 0).c != (0,) * (w.n + 1):
+    if cm_sequence(w, 0) != (0,) * (w.n + 1):
         report.passed = False
         report.violations.append("c_0 is not the zero vector")
     for m in range(1, l + 1):
-        prev = cm_sequence(w, m - 1).c
-        cur = cm_sequence(w, m).c
+        prev = cm_sequence(w, m - 1)
+        cur = cm_sequence(w, m)
         diff = tuple(a - b for a, b in zip(cur, prev))
         if sorted(diff) != [0] * w.n + [1]:
             report.passed = False

@@ -7,13 +7,13 @@ Exit codes: 0 all checks pass, 1 a check failed (output still written),
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .aside import (build_curves, critical_data, h_poly_roots, hom_space,
                     intersections, monodromy_data)
-from .aside.potential import CriticalDatum
 from .bside import (dual_ext, ext_pushforward, generation_certificate,
                     resolution_summands)
 from .bisection import (bisection_from_config, coherence_weight, load_config,
@@ -188,6 +188,8 @@ def _cmd_aside(args):
             re, im = (float(x) for x in args.q.split(","))
         except ValueError:
             raise SystemExit(_invalid(f"--q expects RE,IM, got {args.q!r}"))
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SystemExit(_invalid("--q must be finite"))
         qs = [complex(re, im)]
     else:
         qs = [c.value for c in critical_data(w)]
@@ -308,9 +310,10 @@ def run(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         # Input the library cannot work with: a bad value, an arithmetic
-        # invariant, or a seeded draw that found no generic configuration.
+        # invariant, a seeded draw that found no generic configuration, or
+        # an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -290,7 +290,7 @@ class SweepSummary:
         return "\n".join(lines) + "\n"
 
 
-def sweep(l_max, max_word_len=8):
+def sweep(l_max):
     """One certificate per weight pair with a0 <= a1 and a0 + a1 <= l_max;
     deterministic order, order-insensitive summary."""
     if l_max < 2:
@@ -298,7 +298,7 @@ def sweep(l_max, max_word_len=8):
     summary = SweepSummary(l_max=l_max)
     for a0 in range(1, l_max):
         for a1 in range(a0, l_max - a0 + 1):
-            cert = hms_certificate(Weights((a0, a1)), max_word_len=max_word_len)
+            cert = hms_certificate(Weights((a0, a1)))
             summary.results.append((cert.weights, cert.l, cert.passed))
     summary.results.sort()
     return summary

@@ -61,11 +61,6 @@ class Monomial:
     def weighted_degree(self, w):
         return sum(a * e for a, e in zip(w.a, self.exponents))
 
-    def __mul__(self, other):
-        if len(self.exponents) != len(other.exponents):
-            raise ValueError("monomials over different variable sets")
-        return Monomial(tuple(x + y for x, y in zip(self.exponents, other.exponents)))
-
     def __str__(self):
         if not any(self.exponents):
             return "1"

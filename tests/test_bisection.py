@@ -1,5 +1,5 @@
 """Tests for marked polytopes, bisections, coherence weights, deformed
-potentials, critical-value tracking, and 1D triangulations."""
+potentials, critical-value tracking, and tracking configs."""
 
 import json
 from fractions import Fraction
@@ -18,7 +18,6 @@ from wpmirror.bisection import (
     reparameterized_weight,
     seeded_coefficients,
     track_splitting,
-    triangulations_1d,
     validate_bisection,
     validate_subdivision,
 )
@@ -78,7 +77,7 @@ class TestValidation:
     def test_2d_overlap_fails(self):
         # The second triangle sits inside the first, so the interiors meet.
         c1 = triangle([(1, 0), (0, 1), (0, 0)])
-        report = validate_subdivision(Bisection(CELL2D_0, c1).subdivision, P2D)
+        report = validate_subdivision((CELL2D_0, c1), P2D)
         assert not report.passed
         assert any("overlap" in v or "measure" in v for v in report.violations)
 
@@ -194,24 +193,6 @@ class TestTracking:
                                      a0=B1D.cell0.A, a1=B1D.cell1.A)
         for v in coeffs.values():
             assert v != 0 and abs(v) <= 3
-
-
-class TestTriangulations:
-    def test_two_point_interval(self):
-        tris = triangulations_1d([-1, 0, 1])
-        phis = sorted(t.phi for t in tris)
-        assert phis == [(1, 2, 1), (2, 0, 2)]
-
-    def test_four_points(self):
-        tris = triangulations_1d([-1, 0, 1, 2])
-        assert len(tris) == 4
-        for t in tris:
-            assert sum(t.phi) == 6
-            assert t.coherent_assumed
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            triangulations_1d([0])
 
 
 class TestConfig:

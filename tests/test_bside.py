@@ -9,19 +9,16 @@ import pytest
 from wpmirror import bside
 from wpmirror.bside import (
     DualElement,
-    QuiverElement,
     cm_sequence,
     compose_dual,
-    compose_quiver,
     dual_ext,
-    dual_identity,
     ext_pushforward,
     generation_certificate,
     resolution_by_projective,
     resolution_summands,
     verify_prop6_via_resolution,
 )
-from wpmirror.weights import ExteriorBasisElement, Monomial, Weights, graded_dim
+from wpmirror.weights import ExteriorBasisElement, Weights, graded_dim
 
 
 def brute_dual_dims(w, k, i):
@@ -59,27 +56,6 @@ class TestExtPushforward:
             ext_pushforward(Weights((2, 3)), 0, 4)
 
 
-class TestComposeQuiver:
-    def test_degrees_add_and_monomials_multiply(self):
-        w = Weights((2, 3))
-        f = QuiverElement(0, 2, 0, Monomial((1, 0)))
-        g = QuiverElement(2, 3, 1, Monomial((0, 0)))
-        h = compose_quiver(g, f)
-        assert h.coh_degree == 1 and h.monomial.exponents == (1, 0)
-        assert h.weight() == f.weight() + g.weight()
-
-    def test_two_degree_one_vanish(self):
-        f = QuiverElement(0, 1, 1, Monomial((0, 0)))
-        g = QuiverElement(1, 2, 1, Monomial((0, 0)))
-        assert compose_quiver(g, f) is None
-
-    def test_mismatched_objects(self):
-        f = QuiverElement(0, 1, 0, Monomial((0, 0)))
-        g = QuiverElement(2, 3, 0, Monomial((0, 0)))
-        with pytest.raises(ValueError):
-            compose_quiver(g, f)
-
-
 class TestDualExt:
     @pytest.mark.parametrize("a", [(1, 1), (2, 3), (1, 4), (1, 2, 3), (2, 2, 5)])
     def test_dims_match_brute_force(self, a):
@@ -103,7 +79,7 @@ class TestComposeDual:
     def test_unit_composition(self):
         w = Weights((2, 3))
         u = DualElement(3, 0, ExteriorBasisElement((0,)))
-        v = dual_identity(w, 3)
+        v = DualElement(3, 3, ExteriorBasisElement(()))
         out = compose_dual(w, u, v)
         assert out.label.subset == (0,) and out.coefficient == 1
 
@@ -158,11 +134,11 @@ class TestComposeDual:
 class TestCmSequence:
     def test_greedy_fill(self):
         w = Weights((2, 3))
-        assert cm_sequence(w, 0).c == (0, 0)
-        assert cm_sequence(w, 1).c == (1, 0)
-        assert cm_sequence(w, 2).c == (2, 0)
-        assert cm_sequence(w, 3).c == (2, 1)
-        assert cm_sequence(w, 5).c == (2, 3)
+        assert cm_sequence(w, 0) == (0, 0)
+        assert cm_sequence(w, 1) == (1, 0)
+        assert cm_sequence(w, 2) == (2, 0)
+        assert cm_sequence(w, 3) == (2, 1)
+        assert cm_sequence(w, 5) == (2, 3)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

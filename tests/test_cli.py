@@ -113,6 +113,16 @@ class TestAside:
         text = svg.read_text()
         assert text.startswith("<svg") and "<path" in text
 
+    def test_unwritable_svg_invalid(self, capsys, tmp_path):
+        svg = tmp_path / "no" / "such" / "curves.svg"
+        assert run(["aside", "homs", "--weights", "2,3", "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("q", ["inf,0", "0,-inf", "nan,1"])
+    def test_non_finite_q_invalid(self, capsys, q):
+        assert run(["aside", "hq", "--weights", "2,3", "--q", q]) == 2
+        assert capsys.readouterr().err == "error: --q must be finite\n"
+
 
 class TestVerify:
     def test_sweep_json(self, capsys):
@@ -179,6 +189,25 @@ class TestBisect:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"A": 5}, "error: bad config: A must be"),
+        ({"A0": []}, "error: bad config: A0 must be"),
+        ({"A": [[[1]]]}, "error: bad config: a point must be"),
+        ({"A1": [1.5, 2]}, "error: bad config: a point must be"),
+        ({"t_schedule": 5}, "error: bad config: t_schedule must be"),
+        ({"seed": [1]}, "error: bad config: seed must be"),
+        ({"tolerance": "nan"}, "error: bad config: tolerance must be"),
+        ({"coefficients": {"0": 1, "1": 2, "2": 1}}, "error: the coefficients and the marked "
+                                                     "points differ at -1"),
+    ], ids=["A-int", "A0-empty", "point-nested", "point-float", "schedule-int", "seed-list",
+            "tolerance-nan", "coefficient-missing"])
+    def test_bad_config_shape_invalid(self, capsys, tmp_path, change, message):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
+                                    **change}))
+        assert run(["bisect", "track", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_missing_config_invalid(self, capsys, tmp_path):
         assert run(["bisect", "validate", "--config",

@@ -7,7 +7,6 @@ import pytest
 from wpmirror.weights import (
     ExteriorBasisElement,
     LatticePolytope,
-    Monomial,
     Weights,
     exterior_basis,
     graded_dim,
@@ -77,10 +76,6 @@ class TestMonomialBasis:
         w = Weights((1, 1))
         exps = [m.exponents[0] for m in monomial_basis(w, 4)]
         assert exps == sorted(exps, reverse=True)
-
-    def test_monomial_multiplication(self):
-        m = Monomial((1, 2)) * Monomial((3, 0))
-        assert m.exponents == (4, 2)
 
 
 class TestSheafCohomology:

@@ -1,12 +1,11 @@
-"""Tests for disc-word classification, enumeration, products, and the
-vanishing of higher products."""
+"""Tests for the disc-word rules, the word search, and the vanishing of
+higher products."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from wpmirror.aside.strip import IntersectionPoint, PointKind, intersections
+from wpmirror.aside.strip import IntersectionPoint, PointKind
 from wpmirror.aside.words import (
     _NEXT_PIECE,
     ARC,
@@ -14,16 +13,12 @@ from wpmirror.aside.words import (
     SEG_PLUS,
     DiscWord,
     Letter,
-    MalformedWord,
     _monotone,
     _point_table,
     _word_rules,
-    classify_disc_word,
     enumerate_accepted_words,
     higher_products_vanish,
-    m2_product,
 )
-from wpmirror.bside import DualElement, compose_dual
 from wpmirror.weights import ExteriorBasisElement, Weights
 
 W23 = Weights((2, 3))
@@ -38,12 +33,12 @@ def pairs_up_to(l_max):
     return [(a0, a1) for a0 in range(1, l_max) for a1 in range(a0, l_max + 1 - a0)]
 
 
-def closable_words(w, max_len, curves=None, caps=True):
+def closable_words(w, max_len, caps=True):
     """Every closable word of the search without pruning, in search order:
     the successors of the search and, when `caps` is set, its caps (at most
     three arcs; with any segment at most two, adjacent; no three
     consecutive segments)."""
-    curves = sorted(range(w.l - 1) if curves is None else curves)
+    curves = range(w.l - 1)
 
     def successors(last):
         out = []
@@ -86,72 +81,72 @@ def closable_words(w, max_len, curves=None, caps=True):
                 yield from dfs((Letter(piece, c, sign),))
 
 
-def reference_search(w, max_len, curves=None):
+def reference_search(w, max_len):
     """The search as it was before pruning: `_word_rules` on every closable
     word."""
     points = _point_table(w)
     accepted = []
-    for word in closable_words(w, max_len, curves):
+    for word in closable_words(w, max_len):
         corners, _ = _word_rules(word, points)
         if corners is not None:
             accepted.append(DiscWord(word, corners))
     return accepted
 
 
+def classify(w, letters):
+    """(True, None) when the rules accept `letters`, else (False, reason)."""
+    corners, reason = _word_rules(tuple(letters), _point_table(w))
+    return corners is not None, reason
+
+
 class TestClassify:
     def test_accepts_arc_triangle_both_orientations(self):
-        assert classify_disc_word(W23, [L("C", 0, -1), L("C", 1, 1), L("C", 2, -1)]) \
-            == (True, None)
-        assert classify_disc_word(W23, [L("C", 0, 1), L("C", 1, -1), L("C", 2, 1)]) \
-            == (True, None)
+        assert classify(W23, [L("C", 0, -1), L("C", 1, 1), L("C", 2, -1)]) == (True, None)
+        assert classify(W23, [L("C", 0, 1), L("C", 1, -1), L("C", 2, 1)]) == (True, None)
 
     def test_accepts_segment_triangle(self):
         word = [L("s+", 0, 1), L("C", 0, 1), L("C", 1, -1), L("s+", 1, -1),
                 L("s-", 3, -1)]
-        assert classify_disc_word(W23, word) == (True, None)
+        assert classify(W23, word) == (True, None)
 
     def test_rejects_decreasing_subscripts(self):
         word = [L("C", 2, 1), L("C", 1, -1), L("C", 3, 1)]
-        assert classify_disc_word(W23, word) == (False, "non-decreasing subscripts")
+        assert classify(W23, word) == (False, "non-decreasing subscripts")
 
     def test_rejects_three_consecutive_segments(self):
         word = [L("s+", 0, 1), L("s-", 1, 1), L("s+", 2, -1)]
-        assert classify_disc_word(W23, word) == (False, "three consecutive segments")
+        assert classify(W23, word) == (False, "three consecutive segments")
 
     def test_rejects_segment_only_disc(self):
         word = [L("s+", 0, -1), L("s-", 3, -1)]
-        ok, reason = classify_disc_word(W23, word)
+        ok, reason = classify(W23, word)
         assert not ok and reason in ("segment-only disc", "orientation pairing",
                                      "missing corner")
 
     def test_rejects_four_arcs(self):
         word = [L("C", 0, 1), L("C", 1, -1), L("C", 2, 1), L("C", 3, -1)]
-        assert classify_disc_word(W23, word) == (False, "endpoints both arcs")
+        assert classify(W23, word) == (False, "endpoints both arcs")
 
     def test_rejects_same_sign_arc_pair(self):
         word = [L("s+", 0, 1), L("C", 0, 1), L("C", 1, 1), L("s+", 1, 1),
                 L("s-", 3, -1)]
-        ok, reason = classify_disc_word(W23, word)
+        ok, reason = classify(W23, word)
         assert not ok and reason == "orientation pairing"
 
     def test_rejects_missing_corner(self):
         # gap 1 < a0 = 2, so the closing segment corner does not exist
         word = [L("s+", 0, 1), L("C", 0, 1), L("C", 1, -1), L("s+", 1, -1),
                 L("s-", 2, -1)]
-        ok, reason = classify_disc_word(W23, word)
+        ok, reason = classify(W23, word)
         assert not ok and reason == "missing corner"
 
     def test_rejects_broken_group_traversal(self):
         word = [L("s-", 0, 1), L("C", 0, 1), L("C", 1, -1), L("s+", 1, -1),
                 L("s-", 3, -1)]
-        ok, reason = classify_disc_word(W23, word)
+        ok, reason = classify(W23, word)
         assert not ok and reason == "orientation pairing"
 
     def test_malformed_raises(self):
-        with pytest.raises(MalformedWord):
-            classify_disc_word(W23, [])
-        with pytest.raises(MalformedWord):
-            classify_disc_word(W23, [L("C", 9, 1)])
         with pytest.raises(ValueError):
             Letter("arc", 0, 1)
         with pytest.raises(ValueError):
@@ -168,12 +163,13 @@ class TestEnumeration:
         assert by_len == {3: 4, 5: 2}
 
     def test_every_word_classifies_as_accepted(self):
-        # The search skips the letter validation; the validating classifier
-        # must agree with it on every word of every pair with l <= 10.
-        for a in [(a0, a1) for a0 in range(1, 10) for a1 in range(a0, 11 - a0)]:
+        # The rules accept every word of the search, with the corners the
+        # search carried, on every pair with l <= 10.
+        for a in pairs_up_to(10):
             w = Weights(a)
+            points = _point_table(w)
             for word in enumerate_accepted_words(w):
-                assert classify_disc_word(w, word) == (True, None)
+                assert _word_rules(word.letters, points) == (word.corners, None)
                 assert len(word.corners) == 3
 
     def test_equal_letters_are_one_object(self):
@@ -182,10 +178,6 @@ class TestEnumeration:
             for x in word.letters:
                 assert seen.setdefault(x, x) is x
         assert len(seen) > 1
-
-    def test_curves_outside_range_rejected(self):
-        with pytest.raises(MalformedWord):
-            enumerate_accepted_words(W23, curves=(0, 1, 4))
 
     def test_no_duplicate_words(self):
         for a in [(2, 3), (3, 4)]:
@@ -263,15 +255,6 @@ class TestPrunedSearch:
             assert enumerate_accepted_words(w, max_len=max_len) \
                 == reference_search(w, max_len), a
 
-    def test_matches_unpruned_search_on_three_curves(self):
-        # The restricted form that m2_product uses.
-        for a in pairs_up_to(10):
-            w = Weights(a)
-            for curves in combinations(range(w.l - 1), 3):
-                for max_len in (6, 8):
-                    assert enumerate_accepted_words(w, max_len, curves) \
-                        == reference_search(w, max_len, curves), (a, curves)
-
 
 class TestLengthBound:
     def test_search_reaches_no_word_past_five_letters(self):
@@ -294,44 +277,6 @@ class TestLengthBound:
                     long_words += 1
                     assert _word_rules(word, points)[0] is None, (a, word)
         assert long_words > 1000
-
-
-class TestM2:
-    @pytest.mark.parametrize("a", [(1, 3), (2, 3), (3, 4), (2, 5), (1, 6)])
-    def test_matches_truncated_wedge(self, a):
-        w = Weights(a)
-        for i in range(w.l - 1):
-            for j in range(i + 1, w.l - 1):
-                for k in range(j + 1, w.l - 1):
-                    for p0 in intersections(w, i, j):
-                        for p1 in intersections(w, j, k):
-                            out = m2_product(w, p1, p0)
-                            dual = compose_dual(
-                                w,
-                                DualElement(j, i, p0.label),
-                                DualElement(k, j, p1.label),
-                            )
-                            if out is None:
-                                assert dual is None or dual.is_zero()
-                            else:
-                                assert dual is not None
-                                assert out.label == dual.label
-                                assert dual.coefficient == 1
-
-    def test_non_composable_raises(self):
-        w = Weights((2, 3))
-        p0 = intersections(w, 0, 1)[0]
-        p1 = intersections(w, 2, 3)[0]
-        with pytest.raises(ValueError):
-            m2_product(w, p1, p0)
-
-    def test_unit_like_arc_composition(self):
-        w = Weights((2, 3))
-        [pm] = [p for p in intersections(w, 0, 2) if p.kind is PointKind.SEG_PM]
-        arc = intersections(w, 2, 3)[0]
-        out = m2_product(w, arc, pm)
-        assert out is not None and out.kind is PointKind.SEG_PM
-        assert out.pair == (0, 3)
 
 
 class TestHigherProducts:
