@@ -11,7 +11,6 @@ from .weights import (
     LatticePolytope,
     Monomial,
     Weights,
-    exterior_basis,
     graded_dim,
     monomial_basis,
     normalized_volume,
@@ -19,13 +18,11 @@ from .weights import (
 )
 from .bside import (
     BigradedHom,
-    DualElement,
     cm_sequence,
     compose_dual,
     dual_ext,
     ext_pushforward,
     generation_certificate,
-    resolution_by_projective,
     resolution_summands,
     verify_prop6_via_resolution,
 )

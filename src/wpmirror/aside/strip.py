@@ -79,10 +79,6 @@ class IntersectionPoint:
     degree: int
     label: ExteriorBasisElement
 
-    @property
-    def pair(self):
-        return (self.j, self.k)
-
 
 def _seg_pm_x(w, j, k):
     """x-coordinate of s_{j+} crossing s_{k-}, shift d = 0."""

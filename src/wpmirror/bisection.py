@@ -8,6 +8,7 @@ schedule, and verifies that they split into the critical values of the two
 halves of a bisection.
 """
 
+import cmath
 import itertools
 import json
 import random
@@ -487,7 +488,9 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
     Along a decreasing schedule the deformed potential's critical values
     split: m of them approach the critical values of the restriction to the
     origin cell, and under the re-based weight the remaining r - m approach
-    those of the other cell, all nonzero.
+    those of the other cell, all nonzero.  A schedule value too small for
+    the deformed critical values to be evaluated in floats raises
+    ValueError.
     """
     if t_schedule is None:
         t_schedule = [Fraction(1, 10 ** k) for k in (1, 2, 3)]
@@ -523,7 +526,19 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
 
     def values_at(weight, t):
         deformed = deform_coeffs(DeformedPotential(tuple(coeffs.items()), weight, t))
-        return critical_values_univariate({p[0]: c for p, c in deformed.items()})
+        try:
+            with np.errstate(all="ignore"):
+                vals = critical_values_univariate({p[0]: c for p, c in deformed.items()})
+        except (ArithmeticError, np.linalg.LinAlgError):
+            vals = None
+        if vals is None or not all(cmath.isfinite(v) for v in vals):
+            # A small t scales the coefficients by t^(-psi) past float range;
+            # a refinement point falls on the schedule value just above it.
+            named = min(s for s in t_schedule if s >= t)
+            raise ValueError(
+                f"t_schedule value {float(named):g} is too small: the deformed "
+                f"critical values at t = {float(t):g} cannot be evaluated in floats")
+        return vals
 
     r = None
 

@@ -5,7 +5,6 @@ generation certificate for the exceptional range [0, l-2].
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .weights import ExteriorBasisElement, monomial_basis
@@ -36,29 +35,12 @@ class BigradedHom:
             dims[deg] = dims.get(deg, 0) + 1
         return dims
 
-    @property
-    def total_dim(self):
-        return len(self.basis)
 
-    def dim(self, degree):
-        return self.dims_by_degree.get(degree, 0)
-
-
-@dataclass(frozen=True)
-class DualElement:
-    """A basis element of Ext between simple modules: a scaled e_J."""
-
-    source: int
-    target: int
-    label: ExteriorBasisElement
-    coefficient: Fraction = Fraction(1)
-
-    @property
-    def coh_degree(self):
-        return self.label.degree
-
-    def is_zero(self):
-        return self.coefficient == 0
+def _subsets(w):
+    """Every index subset J with its weight a_J, by size and then in
+    lexicographic order, which is the basis order of the dual algebra."""
+    return [(J, sum(w.a[x] for x in J))
+            for r in range(w.n + 2) for J in combinations(range(w.n + 1), r)]
 
 
 def ext_pushforward(w, j, k):
@@ -81,15 +63,8 @@ def dual_ext(w, k, i):
     weight a_J <= k - i, placed in cohomological degree |J|."""
     _check_object_index(w, k, "source")
     _check_object_index(w, i, "target")
-    if k < i:
-        return BigradedHom(k, i, ())
-    basis = []
-    for r in range(w.n + 2):
-        for J in combinations(range(w.n + 1), r):
-            if sum(w.a[x] for x in J) <= k - i:
-                basis.append((r, ExteriorBasisElement(J)))
-    basis.sort(key=lambda t: (t[0], t[1].subset))
-    return BigradedHom(k, i, tuple(basis))
+    return BigradedHom(k, i, tuple((len(J), ExteriorBasisElement(J))
+                                   for J, weight in _subsets(w) if weight <= k - i))
 
 
 def _merge_sign(left, right):
@@ -98,30 +73,19 @@ def _merge_sign(left, right):
     return -1 if inversions % 2 else 1
 
 
-def compose_dual(w, u, v):
-    """Compose u after v (v: k -> j, u: j -> i) as a truncated wedge u ^ v.
+def compose_dual(w, span, ju, jv):
+    """Compose e_ju after e_jv (e_jv: k -> j, e_ju: j -> i, span = k - i)
+    as the truncated wedge e_ju ^ e_jv: (merged subset, sign), or None.
 
     Zero when the subsets overlap or the merged weight exceeds the
     truncation bound k - i; the sign is the parity of merge inversions.
     """
-    if v.target != u.source:
-        raise ValueError(
-            f"cannot compose: v ends at {v.target}, u starts at {u.source}"
-        )
-    span = v.source - u.target
-    ju, jv = u.label.subset, v.label.subset
     if set(ju) & set(jv):
         return None
-    merged = ExteriorBasisElement(ju + jv)
-    if merged.weight(w) > span:
+    merged = tuple(sorted(ju + jv))
+    if sum(w.a[x] for x in merged) > span:
         return None
-    sign = _merge_sign(ju, jv)
-    return DualElement(
-        source=v.source,
-        target=u.target,
-        label=merged,
-        coefficient=sign * u.coefficient * v.coefficient,
-    )
+    return merged, _merge_sign(ju, jv)
 
 
 def cm_sequence(w, m):
@@ -159,7 +123,7 @@ def generation_certificate(w):
     """
     report = GenerationReport(passed=True)
     l = w.l
-    subsets = [J for r in range(w.n + 2) for J in combinations(range(w.n + 1), r)]
+    subsets = _subsets(w)
     if cm_sequence(w, 0) != (0,) * (w.n + 1):
         report.passed = False
         report.violations.append("c_0 is not the zero vector")
@@ -170,7 +134,7 @@ def generation_certificate(w):
         if sorted(diff) != [0] * w.n + [1]:
             report.passed = False
             report.violations.append(f"step {m}: c_m - c_(m-1) = {diff} not a basis vector")
-        for J in subsets:
+        for J, _ in subsets:
             degree = sum(prev[j] for j in J)
             if m < l:
                 ok = 0 <= degree <= l - 2
@@ -185,72 +149,42 @@ def generation_certificate(w):
     return report
 
 
-@dataclass(frozen=True)
-class ResolutionSummand:
-    """One projective summand P_i[shift] of the resolution of a simple,
-    tagged with the index subset that produced it."""
+def resolution_summands(w, k):
+    """Summands of the projective resolution of the simple at k at
+    positions 0..n, as (position, projective index, internal shift, subset)
+    tuples.
 
-    homological_position: int
-    projective_index: int
-    internal_shift: int
-    witness_subset: tuple
-
-
-def resolution_summands(w, k, positions=None):
-    """Summands of the projective resolution of the simple at k.
-
-    By default positions 0..n are reported; pass an explicit range for the
-    full resolution.  Summands whose projective index would be negative are
-    pruned (the P_i = 0 for i < 0 convention).
+    Subset J at position j gives P_{k - j + |J| - a_J} with shift |J| - j.
+    Summands whose projective index would be negative are pruned (the
+    P_i = 0 for i < 0 convention).
     """
     _check_object_index(w, k)
-    if positions is None:
-        positions = range(w.n + 1)
-    # (J, |J| - a_J) for every index subset J, by size and then in
-    # lexicographic order, so each subset's weight is summed once per scan.
-    offsets = [(J, r - sum(w.a[x] for x in J))
-               for r in range(w.n + 2) for J in combinations(range(w.n + 1), r)]
+    subsets = _subsets(w)
     out = []
-    for j in positions:
-        for J, offset in offsets:
+    for j in range(w.n + 1):
+        for J, weight in subsets:
             if len(J) > j:
                 break
-            i = k - j + offset
+            i = k - j + len(J) - weight
             if i >= 0:
-                out.append(ResolutionSummand(j, i, len(J) - j, J))
+                out.append((j, i, len(J) - j, J))
     return out
 
 
-def resolution_by_projective(w, k):
-    """Independent oracle for the dual Ext algebra out of the simple at k:
-    scan the full resolution of the simple once and group its summands by
-    projective index, each P_i counted by total grading.
+def verify_prop6_via_resolution(w, k, i):
+    """Independent oracle for the Ext space from the simple at k to the
+    simple at i, read off the resolution of the simple at k.
 
-    The differential restricted to these summands vanishes, so entry i is
-    the Ext space to the simple at i; it must agree with dual_ext(w, k, i).
-    Returns one BigradedHom per object i in [0, l-2].
+    Subset J reaches P_i at exactly one position, j = k - i + |J| - a_J,
+    and counts when the resolution has its summand there: |J| <= j <= k.
+    The differential restricted to these summands vanishes, so the result
+    must agree with dual_ext(w, k, i).
     """
     _check_object_index(w, k)
-    # The resolution extends past position n; position k + |J| - a_J is the
-    # last one at which a given subset J contributes.  Every weight is at
-    # least 1, so that position is at most k, reached by the empty subset.
-    summands = resolution_summands(w, k, positions=range(k + 1))
-    # Sorting the scan by (total grading, subset) puts every group in basis
-    # order.
-    summands.sort(key=lambda s: (len(s.witness_subset), s.witness_subset))
-    labels = {}
-    bases = [[] for _ in range(w.l - 1)]
-    for summand in summands:
-        J = summand.witness_subset
-        label = labels.get(J)
-        if label is None:
-            label = labels[J] = ExteriorBasisElement(J)
-        bases[summand.projective_index].append((len(J), label))
-    return [BigradedHom(k, i, tuple(basis)) for i, basis in enumerate(bases)]
-
-
-def verify_prop6_via_resolution(w, k, i):
-    """The resolution oracle's Ext space from the simple at k to the simple
-    at i; see resolution_by_projective."""
     _check_object_index(w, i)
-    return resolution_by_projective(w, k)[i]
+    basis = []
+    for J, weight in _subsets(w):
+        j = k - i + len(J) - weight
+        if len(J) <= j <= k:
+            basis.append((len(J), ExteriorBasisElement(J)))
+    return BigradedHom(k, i, tuple(basis))

@@ -103,11 +103,8 @@ def _cmd_bside(args):
         out = {}
         for k in range(w.l - 1):
             out[str(k)] = [
-                {"position": s.homological_position,
-                 "projective": s.projective_index,
-                 "shift": s.internal_shift,
-                 "subset": list(s.witness_subset)}
-                for s in resolution_summands(w, k)
+                {"position": j, "projective": i, "shift": shift, "subset": list(J)}
+                for j, i, shift, J in resolution_summands(w, k)
             ]
         _emit(out, args.format)
         return 0

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
 from .aside.words import _point_table
-from .bside import DualElement, compose_dual, dual_ext, resolution_by_projective
+from .bside import compose_dual, dual_ext, verify_prop6_via_resolution
 from .weights import Weights
 
 TOOL_VERSION = __version__
@@ -60,13 +60,13 @@ def bside_digest(w):
     """Sorted nonzero truncated-wedge product table of the dual algebra,
     over the same index triples and labels.
 
-    A product of unit-coefficient basis elements depends only on the two
-    subsets and the span k - i, so each distinct product is computed once
-    per call and looked up for every later triple.
+    A product of basis elements depends only on the two subsets and the
+    span k - i, so each distinct product is computed once per call and
+    looked up for every later triple.
     """
     objects = range(w.l - 1)
     bases = {(k, i): dual_ext(w, k, i).basis for i in objects for k in objects if i < k}
-    products = {}  # (subset0, subset1, k - i) -> (label subset, sign) or None
+    products = {}  # (subset0, subset1, k - i) -> (subset, sign) or None
     entries = []
     for i in objects:
         for j in range(i + 1, w.l - 1):
@@ -77,11 +77,8 @@ def bside_digest(w):
                         if key in products:
                             found = products[key]
                         else:
-                            prod = compose_dual(w, DualElement(j, i, lab0),
-                                                DualElement(k, j, lab1))
-                            found = products[key] = (
-                                None if prod is None or prod.is_zero()
-                                else (prod.label.subset, int(prod.coefficient)))
+                            found = products[key] = compose_dual(
+                                w, k - i, lab0.subset, lab1.subset)
                         if found is not None:
                             entries.append(((i, j, k), lab0.subset, lab1.subset,
                                             found[0], found[1]))
@@ -252,9 +249,8 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
 
     res_ok = True
     for k in objects:
-        oracle = resolution_by_projective(w, k)
         for i in objects:
-            if oracle[i].basis != dual[k, i].basis:
+            if verify_prop6_via_resolution(w, k, i).basis != dual[k, i].basis:
                 res_ok = False
                 failures.append(f"resolution oracle disagrees at (k={k}, i={i})")
     resolution_check = {"ok": res_ok}

@@ -6,7 +6,6 @@ only, no floating point, so that downstream certificates are bit-stable.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 
@@ -31,11 +30,6 @@ class Weights:
     def l(self):
         """Total weight l = sum(a_i)."""
         return sum(self.a)
-
-    @property
-    def num_objects(self):
-        """Number of objects in the exceptional range [0, l-2]."""
-        return self.l - 1
 
     def __iter__(self):
         return iter(self.a)
@@ -88,9 +82,6 @@ class ExteriorBasisElement:
     @property
     def degree(self):
         return len(self.subset)
-
-    def weight(self, w):
-        return sum(w.a[i] for i in self.subset)
 
     def __str__(self):
         if not self.subset:
@@ -173,17 +164,6 @@ def sheaf_cohomology_dim(w, p, k):
     if p == w.n and k <= -w.l:
         return graded_dim(w, -k - w.l)
     return 0
-
-
-def exterior_basis(w, r, s):
-    """All exterior basis elements of homological degree r and weight s."""
-    if r < 0 or r > w.n + 1:
-        return []
-    out = []
-    for J in combinations(range(w.n + 1), r):
-        if sum(w.a[i] for i in J) == s:
-            out.append(ExteriorBasisElement(J))
-    return out
 
 
 def as_2d(p):

@@ -2,23 +2,26 @@
 exterior algebra, resolutions, and the generation certificate."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
+from perfbench.workloads import bside_hash, bside_pass, load
 from wpmirror import bside
 from wpmirror.bside import (
-    DualElement,
     cm_sequence,
     compose_dual,
     dual_ext,
     ext_pushforward,
     generation_certificate,
-    resolution_by_projective,
     resolution_summands,
     verify_prop6_via_resolution,
 )
-from wpmirror.weights import ExteriorBasisElement, Weights, graded_dim
+from wpmirror.weights import Weights, graded_dim
+
+THREE_AND_FOUR_WEIGHTS_L10 = [
+    a for n in (3, 4)
+    for a in itertools.combinations_with_replacement(range(1, 11), n)
+    if sum(a) <= 10]
 
 
 def brute_dual_dims(w, k, i):
@@ -41,10 +44,11 @@ class TestExtPushforward:
             for k in range(w.l - 1):
                 hom = ext_pushforward(w, j, k)
                 if k < j:
-                    assert hom.total_dim == 0  # semi-orthogonality
+                    assert hom.basis == ()  # semi-orthogonality
                 else:
-                    assert hom.dim(0) == graded_dim(w, k - j)
-                    assert hom.dim(1) == graded_dim(w, k - j - 1)
+                    dims = hom.dims_by_degree
+                    assert dims.get(0, 0) == graded_dim(w, k - j)
+                    assert dims.get(1, 0) == graded_dim(w, k - j - 1)
 
     def test_endomorphisms_scalar(self):
         w = Weights((2, 3))
@@ -72,63 +76,53 @@ class TestDualExt:
 
     def test_directedness(self):
         w = Weights((2, 3))
-        assert dual_ext(w, 0, 3).total_dim == 0
+        assert dual_ext(w, 0, 3).basis == ()
 
 
 class TestComposeDual:
+    # compose_dual(w, span, ju, jv) is e_ju after e_jv over span = k - i.
     def test_unit_composition(self):
         w = Weights((2, 3))
-        u = DualElement(3, 0, ExteriorBasisElement((0,)))
-        v = DualElement(3, 3, ExteriorBasisElement(()))
-        out = compose_dual(w, u, v)
-        assert out.label.subset == (0,) and out.coefficient == 1
+        # e0: 3 -> 0 after the identity e(): 3 -> 3
+        assert compose_dual(w, 3, (0,), ()) == ((0,), 1)
 
     def test_weight_truncation_kills(self):
         w = Weights((2, 3))
-        # e0 * e1 has weight 5 > 4, the largest available gap
-        u = DualElement(3, 1, ExteriorBasisElement((0,)))
-        v = DualElement(4, 3, ExteriorBasisElement((1,)))
-        assert compose_dual(w, u, v) is None
+        # e0: 3 -> 1 after e1: 4 -> 3; e0 ^ e1 has weight 5 > 3
+        assert compose_dual(w, 3, (0,), (1,)) is None
 
     def test_weight_truncation_bound(self):
-        # e0 after e1 over span 2: weight 5 > 2 for (2, 3) is cut, while
-        # weight 2 = 2 for (1, 1, 2) is kept.
-        u, v = (DualElement(1, 0, ExteriorBasisElement((0,))),
-                DualElement(2, 1, ExteriorBasisElement((1,))))
-        assert compose_dual(Weights((2, 3)), u, v) is None
-        out = compose_dual(Weights((1, 1, 2)), u, v)
-        assert (out.source, out.target) == (2, 0)
-        assert out.label.subset == (0, 1) and out.coefficient == 1
+        # e0: 1 -> 0 after e1: 2 -> 1, over span 2: weight 5 > 2 for (2, 3)
+        # is cut, while weight 2 = 2 for (1, 1, 2) is kept.
+        assert compose_dual(Weights((2, 3)), 2, (0,), (1,)) is None
+        assert compose_dual(Weights((1, 1, 2)), 2, (0,), (1,)) == ((0, 1), 1)
 
     def test_overlap_kills(self):
         w = Weights((1, 1, 3))
-        u = DualElement(2, 1, ExteriorBasisElement((0,)))
-        v = DualElement(3, 2, ExteriorBasisElement((0,)))
-        assert compose_dual(w, u, v) is None
+        # e0: 2 -> 1 after e0: 3 -> 2
+        assert compose_dual(w, 2, (0,), (0,)) is None
 
     def test_anticommutation_sign(self):
         w = Weights((1, 1, 3))
         # e1 after e0 vs e0 after e1 between the same simples
-        a = compose_dual(w, DualElement(1, 0, ExteriorBasisElement((1,))),
-                         DualElement(2, 1, ExteriorBasisElement((0,))))
-        b = compose_dual(w, DualElement(1, 0, ExteriorBasisElement((0,))),
-                         DualElement(2, 1, ExteriorBasisElement((1,))))
-        assert a.label == b.label
-        assert a.coefficient == -b.coefficient
+        a = compose_dual(w, 2, (1,), (0,))
+        b = compose_dual(w, 2, (0,), (1,))
+        assert a[0] == b[0] == (0, 1)
+        assert a[1] == -b[1]
 
     def test_associativity_sample(self):
         w = Weights((1, 1, 1, 2))
-        x = DualElement(4, 3, ExteriorBasisElement((0,)), Fraction(1))
-        y = DualElement(3, 2, ExteriorBasisElement((1,)), Fraction(1))
-        z = DualElement(2, 0, ExteriorBasisElement((2,)), Fraction(1))
+        # x = e0: 4 -> 3, y = e1: 3 -> 2, z = e2: 2 -> 0, as
+        # (source, target, subset, coefficient)
+        x, y, z = (4, 3, (0,), 1), (3, 2, (1,), 1), (2, 0, (2,), 1)
 
         def comp(u, v):
-            return compose_dual(w, u, v)
+            prod = compose_dual(w, v[0] - u[1], u[2], v[2])
+            assert prod is not None
+            return (v[0], u[1], prod[0], prod[1] * u[3] * v[3])
 
-        lhs = comp(comp(z, y), x)
-        rhs = comp(z, comp(y, x))
-        assert lhs is not None and rhs is not None
-        assert lhs.label == rhs.label and lhs.coefficient == rhs.coefficient
+        # e2 ^ e1 ^ e0 reverses three indices: sign -1 either way round.
+        assert comp(comp(z, y), x) == comp(z, comp(y, x)) == (4, 0, (0, 1, 2), -1)
 
 
 class TestCmSequence:
@@ -158,22 +152,34 @@ class TestGenerationCertificate:
         assert len(top) == 1 and top[0][2] == w.l - 1
 
 
+def full_resolution_by_projective(w, k):
+    """The resolution of the simple at k at every position 0..k, built
+    summand by summand and grouped by projective index: entry i lists the
+    (degree, subset) labels of the P_i summands in basis order."""
+    subsets = [J for r in range(w.n + 2)
+               for J in itertools.combinations(range(w.n + 1), r)]
+    groups = [[] for _ in range(w.l - 1)]
+    for j in range(k + 1):
+        for J in subsets:
+            i = k - j + len(J) - sum(w.a[x] for x in J)
+            if len(J) <= j and i >= 0:
+                groups[i].append((len(J), J))
+    return [sorted(group) for group in groups]
+
+
 class TestResolution:
     def test_default_positions(self):
         w = Weights((2, 3))
         summands = resolution_summands(w, 3)
-        positions = {s.homological_position for s in summands}
+        positions = {j for j, _, _, _ in summands}
         assert positions <= set(range(w.n + 1))
 
     def test_negative_indices_pruned(self):
         w = Weights((2, 3))
-        for s in resolution_summands(w, 0, positions=range(6)):
-            assert s.projective_index >= 0
+        for _, i, _, _ in resolution_summands(w, 0):
+            assert i >= 0
 
-    @pytest.mark.parametrize("a", [
-        a for n in (3, 4)
-        for a in itertools.combinations_with_replacement(range(1, 11), n)
-        if sum(a) <= 10])
+    @pytest.mark.parametrize("a", THREE_AND_FOUR_WEIGHTS_L10)
     def test_oracle_agrees_with_dual_ext_three_and_four_weights(self, a):
         w = Weights(a)
         for k in range(w.l - 1):
@@ -181,14 +187,15 @@ class TestResolution:
                 assert verify_prop6_via_resolution(w, k, i).basis \
                     == dual_ext(w, k, i).basis
 
-    def test_one_scan_serves_every_target(self):
-        w = Weights((1, 2, 3))
-        for k in range(w.l - 1):
-            by_target = resolution_by_projective(w, k)
-            assert len(by_target) == w.l - 1
-            for i, hom in enumerate(by_target):
-                assert (hom.source, hom.target) == (k, i)
-                assert hom == verify_prop6_via_resolution(w, k, i)
+    def test_matches_full_resolution(self):
+        for a in THREE_AND_FOUR_WEIGHTS_L10:
+            w = Weights(a)
+            for k in range(w.l - 1):
+                full = full_resolution_by_projective(w, k)
+                for i in range(w.l - 1):
+                    hom = verify_prop6_via_resolution(w, k, i)
+                    assert (hom.source, hom.target) == (k, i)
+                    assert [(d, lab.subset) for d, lab in hom.basis] == full[i], (a, k, i)
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (1, 1, 2, 3)])
     def test_one_label_per_subset(self, monkeypatch, a):
@@ -202,10 +209,12 @@ class TestResolution:
         monkeypatch.setattr(bside, "ExteriorBasisElement", counting_element)
         w = Weights(a)
         for k in range(w.l - 1):
-            built.clear()
-            resolution_by_projective(w, k)
-            assert len(built) <= 2 ** (w.n + 1)
-            assert len(built) == len(set(built))
+            for i in range(w.l - 1):
+                built.clear()
+                hom = verify_prop6_via_resolution(w, k, i)
+                # One label per basis element, none for a subset left out.
+                assert built == [lab.subset for _, lab in hom.basis]
+                assert len(built) == len(set(built)) <= 2 ** (w.n + 1)
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (2, 2, 5), (1, 1)])
     def test_oracle_agrees_with_dual_ext(self, a):
@@ -214,3 +223,12 @@ class TestResolution:
             for i in range(w.l - 1):
                 assert verify_prop6_via_resolution(w, k, i).basis \
                     == dual_ext(w, k, i).basis
+
+
+class TestRecordedHashes:
+    def test_bside_multi_hashes_match_recorded(self):
+        # The benchmark's pass and hash, read only, on every nondecreasing
+        # vector of 3 or 4 weights with l <= 10.
+        recorded = load("bside-multi.json")["hashes"]
+        for a in THREE_AND_FOUR_WEIGHTS_L10:
+            assert bside_hash(bside_pass(Weights(a))) == recorded[",".join(map(str, a))], a

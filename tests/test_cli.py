@@ -61,9 +61,17 @@ class TestBside:
 
     def test_resolve(self, capsys):
         assert run(["bside", "resolve", "--weights", "2,3"]) == 0
-        out = out_json(capsys)
-        assert set(out) == {"0", "1", "2", "3"}
-        assert all("projective" in s for s in out["3"])
+        # (position, projective, shift, subset) of each summand at positions
+        # 0..n of the resolution of each simple.
+        summands = {
+            "0": [(0, 0, 0, [])],
+            "1": [(0, 1, 0, []), (1, 0, -1, [])],
+            "2": [(0, 2, 0, []), (1, 1, -1, []), (1, 0, 0, [0])],
+            "3": [(0, 3, 0, []), (1, 2, -1, []), (1, 1, 0, [0]), (1, 0, 0, [1])],
+        }
+        expected = {k: [dict(zip(("position", "projective", "shift", "subset"), s))
+                        for s in rows] for k, rows in summands.items()}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_certify_generation(self, capsys):
         assert run(["bside", "certify-generation", "--weights", "2,3"]) == 0
@@ -189,6 +197,26 @@ class TestBisect:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("schedule", [["1/10", "1e-200", "1e-300"],
+                                          ["1/10", "1/100", "1e-40"]],
+                             ids=["overflow", "underflow"])
+    def test_tiny_schedule_invalid(self, capsys, tmp_path, schedule):
+        # Coefficients scaled by t^(-psi) leave float range at these t.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
+                                    "seed": 42, "t_schedule": schedule}))
+        assert run(["bisect", "track", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: t_schedule value ")
+        assert "Traceback" not in captured.err
+
+    def test_small_schedule_tracks(self, capsys, tmp_path):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
+                                    "seed": 42, "t_schedule": ["1/10", "1/100", "1e-20"]}))
+        assert run(["bisect", "track", "--config", str(path)]) == 0
+        assert out_json(capsys)["ok"] is True
 
     @pytest.mark.parametrize("change, message", [
         ({"A": 5}, "error: bad config: A must be"),

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from wpmirror import verify
 from wpmirror.aside import strip, words
-from wpmirror.bside import DualElement, compose_dual, dual_ext
+from wpmirror.bside import compose_dual, dual_ext
 from wpmirror.verify import aside_digest, bside_digest, hms_certificate, sweep
 from wpmirror.weights import Weights
 
@@ -114,12 +115,10 @@ def direct_bside_digest(w):
             for k in range(j + 1, w.l - 1):
                 for _, lab0 in dual_ext(w, j, i).basis:
                     for _, lab1 in dual_ext(w, k, j).basis:
-                        prod = compose_dual(w, DualElement(j, i, lab0),
-                                            DualElement(k, j, lab1))
-                        if prod is not None and not prod.is_zero():
+                        prod = compose_dual(w, k - i, lab0.subset, lab1.subset)
+                        if prod is not None:
                             entries.append(((i, j, k), lab0.subset, lab1.subset,
-                                            prod.label.subset,
-                                            int(prod.coefficient)))
+                                            prod[0], prod[1]))
     entries.sort()
     return entries
 
@@ -145,9 +144,9 @@ class TestBsideProductTable:
         keys = []
         real_compose = verify.compose_dual
 
-        def counting_compose(w, u, v):
-            keys.append((u.label.subset, v.label.subset, v.source - u.target))
-            return real_compose(w, u, v)
+        def counting_compose(w, span, ju, jv):
+            keys.append((ju, jv, span))
+            return real_compose(w, span, ju, jv)
 
         monkeypatch.setattr(verify, "compose_dual", counting_compose)
         assert bside_digest(Weights(a))
@@ -217,6 +216,72 @@ class TestMutation:
         clean = hms_certificate(Weights((2, 3)))
         bad = hms_certificate(Weights((2, 3)), corrupt=("bside", 0))
         assert clean.digest() != bad.digest()
+
+
+class TestComponentMutation:
+    """Each check of the certificate that is not a digest catches a fault
+    in what it reads: one thing is broken where `verify` looks it up, and
+    the certificate fails with that check's reason alone."""
+
+    @staticmethod
+    def failures():
+        cert = hms_certificate((2, 3))
+        assert not cert.passed
+        return cert.failures
+
+    @staticmethod
+    def patch_hom_space(monkeypatch, change_basis):
+        """Replace the A-side basis of the pair (0, 3) by a changed copy.
+        For (2, 3) it is e() in degree 0 and e0, e1 in degree 1."""
+        real = verify.hom_space
+
+        def hom_space(w, j, k, points=None):
+            hom = real(w, j, k, points)
+            if (j, k) == (0, 3):
+                assert [(d, lab.subset) for d, lab in hom.basis] == [(0, ()), (1, (0,)), (1, (1,))]
+                hom = replace(hom, basis=change_basis(list(hom.basis)))
+            return hom
+
+        monkeypatch.setattr(verify, "hom_space", hom_space)
+
+    def test_oracle_drops_a_basis_element(self, monkeypatch):
+        real = verify.verify_prop6_via_resolution
+
+        def oracle(w, k, i):
+            hom = real(w, k, i)
+            return replace(hom, basis=hom.basis[:-1]) if (k, i) == (3, 0) else hom
+
+        monkeypatch.setattr(verify, "verify_prop6_via_resolution", oracle)
+        assert self.failures() == ["resolution oracle disagrees at (k=3, i=0)"]
+
+    def test_hom_space_degree_shift(self, monkeypatch):
+        def shift(basis):
+            (d, label), *rest = basis
+            return ((d + 1, label), *rest)
+
+        self.patch_hom_space(monkeypatch, shift)
+        [failure] = self.failures()
+        assert failure.startswith("dimension mismatch at pair (0,3)")
+
+    def test_label_swapped_at_same_degree(self, monkeypatch):
+        def swap(basis):
+            basis[1] = (basis[1][0], basis[2][1])  # e0 -> e1, still degree 1
+            return tuple(basis)
+
+        self.patch_hom_space(monkeypatch, swap)
+        assert self.failures() == ["label mismatch at pair (0,3)"]
+
+    def test_four_corner_word(self, monkeypatch):
+        real = verify.enumerate_accepted_words
+
+        def enumerate_with_square(*args, **kwargs):
+            found = real(*args, **kwargs)
+            word = found[0]
+            return found + [words.DiscWord(word.letters, word.corners + word.corners[:1])]
+
+        monkeypatch.setattr(verify, "enumerate_accepted_words", enumerate_with_square)
+        [failure] = self.failures()
+        assert failure.startswith("higher products do not vanish: ")
 
 
 class TestSweep:

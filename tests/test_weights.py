@@ -8,7 +8,6 @@ from wpmirror.weights import (
     ExteriorBasisElement,
     LatticePolytope,
     Weights,
-    exterior_basis,
     graded_dim,
     monomial_basis,
     normalized_volume,
@@ -31,7 +30,7 @@ def brute_graded_dim(w, k):
 class TestWeights:
     def test_basic_properties(self):
         w = Weights((2, 3))
-        assert w.n == 1 and w.l == 5 and w.num_objects == 4
+        assert w.n == 1 and w.l == 5
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
@@ -102,14 +101,6 @@ class TestSheafCohomology:
 
 
 class TestExteriorBasis:
-    def test_counts(self):
-        w = Weights((2, 3))
-        assert [e.subset for e in exterior_basis(w, 0, 0)] == [()]
-        assert [e.subset for e in exterior_basis(w, 1, 2)] == [(0,)]
-        assert [e.subset for e in exterior_basis(w, 1, 3)] == [(1,)]
-        assert [e.subset for e in exterior_basis(w, 2, 5)] == [(0, 1)]
-        assert exterior_basis(w, 2, 4) == []
-
     def test_element_invariants(self):
         e = ExteriorBasisElement((1, 0))
         assert e.subset == (0, 1) and e.degree == 2

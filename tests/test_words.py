@@ -193,7 +193,7 @@ class TestEnumeration:
             seen = set()
             for word in enumerate_accepted_words(w):
                 p0, p1, out = word.corners
-                key = (p0.pair, p0.kind, p1.pair, p1.kind)
+                key = ((p0.j, p0.k), p0.kind, (p1.j, p1.k), p1.kind)
                 assert key not in seen
                 seen.add(key)
 
