@@ -16,7 +16,6 @@ from .words import (
     Letter,
     enumerate_accepted_words,
     higher_product_report,
-    higher_products_vanish,
 )
 from .potential import (
     CriticalDatum,
@@ -38,7 +37,6 @@ __all__ = [
     "Letter",
     "enumerate_accepted_words",
     "higher_product_report",
-    "higher_products_vanish",
     "CriticalDatum",
     "HPolyRoots",
     "critical_data",

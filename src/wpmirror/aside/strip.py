@@ -41,6 +41,16 @@ class StripCurve:
     arc_radius: int
 
 
+def _q_minus(w, i):
+    """Height of the lower marked endpoint q_- of curve i on Re(z) = 1."""
+    return 4 * i + 1 - 2 * (w.l - 1)
+
+
+def _q_plus(w, i):
+    """Height of the upper marked endpoint q_+ of curve i on Re(z) = 1."""
+    return _q_minus(w, i) + 4 * w.a[0] - 2
+
+
 def build_curves(w):
     """The l-1 vanishing cycles of the strip model, exact coordinates."""
     _require_strip_weights(w)
@@ -49,14 +59,12 @@ def build_curves(w):
     for k in range(l - 1):
         p_plus = (0, 2 * k + 1)
         p_minus = (0, 2 * k + 1 - 2 * (l - 1))
-        q_minus = (1, 4 * k + 1 - 2 * (l - 1))
-        q_plus = (1, q_minus[1] + 4 * w.a[0] - 2)
         curves.append(StripCurve(
             index=k,
             p_plus=p_plus,
             p_minus=p_minus,
-            q_plus=q_plus,
-            q_minus=q_minus,
+            q_plus=(1, _q_plus(w, k)),
+            q_minus=(1, _q_minus(w, k)),
             arc_center=(0, p_minus[1] + (l - 1)),
             arc_radius=l - 1,
         ))
@@ -121,14 +129,12 @@ def intersections(w, j, k):
 
 def _phi_plus(w, i):
     """Boundary grading at the upper endpoint of curve i, in units of pi/D."""
-    q_plus_im = 4 * i + 1 - 2 * (w.l - 1) + 4 * w.a[0] - 2
-    return 2 * (w.l - 1) - q_plus_im
+    return 2 * (w.l - 1) - _q_plus(w, i)
 
 
 def _phi_minus(w, i):
     """Boundary grading at the lower endpoint of curve i, in units of pi/D."""
-    q_minus_im = 4 * i + 1 - 2 * (w.l - 1)
-    return -q_minus_im
+    return -_q_minus(w, i)
 
 
 def _xi_semicircle(w, two_r):
@@ -148,8 +154,8 @@ def maslov_degree(w, p):
     j, k = p.j, p.k
     # Path endpoints: the marked boundary points of curves k (upper role)
     # and j (lower role).
-    q_plus_im_k = 4 * k + 1 - 2 * (w.l - 1) + 4 * w.a[0] - 2
-    q_minus_im_j = 4 * j + 1 - 2 * (w.l - 1)
+    q_plus_im_k = _q_plus(w, k)
+    q_minus_im_j = _q_minus(w, j)
     phi_k = _phi_plus(w, k)
     phi_j = _phi_minus(w, j)
     if p.kind is PointKind.ARC:

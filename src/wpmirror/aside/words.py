@@ -233,9 +233,8 @@ def _word_rules(letters, points):
     return tuple(corners), None
 
 
-def enumerate_accepted_words(w, max_len=8, points=None):
-    """Exhaustively enumerate the accepted words on the curves 0..l-2 up to
-    the given length.
+def enumerate_accepted_words(w, points=None):
+    """Exhaustively enumerate the accepted words on the curves 0..l-2.
 
     The search walks extendable letter sequences and prunes prefixes that
     can no longer satisfy the rules of `_word_rules`.  It checks each jump
@@ -244,7 +243,8 @@ def enumerate_accepted_words(w, max_len=8, points=None):
     so the whole subtree goes.  A closable word then needs only the shape
     rules, its wrap corner and the monotonicity of the two letters that
     touch the wrap.  Pure-arc words are emitted with the canonical (+,-,+)
-    orientation only, so each disc appears exactly once.
+    orientation only, so each disc appears exactly once.  The caps stop
+    every word at 5 letters (see `higher_product_report`).
 
     `points` is a `_point_table(w)` the caller shares; by default the call
     builds its own.
@@ -323,8 +323,6 @@ def enumerate_accepted_words(w, max_len=8, points=None):
         positions of its arc letters."""
         close(stack, corners, arcs)
         depth = len(stack)
-        if depth >= max_len:
-            return
         last = stack[-1]
         # The corner `last` was entered at, if it was entered by a jump.
         entered = corners[-1] if depth > 1 and stack[-2].curve != last.curve else None
@@ -355,32 +353,27 @@ def enumerate_accepted_words(w, max_len=8, points=None):
 @dataclass
 class HigherProductReport:
     ok: bool
-    max_word_len: int
     accepted_count: int
     counts_by_length: dict
     offenders: list
 
 
-def higher_product_report(words, max_word_len):
-    """Check that every accepted word of one enumeration bounded by
-    `max_word_len` is a triangle (three corners), so no products beyond
-    the two-fold one receive contributions.
+def higher_product_report(words):
+    """Check that every word of one enumeration is a triangle (three
+    corners), so no products beyond the two-fold one receive contributions.
 
     Lemma (length bound).  The search never builds a word of more than 5
     letters, so no accepted word has more; the search's caps and gap
-    conditions, not `max_word_len`, set this bound.  The caps admit at most
-    three arcs in an all-arc word and, once a segment occurs, at most two
-    adjacent arcs between runs of at most two segments: 6 letters at most.
+    conditions set this bound.  The caps admit at most three arcs in an
+    all-arc word and, once a segment occurs, at most two adjacent arcs
+    between runs of at most two segments: 6 letters at most.
     A segment meets an arc only on its own curve, and a segment on another
     curve only by the jumps s-(+) s+(+), of gap at least a1, and
     s+(-) s-(-), of gap at least a0.  So a 6-letter word is
     s-(+) s+(+) C(+) C(-) s+(-) s-(-) or s+(-) s-(-) C(-) C(+) s-(+) s+(+),
     whose curves span at least a0 + a1 + 1 = l + 1, more than the curves
-    0..l-2 allow.  Any bound of at least 6 gives the same words; the bound
-    is recorded in the payload but limits nothing.
+    0..l-2 allow.
     """
-    if max_word_len < 6:
-        raise ValueError("word-length bound below 6 cannot cover the triangles")
     counts = {}
     offenders = []
     for word in words:
@@ -389,15 +382,8 @@ def higher_product_report(words, max_word_len):
             offenders.append(word)
     return HigherProductReport(
         ok=not offenders,
-        max_word_len=max_word_len,
         accepted_count=len(words),
         counts_by_length=counts,
         offenders=offenders,
     )
 
-
-def higher_products_vanish(w, max_word_len=8):
-    """Enumerate all accepted words up to the length bound and report
-    whether every one is a triangle."""
-    return higher_product_report(
-        enumerate_accepted_words(w, max_len=max_word_len), max_word_len)

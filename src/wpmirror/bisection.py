@@ -18,8 +18,13 @@ from math import gcd
 
 import numpy as np
 
-from .weights import (LatticePolytope, affine_rank, as_2d, convex_hull_2d,
-                      normalized_volume)
+from .weights import (LatticePolytope, affine_rank, as_2d, convex_hull_2d, cross,
+                      normalized_volume, twice_area)
+
+# The defaults of a tracking run, read by `track_splitting` and `load_config`.
+DEFAULT_T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+DEFAULT_SEED = 42
+DEFAULT_TOLERANCE = 1e-4
 
 
 def _pt(p):
@@ -27,10 +32,6 @@ def _pt(p):
     if isinstance(p, int):
         return (p,)
     return tuple(int(x) for x in p)
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _contains(poly, p, strict=False):
@@ -43,14 +44,14 @@ def _contains(poly, p, strict=False):
         direction = (max(pts)[0] - base[0], max(pts)[1] - base[1])
         if direction == (0, 0):
             return q == base and not strict
-        if _cross(base, max(pts), q) != 0:
+        if cross(base, max(pts), q) != 0:
             return False
         t = Fraction((q[0] - base[0]) * direction[0] + (q[1] - base[1]) * direction[1],
                      direction[0] ** 2 + direction[1] ** 2)
         return (0 < t < 1) if strict else (0 <= t <= 1)
     hull = convex_hull_2d(pts)
     for i in range(len(hull)):
-        c = _cross(hull[i], hull[(i + 1) % len(hull)], q)
+        c = cross(hull[i], hull[(i + 1) % len(hull)], q)
         if c < 0 or (strict and c == 0):
             return False
     return True
@@ -95,23 +96,6 @@ class Bisection:
     cell1: MarkedPolytope
 
 
-@dataclass(frozen=True)
-class PLWeight:
-    """An integral weight on the marked points."""
-
-    values: tuple  # of (point, int), sorted
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(sorted((_pt(k), int(v)) for k, v in d.items())))
-
-    def as_dict(self):
-        return dict(self.values)
-
-    def __call__(self, p):
-        return dict(self.values)[_pt(p)]
-
-
 @dataclass
 class ValidationReport:
     passed: bool
@@ -135,8 +119,7 @@ def _edges(hull):
 def _clip_polygons(c0, c1):
     """Exact intersection of two convex polygons (Sutherland–Hodgman with
     rational vertices); returns the list of intersection vertices."""
-    subject = [tuple(map(Fraction, as_2d(v))) for v in convex_hull_2d(
-        [as_2d(v) for v in c0.Q.vertices])]
+    subject = convex_hull_2d([as_2d(v) for v in c0.Q.vertices])
     clip = convex_hull_2d([as_2d(v) for v in c1.Q.vertices])
     for a, b in _edges(clip):
         if not subject:
@@ -144,8 +127,8 @@ def _clip_polygons(c0, c1):
         out = []
         prev = subject[-1]
         for cur in subject:
-            side_prev = _cross(a, b, prev)
-            side_cur = _cross(a, b, cur)
+            side_prev = cross(a, b, prev)
+            side_cur = cross(a, b, cur)
             if side_cur >= 0:
                 if side_prev < 0:
                     out.append(_line_intersect(a, b, prev, cur))
@@ -170,15 +153,6 @@ def _line_intersect(a, b, p, q):
     denom = d1[0] * d2[1] - d1[1] * d2[0]
     t = Fraction((p[0] - a[0]) * d2[1] - (p[1] - a[1]) * d2[0], denom)
     return (a[0] + t * d1[0], a[1] + t * d1[1])
-
-
-def _poly_area2(pts):
-    s = 0
-    for i in range(len(pts)):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % len(pts)]
-        s += x0 * y1 - x1 * y0
-    return abs(s)
 
 
 def validate_subdivision(cells, parent):
@@ -233,7 +207,7 @@ def validate_subdivision(cells, parent):
             inter = _clip_polygons(ci, cj)
             if not inter:
                 shared_pts = []
-            elif _poly_area2(inter) != 0:
+            elif twice_area(inter) != 0:
                 fail(f"cells {i},{j} overlap with positive area")
                 continue
             else:
@@ -254,12 +228,11 @@ def _on_region(p, region):
     vertices (a point or a segment)."""
     if not region:
         return False
-    q = tuple(map(Fraction, as_2d(p)))
+    q = as_2d(p)
     if len(region) == 1:
-        return q == tuple(map(Fraction, as_2d(region[0])))
-    a, b = (tuple(map(Fraction, as_2d(region[0]))),
-            tuple(map(Fraction, as_2d(region[-1]))))
-    if _cross(a, b, q) != 0:
+        return q == as_2d(region[0])
+    a, b = as_2d(region[0]), as_2d(region[-1])
+    if cross(a, b, q) != 0:
         return False
     dot = (q[0] - a[0]) * (b[0] - a[0]) + (q[1] - a[1]) * (b[1] - a[1])
     lensq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
@@ -271,13 +244,9 @@ def _is_common_face(ci, cj, inter):
     full edge of both polygons."""
     def faces(c):
         hull = convex_hull_2d([as_2d(v) for v in c.Q.vertices])
-        out = [frozenset([(Fraction(v[0]), Fraction(v[1]))]) for v in hull]
-        out += [frozenset([(Fraction(a[0]), Fraction(a[1])),
-                           (Fraction(b[0]), Fraction(b[1]))])
-                for a, b in _edges(hull)]
-        return out
+        return [frozenset([v]) for v in hull] + [frozenset(e) for e in _edges(hull)]
 
-    key = frozenset({(Fraction(p[0]), Fraction(p[1])) for p in inter})
+    key = frozenset(inter)
     if len(key) > 2:
         return False
     return key in faces(ci) and key in faces(cj)
@@ -297,107 +266,78 @@ def validate_bisection(b, parent):
     return report
 
 
-def _wall_functional(b):
-    """The primitive integral affine functional vanishing on the shared wall
-    and negative on the interior of the second cell.  Returns (const, grad)."""
-    dim = b.cell0.Q.ambient_dim
-    if dim == 1:
+def _wall(b):
+    """The primitive integral affine functional that vanishes on the shared
+    wall and is negative on the interior of the second cell, as a map from
+    each marked point of either cell to its value."""
+    if b.cell0.Q.ambient_dim == 1:
         shared = _shared_region_1d(b.cell0, b.cell1)
         if shared is None or shared[0] != shared[1]:
             raise ValueError("cells do not share a wall point")
         wall = shared[0]
         pts1 = [as_2d(v)[0] for v in b.cell1.Q.vertices]
-        mid1 = Fraction(sum(pts1), len(pts1))
-        sign = -1 if mid1 > wall else 1
-        return (-sign * wall, (sign,))
-    inter = _clip_polygons(b.cell0, b.cell1)
-    lattice = [p for p in inter if p[0].denominator == 1 and p[1].denominator == 1]
-    if len(set(inter)) < 2 or len(lattice) < 2:
-        raise ValueError("shared wall is not spanned by lattice points")
-    p, q = inter[0], inter[-1]
-    d = (q[0] - p[0], q[1] - p[1])
-    g = gcd(int(d[0]), int(d[1]))
-    normal = (int(d[1]) // g, -int(d[0]) // g)
-    const = -(normal[0] * p[0] + normal[1] * p[1])
-    hull1 = convex_hull_2d([as_2d(v) for v in b.cell1.Q.vertices])
-    cx = Fraction(sum(v[0] for v in hull1), len(hull1))
-    cy = Fraction(sum(v[1] for v in hull1), len(hull1))
-    if normal[0] * cx + normal[1] * cy + const > 0:
-        normal = (-normal[0], -normal[1])
-        const = -const
-    return (int(const), normal)
+        sign = -1 if sum(pts1) > wall * len(pts1) else 1
+        const, grad = -sign * wall, (sign,)
+    else:
+        inter = _clip_polygons(b.cell0, b.cell1)
+        lattice = [p for p in inter if p[0].denominator == 1 and p[1].denominator == 1]
+        if len(set(inter)) < 2 or len(lattice) < 2:
+            raise ValueError("shared wall is not spanned by lattice points")
+        p, q = inter[0], inter[-1]
+        d = (q[0] - p[0], q[1] - p[1])
+        g = gcd(int(d[0]), int(d[1]))
+        grad = (int(d[1]) // g, -int(d[0]) // g)
+        const = -(grad[0] * p[0] + grad[1] * p[1])
+        # The sign test at the vertex centroid of the second cell, scaled
+        # by the vertex count.
+        hull1 = convex_hull_2d([as_2d(v) for v in b.cell1.Q.vertices])
+        if (grad[0] * sum(v[0] for v in hull1) + grad[1] * sum(v[1] for v in hull1)
+                + const * len(hull1) > 0):
+            grad, const = (-grad[0], -grad[1]), -const
+        const = int(const)
+    return {p: const + sum(g * x for g, x in zip(grad, as_2d(p)))
+            for p in b.cell0.A + b.cell1.A}
 
 
 def coherence_weight(b):
-    """The distinguished integral weight of a bisection: zero on the marked
-    points of the origin cell and the primitive wall functional on the rest.
-    Its piecewise-linear extension is concave with linearity domains exactly
-    the two cells."""
-    const, grad = _wall_functional(b)
-
-    def lam(p):
-        q = as_2d(p)
-        return int(const + sum(g * x for g, x in zip(grad, q)))
-
-    values = {}
-    for p in b.cell0.A:
-        values[p] = 0
+    """The distinguished integral weight of a bisection, as a map from each
+    marked point to an int: zero on the origin cell and the primitive wall
+    functional on the rest.  Its piecewise-linear extension is concave with
+    linearity domains exactly the two cells."""
+    lam = _wall(b)
+    values = dict.fromkeys(b.cell0.A, 0)
     for p in b.cell1.A:
-        v = lam(p)
-        if p in values and v != 0:
+        if p not in values:
+            values[p] = lam[p]
+        elif lam[p] != 0:
             raise ValueError(f"shared marked point {p} off the wall")
-        values[p] = v if p not in values else 0
-    return PLWeight.from_dict(values)
+    return values
 
 
 def reparameterized_weight(b):
     """The coherence weight re-based at the second cell: subtract the wall
     functional, so the weight vanishes on the second cell's marked points
     and is negative at the origin."""
-    const, grad = _wall_functional(b)
-    eta = coherence_weight(b)
-
-    def lam(p):
-        q = as_2d(p)
-        return int(const + grad[0] * q[0] + (grad[1] * q[1] if len(grad) > 1 else 0))
-
-    values = {p: v - lam(p) for p, v in eta.values}
-    return PLWeight.from_dict(values)
+    lam = _wall(b)
+    return {p: v - lam[p] for p, v in coherence_weight(b).items()}
 
 
-@dataclass(frozen=True)
-class DeformedPotential:
-    """A Laurent polynomial with rational coefficients perturbed by an
-    integral weight: the coefficient at alpha becomes c_alpha * t^{-psi(alpha)}."""
-
-    coefficients: tuple  # of (point, Fraction)
-    weight: PLWeight
-    t: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           tuple(sorted((_pt(k), Fraction(v))
-                                        for k, v in dict(self.coefficients).items())))
-        if self.t <= 0:
-            raise ValueError("deformation parameter must be positive")
-
-
-def deform_coeffs(p):
-    """The deformed coefficient list at parameter t, exact rationals."""
-    t = Fraction(p.t)
-    psi = p.weight.as_dict()
-    return {alpha: c * t ** (-psi[alpha]) for alpha, c in p.coefficients}
+def deform_coeffs(coeffs, weight, t):
+    """The coefficients of a Laurent polynomial deformed by an integral
+    weight psi at the parameter t: c_alpha becomes c_alpha * t^(-psi(alpha)),
+    exact rationals."""
+    return {alpha: c * t ** (-weight[alpha]) for alpha, c in coeffs.items()}
 
 
 def critical_values_univariate(coeffs):
-    """Critical values of a one-variable Laurent polynomial: roots of
-    z f'(z) cleared to an ordinary polynomial, evaluated back through f.
+    """Critical values of a one-variable Laurent polynomial, given as a map
+    from int exponent to coefficient: roots of z f'(z) cleared to an
+    ordinary polynomial, evaluated back through f.
 
     For generic coefficients the count equals the lattice length of the
     Newton segment of f.
     """
-    support = {int(a[0]) if not isinstance(a, int) else a: v
-               for a, v in coeffs.items() if v != 0}
+    support = {a: v for a, v in coeffs.items() if v != 0}
     if len(support) < 2:
         raise ValueError("need at least two monomials for critical points")
     d_support = {a: a * c for a, c in support.items() if a != 0}
@@ -413,9 +353,10 @@ def critical_values_univariate(coeffs):
     return [f(complex(z)) for z in roots]
 
 
-def seeded_coefficients(A, seed, tolerance=1e-4, a0=None, a1=None):
-    """Small nonzero integer coefficients from a seeded generator, rejecting
-    configurations whose restricted potentials have nearly colliding or
+def seeded_coefficients(A, seed, tolerance, a0, a1):
+    """Small nonzero integer coefficients on the points A from a seeded
+    generator, rejecting configurations whose potential or whose
+    restrictions to the cells' points a0 and a1 have nearly colliding or
     nearly zero critical values (within 10x the matching tolerance)."""
     rng = random.Random(seed)
     points = [_pt(p) for p in A]
@@ -424,14 +365,11 @@ def seeded_coefficients(A, seed, tolerance=1e-4, a0=None, a1=None):
                 for p in points}
         ok = True
         for part in (a0, a1, points):
-            if part is None:
-                continue
-            sub = {p: cand[_pt(p)] for p in part if _pt(p) in cand}
+            sub = {p[0]: cand[p] for p in part if p in cand}
             if len(sub) < 2:
                 continue
             try:
-                vals = critical_values_univariate(
-                    {p[0]: c for p, c in ((_pt(k), v) for k, v in sub.items())})
+                vals = critical_values_univariate(sub)
             except ValueError:
                 ok = False
                 break
@@ -482,7 +420,8 @@ class SplittingReport:
     violations: list = field(default_factory=list)
 
 
-def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
+def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_SEED,
+                    tolerance=DEFAULT_TOLERANCE):
     """Numerically verify the critical-value splitting of a 1D bisection.
 
     Along a decreasing schedule the deformed potential's critical values
@@ -492,8 +431,6 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
     the deformed critical values to be evaluated in floats raises
     ValueError.
     """
-    if t_schedule is None:
-        t_schedule = [Fraction(1, 10 ** k) for k in (1, 2, 3)]
     t_schedule = [Fraction(t) for t in t_schedule]
     if any(t <= 0 for t in t_schedule) or any(
             a <= b for a, b in zip(t_schedule, t_schedule[1:])):
@@ -505,7 +442,9 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
     if coeffs is None:
         coeffs = seeded_coefficients(a_all, seed, tolerance,
                                      a0=b.cell0.A, a1=b.cell1.A)
-    coeffs = {_pt(k): Fraction(v) for k, v in coeffs.items()}
+    # Sorted by point, so the deformed potential is summed in one order
+    # whatever the order of the given map.
+    coeffs = dict(sorted({_pt(k): Fraction(v) for k, v in coeffs.items()}.items()))
     stray = sorted(set(a_all) ^ set(coeffs))
     if stray:
         raise ValueError(f"the coefficients and the marked points differ at {stray[0][0]}")
@@ -525,7 +464,7 @@ def track_splitting(b, coeffs=None, t_schedule=None, seed=42, tolerance=1e-4):
         violations.append("restriction to the second cell has a zero critical value")
 
     def values_at(weight, t):
-        deformed = deform_coeffs(DeformedPotential(tuple(coeffs.items()), weight, t))
+        deformed = deform_coeffs(coeffs, weight, t)
         try:
             with np.errstate(all="ignore"):
                 vals = critical_values_univariate({p[0]: c for p, c in deformed.items()})
@@ -618,16 +557,16 @@ def load_config(path):
         if not isinstance(raw[key], list) or not raw[key]:
             raise ValueError(f"{key} must be a nonempty list of points")
         cfg[key] = [_config_point(p) for p in raw[key]]
-    cfg["seed"] = raw.get("seed", 42)
+    cfg["seed"] = raw.get("seed", DEFAULT_SEED)
     if type(cfg["seed"]) is not int:
         raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
     try:
-        cfg["tolerance"] = float(raw.get("tolerance", 1e-4))
+        cfg["tolerance"] = float(raw.get("tolerance", DEFAULT_TOLERANCE))
     except TypeError:
         raise ValueError(f"tolerance must be a number, got {raw['tolerance']!r}")
     if not 0 < cfg["tolerance"] < float("inf"):
         raise ValueError(f"tolerance must be positive and finite, got {cfg['tolerance']}")
-    schedule = raw.get("t_schedule", ["1/10", "1/100", "1/1000"])
+    schedule = raw.get("t_schedule", list(DEFAULT_T_SCHEDULE))
     if not isinstance(schedule, list):
         raise ValueError(f"t_schedule must be a list, got {schedule!r}")
     cfg["t_schedule"] = [Fraction(str(t)) for t in schedule]

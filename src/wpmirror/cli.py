@@ -235,8 +235,8 @@ def _cmd_bisect(args):
     if args.action == "weights":
         eta = coherence_weight(b)
         tau = reparameterized_weight(b)
-        _emit({"eta": {str(p[0]): v for p, v in eta.values},
-               "tau": {str(p[0]): v for p, v in tau.values}}, args.format)
+        _emit({"eta": {str(p[0]): v for p, v in eta.items()},
+               "tau": {str(p[0]): v for p, v in tau.items()}}, args.format)
         return 0
     rep = track_splitting(
         b,

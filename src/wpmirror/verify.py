@@ -17,10 +17,15 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
 from .aside.words import _point_table
-from .bside import compose_dual, dual_ext, verify_prop6_via_resolution
+from .bside import _subsets, compose_dual, dual_ext, verify_prop6_via_resolution
 from .weights import Weights
 
 TOOL_VERSION = __version__
+
+# The payload's "max_word_len" field.  The search has no length bound (its
+# caps stop every word at 5 letters); the value is kept because every
+# recorded digest hashes it.
+MAX_WORD_LEN = 8
 
 CONVENTIONS = {
     "object_identification": "curve k on the A-side corresponds to the simple module at k",
@@ -60,28 +65,28 @@ def bside_digest(w):
     """Sorted nonzero truncated-wedge product table of the dual algebra,
     over the same index triples and labels.
 
-    A product of basis elements depends only on the two subsets and the
-    span k - i, so each distinct product is computed once per call and
-    looked up for every later triple.
+    The basis of `dual_ext(w, k, i)` depends only on the span k - i, so
+    it is listed once per span, as subsets.  A product of basis elements
+    depends only on the two subsets and the span k - i, so each distinct
+    product is computed once per call and looked up for every later triple.
     """
     objects = range(w.l - 1)
-    bases = {(k, i): dual_ext(w, k, i).basis for i in objects for k in objects if i < k}
+    subsets = _subsets(w)
+    bases = [[J for J, a in subsets if a <= span] for span in objects]
     products = {}  # (subset0, subset1, k - i) -> (subset, sign) or None
     entries = []
     for i in objects:
         for j in range(i + 1, w.l - 1):
             for k in range(j + 1, w.l - 1):
-                for _, lab0 in bases[j, i]:
-                    for _, lab1 in bases[k, j]:
-                        key = (lab0.subset, lab1.subset, k - i)
+                for J0 in bases[j - i]:
+                    for J1 in bases[k - j]:
+                        key = (J0, J1, k - i)
                         if key in products:
                             found = products[key]
                         else:
-                            found = products[key] = compose_dual(
-                                w, k - i, lab0.subset, lab1.subset)
+                            found = products[key] = compose_dual(w, k - i, J0, J1)
                         if found is not None:
-                            entries.append(((i, j, k), lab0.subset, lab1.subset,
-                                            found[0], found[1]))
+                            entries.append(((i, j, k), J0, J1, found[0], found[1]))
     entries.sort()
     return entries
 
@@ -188,7 +193,7 @@ class Certificate:
             self.to_json(include_timestamp=False).encode()).hexdigest()
 
 
-def hms_certificate(w, max_word_len=8, corrupt=None):
+def hms_certificate(w, corrupt=None):
     """Build the full certificate for one weight pair.
 
     `corrupt` is the mutation-testing hook: ("aside"|"bside", index) bumps
@@ -221,10 +226,9 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
                 failures.append(f"label mismatch at pair ({j},{k})")
 
     # One enumeration serves both the triangle digest and the higher-product
-    # report: triangles have 3 or 5 letters, within any bound the report
-    # accepts.
-    words = enumerate_accepted_words(w, max_len=max_word_len, points=points)
-    hp = higher_product_report(words, max_word_len)
+    # report.
+    words = enumerate_accepted_words(w, points=points)
+    hp = higher_product_report(words)
     dig_a = _triangle_digest(words)
     dig_b = bside_digest(w)
     if corrupt is not None:
@@ -239,7 +243,7 @@ def hms_certificate(w, max_word_len=8, corrupt=None):
 
     higher = {
         "ok": hp.ok,
-        "max_word_len": hp.max_word_len,
+        "max_word_len": MAX_WORD_LEN,
         "accepted_count": hp.accepted_count,
         "counts_by_length": {str(k): v for k, v in sorted(hp.counts_by_length.items())},
     }

@@ -186,15 +186,27 @@ def affine_rank(points):
     return 1
 
 
+def cross(o, a, b):
+    """The cross product of a - o and b - o: positive when o, a, b turn
+    counterclockwise, zero when they are collinear."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def twice_area(pts):
+    """Twice the area of the polygon with the vertices `pts`, in order."""
+    s = 0
+    for i in range(len(pts)):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % len(pts)]
+        s += x0 * y1 - x1 * y0
+    return abs(s)
+
+
 def convex_hull_2d(points):
     """Andrew's monotone chain; returns hull vertices counterclockwise."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     lower = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
@@ -228,10 +240,4 @@ def normalized_volume(p):
                   for q in pts]
         lo, hi = pts[params.index(min(params))], pts[params.index(max(params))]
         return gcd(abs(hi[0] - lo[0]), abs(hi[1] - lo[1]))
-    hull = convex_hull_2d(pts)
-    twice_area = 0
-    for i in range(len(hull)):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % len(hull)]
-        twice_area += x0 * y1 - x1 * y0
-    return abs(twice_area)
+    return twice_area(convex_hull_2d(pts))

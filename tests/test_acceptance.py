@@ -13,8 +13,9 @@ import pytest
 
 from wpmirror.aside import (
     critical_data,
+    enumerate_accepted_words,
     h_poly_roots,
-    higher_products_vanish,
+    higher_product_report,
     hom_space,
     intersections,
     maslov_degree,
@@ -85,10 +86,10 @@ def test_criterion_02_mirror_composition_match():
 
 
 def test_criterion_03_higher_products_vanish():
-    """Word enumeration to length 8 finds only three-cornered discs, so all
-    products beyond the two-fold one vanish, for every l <= 25."""
+    """Word enumeration finds only three-cornered discs, so all products
+    beyond the two-fold one vanish, for every l <= 25."""
     for w in weight_pairs():
-        report = higher_products_vanish(w, 8)
+        report = higher_product_report(enumerate_accepted_words(w))
         assert report.ok, (w, report.offenders)
 
 
@@ -184,8 +185,8 @@ def test_criterion_09_bisection_splitting():
     )
     eta = coherence_weight(b)
     tau = reparameterized_weight(b)
-    assert [eta((p,)) for p in (-1, 0, 1, 2)] == [0, 0, 0, -1]
-    assert [tau((p,)) for p in (-1, 0, 1, 2)] == [-2, -1, 0, 0]
+    assert [eta[p,] for p in (-1, 0, 1, 2)] == [0, 0, 0, -1]
+    assert [tau[p,] for p in (-1, 0, 1, 2)] == [-2, -1, 0, 0]
     report = track_splitting(b, seed=42, tolerance=TOL_SPLIT)
     assert report.ok, report.violations
     assert report.r == 3 and report.m == 2

@@ -153,6 +153,115 @@ class TestVerify:
         assert cert["resolution_check"]["ok"] is True
 
 
+def assert_matches(actual, expected, path="out"):
+    """Floats agree to rel=1e-12; every other value, key and length exactly."""
+    assert type(actual) is type(expected), path
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), path
+        for key in expected:
+            assert_matches(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for i, (x, y) in enumerate(zip(actual, expected)):
+            assert_matches(x, y, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-12), path
+    else:
+        assert actual == expected, path
+
+
+# The full stdout of `bisect weights` and `bisect track` for two configs,
+# recorded from an earlier implementation of the bisection layer.  The
+# first is the README config.  The second gives its
+# coefficients out of point order; on the second cell the restriction
+# z - 2 z^2 + z^3 = z (1 - z)^2 has the critical value 0, so the run
+# reports a violation and exits 1.
+README_CONFIG = {"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2], "seed": 42,
+                 "tolerance": 1e-4, "t_schedule": ["1/10", "1/100", "1/1000"]}
+OUT_OF_ORDER_CONFIG = {"A": [-1, 0, 1, 2, 3], "A0": [-1, 0, 1], "A1": [1, 2, 3],
+                       "coefficients": {"3": 1, "-1": 1, "2": -2, "0": 1, "1": 1}}
+README_WEIGHTS = {"eta": {"-1": 0, "0": 0, "1": 0, "2": -1},
+                  "tau": {"-1": -2, "0": -1, "1": 0, "2": 0}}
+README_TRACK = {"m": 2,
+                "ok": True,
+                "r": 3,
+                "seed": 42,
+                "steps": [{"err_cell0": 0.10830944768111461,
+                           "err_cell1": 0.17979148159933,
+                           "t": {"den": "10", "num": "1"},
+                           "values": [{"im": 0.0, "re": 3.2020851840067},
+                                      {"im": 0.0, "re": 0.7201176770650755},
+                                      {"im": 0.0, "re": -4.922202861071775}],
+                           "values_rebased": [{"im": 0.0, "re": 0.32020851840067},
+                                              {"im": 0.0, "re": -0.4922202861071776},
+                                              {"im": 0.0, "re": 0.07201176770650751}]},
+                          {"err_cell0": 0.010071729649397732,
+                           "err_cell1": 0.01979997999199523,
+                           "t": {"den": "100", "num": "1"},
+                           "values": [{"im": 0.0, "re": 48.020002000800474},
+                                      {"im": 0.0, "re": -4.8383573958972725},
+                                      {"im": 0.0, "re": 0.8183553950967923}],
+                           "values_rebased": [{"im": 0.0, "re": 0.48020002000800477},
+                                              {"im": 0.0, "re": -0.04838357395897273},
+                                              {"im": 0.0, "re": 0.008183553950967922}]},
+                          {"err_cell0": 0.0010007081086412795,
+                           "err_cell1": 0.001997999997999933,
+                           "t": {"den": "1000", "num": "1"},
+                           "values": [{"im": 0.0, "re": 498.002000002},
+                                      {"im": 0.0, "re": 0.8274264166375488},
+                                      {"im": 0.0, "re": -4.829426418637556}],
+                           "values_rebased": [{"im": 0.0, "re": 0.49800200000200007},
+                                              {"im": 0.0, "re": -0.004829426418637556},
+                                              {"im": 0.0, "re": 0.0008274264166375486}]}],
+                "targets_cell0": [{"im": 0.0, "re": -4.82842712474619},
+                                  {"im": 0.0, "re": 0.8284271247461901}],
+                "targets_cell1": [{"im": 0.0, "re": 0.5}],
+                "violations": []}
+OUT_OF_ORDER_WEIGHTS = {"eta": {"-1": 0, "0": 0, "1": 0, "2": -1, "3": -2},
+                        "tau": {"-1": -2, "0": -1, "1": 0, "2": 0, "3": 0}}
+OUT_OF_ORDER_TRACK = {"m": 2,
+                      "ok": False,
+                      "r": 4,
+                      "seed": 42,
+                      "steps": [{"err_cell0": 0.19079110732789673,
+                                 "err_cell1": 0.11770437008298514,
+                                 "t": {"den": "10", "num": "1"},
+                                 "values": [{"im": 0.0, "re": 1.099753663484897},
+                                            {"im": 0.0, "re": 2.8092088926721033},
+                                            {"im": 0.0, "re": -1.1770437008298513},
+                                            {"im": 0.0, "re": 2.7495626261543324}],
+                                 "values_rebased": [{"im": 0.0, "re": 0.10997536634848992},
+                                                    {"im": 0.0, "re": 0.28092088926721026},
+                                                    {"im": 0.0, "re": -0.11770437008298514},
+                                                    {"im": 0.0, "re": 0.27495626261543327}]},
+                                {"err_cell0": 0.020310466677142536,
+                                 "err_cell1": 0.010300202957200133,
+                                 "t": {"den": "100", "num": "1"},
+                                 "values": [{"im": 0.0, "re": 1.0099997500374798},
+                                            {"im": 0.0, "re": 15.844835110534824},
+                                            {"im": 0.0, "re": 2.9796895333228575},
+                                            {"im": 0.0, "re": -1.0197095790803612}],
+                                 "values_rebased": [{"im": 0.0, "re": 0.010099997500374824},
+                                                    {"im": 0.0, "re": 0.15844835110534827},
+                                                    {"im": 0.0, "re": -0.01019709579080361},
+                                                    {"im": 0.0, "re": 0.029796895333228577}]},
+                                {"err_cell0": 0.0020030100444792254,
+                                 "err_cell1": 0.001003000020250444,
+                                 "t": {"den": "1000", "num": "1"},
+                                 "values": [{"im": 0.0, "re": 1.000999999749979},
+                                            {"im": 0.0, "re": 149.1511481683986},
+                                            {"im": 0.0, "re": -1.0019970099559765},
+                                            {"im": 0.0, "re": 2.9979969899555208}],
+                                 "values_rebased": [{"im": 0.0, "re": 0.0010009999997500074},
+                                                    {"im": 0.0, "re": 0.14915114816839858},
+                                                    {"im": 0.0, "re": -0.0010019970099559767},
+                                                    {"im": 0.0, "re": 0.0029979969899555205}]}],
+                      "targets_cell0": [{"im": 0.0, "re": 3.0}, {"im": 0.0, "re": -1.0}],
+                      "targets_cell1": [{"im": 0.0, "re": 0.0},
+                                        {"im": 0.0, "re": 0.14814814814814814}],
+                      "violations": ["restriction to the second cell has a zero critical value"]}
+
+
 class TestBisect:
     @pytest.fixture
     def config(self, tmp_path):
@@ -176,6 +285,18 @@ class TestBisect:
         assert run(["bisect", "track", "--config", config]) == 0
         out = out_json(capsys)
         assert out["ok"] is True and out["m"] == 2 and out["r"] == 3
+
+    @pytest.mark.parametrize("config, weights, track, code", [
+        (README_CONFIG, README_WEIGHTS, README_TRACK, 0),
+        (OUT_OF_ORDER_CONFIG, OUT_OF_ORDER_WEIGHTS, OUT_OF_ORDER_TRACK, 1),
+    ], ids=["readme", "out-of-order"])
+    def test_pinned_output(self, capsys, tmp_path, config, weights, track, code):
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(config))
+        assert run(["bisect", "weights", "--config", str(path)]) == 0
+        assert_matches(out_json(capsys), weights)
+        assert run(["bisect", "track", "--config", str(path)]) == code
+        assert_matches(out_json(capsys), track)
 
     def test_invalid_bisection_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wpmirror import verify
 from wpmirror.aside import strip, words
 from wpmirror.bside import compose_dual, dual_ext
-from wpmirror.verify import aside_digest, bside_digest, hms_certificate, sweep
+from wpmirror.verify import bside_digest, hms_certificate, sweep
 from wpmirror.weights import Weights
 
 
@@ -78,9 +78,7 @@ class TestOncePerCertificate:
             built[j, k] += 1
             return real_intersections(w, j, k)
 
-        # Both modules that look the enumeration up by name.
         monkeypatch.setattr(verify, "enumerate_accepted_words", counting_enumerate)
-        monkeypatch.setattr(words, "enumerate_accepted_words", counting_enumerate)
         # Every module that looks `intersections` up by name, so the count
         # covers the dimension table as well as the word search.
         monkeypatch.setattr(words, "intersections", counting_intersections)
@@ -91,18 +89,6 @@ class TestOncePerCertificate:
         # Exactly one build per pair j < k for the whole certificate.
         l = sum(a)
         assert built == Counter({(j, k): 1 for j in range(l - 1) for k in range(j + 1, l - 1)})
-
-    @pytest.mark.parametrize("a", [(1, 3), (2, 3), (2, 5)])
-    def test_triangle_digest_independent_of_word_bound(self, a):
-        w = Weights(a)
-        digests = [hms_certificate(w, max_word_len=n).aside_digest for n in (6, 8, 10)]
-        assert digests[0]
-        assert digests[0] == digests[1] == digests[2]
-        assert digests[0] == aside_digest(w)
-
-    def test_word_bound_below_triangles_rejected(self):
-        with pytest.raises(ValueError):
-            hms_certificate(Weights((2, 3)), max_word_len=5)
 
 
 def direct_bside_digest(w):

@@ -17,7 +17,7 @@ from wpmirror.aside.words import (
     _point_table,
     _word_rules,
     enumerate_accepted_words,
-    higher_products_vanish,
+    higher_product_report,
 )
 from wpmirror.weights import ExteriorBasisElement, Weights
 
@@ -248,18 +248,16 @@ class TestPrunedSearch:
     what the unpruned search finds, in the same order, with the same
     corners."""
 
-    @pytest.mark.parametrize("max_len", [6, 8])
-    def test_matches_unpruned_search(self, max_len):
+    def test_matches_unpruned_search(self):
         for a in pairs_up_to(12):
             w = Weights(a)
-            assert enumerate_accepted_words(w, max_len=max_len) \
-                == reference_search(w, max_len), a
+            assert enumerate_accepted_words(w) == reference_search(w, 12), a
 
 
 class TestLengthBound:
     def test_search_reaches_no_word_past_five_letters(self):
-        # The lemma of higher_product_report: the caps and gap conditions,
-        # not the length bound, stop the search at 5 letters.
+        # The lemma of higher_product_report: the caps and gap conditions
+        # stop the search at 5 letters.
         lengths = set()
         for a in pairs_up_to(12):
             lengths |= {len(word) for word in closable_words(Weights(a), 12)}
@@ -282,10 +280,6 @@ class TestLengthBound:
 class TestHigherProducts:
     @pytest.mark.parametrize("a", [(1, 2), (2, 3), (3, 4), (2, 7)])
     def test_vanish(self, a):
-        report = higher_products_vanish(Weights(a), 8)
+        report = higher_product_report(enumerate_accepted_words(Weights(a)))
         assert report.ok
         assert all(length in (3, 5) for length in report.counts_by_length)
-
-    def test_word_length_bound_guard(self):
-        with pytest.raises(ValueError):
-            higher_products_vanish(W23, 5)
