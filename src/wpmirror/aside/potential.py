@@ -13,6 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
+# The near-double-root flag's threshold, relative to the root scale.
+_RTOL = 1e-4
+
 
 @dataclass(frozen=True)
 class CriticalDatum:
@@ -47,12 +50,12 @@ class HPolyRoots:
     near_double_root: bool
 
 
-def h_poly_roots(w, q, rtol=1e-4):
+def h_poly_roots(w, q):
     """Roots of h_q(x) = x^l - l^l x + l^l q, sorted by (argument, modulus).
 
     The near_double_root flag fires when the smallest pairwise root
-    separation drops below rtol times the root scale, which happens exactly
-    near the critical parameter values.
+    separation drops below _RTOL times the root scale, which happens
+    exactly near the critical parameter values.
     """
     l = w.l
     coeffs = [1.0] + [0.0] * (l - 2) + [-float(l) ** l, float(l) ** l * complex(q)]
@@ -71,7 +74,7 @@ def h_poly_roots(w, q, rtol=1e-4):
         q=complex(q),
         roots=tuple(ordered),
         min_separation=min_sep,
-        near_double_root=min_sep < rtol * scale,
+        near_double_root=min_sep < _RTOL * scale,
     )
 
 

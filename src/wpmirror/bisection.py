@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .weights import (LatticePolytope, affine_rank, as_2d, convex_hull_2d, cross,
-                      normalized_volume, twice_area)
+                      normalized_volume)
 
 # The defaults of a tracking run, read by `track_splitting` and `load_config`.
 DEFAULT_T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -34,27 +34,34 @@ def _pt(p):
     return tuple(int(x) for x in p)
 
 
+def _hull(poly):
+    """The planar hull of a polytope's vertices, counterclockwise; an
+    interval's hull is its two ends in coordinate order, a point's is the
+    point."""
+    return convex_hull_2d([as_2d(v) for v in poly.vertices])
+
+
+def _edges(hull):
+    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+
+
+def _on_segment(q, a, b, strict=False):
+    """Exact membership of a point in the closed segment ab, or in its
+    relative interior if strict; for a == b the segment is that point."""
+    if cross(a, b, q) != 0:
+        return False
+    dot = (q[0] - a[0]) * (q[0] - b[0]) + (q[1] - a[1]) * (q[1] - b[1])
+    return dot < 0 if strict else dot <= 0
+
+
 def _contains(poly, p, strict=False):
-    """Exact membership of a point in a 1- or 2-dimensional polytope."""
-    pts = [as_2d(v) for v in poly.vertices]
-    q = as_2d(p)
-    if affine_rank(pts) <= 1:
-        # Interval (possibly embedded in the plane): parametrize along it.
-        base = min(pts)
-        direction = (max(pts)[0] - base[0], max(pts)[1] - base[1])
-        if direction == (0, 0):
-            return q == base and not strict
-        if cross(base, max(pts), q) != 0:
-            return False
-        t = Fraction((q[0] - base[0]) * direction[0] + (q[1] - base[1]) * direction[1],
-                     direction[0] ** 2 + direction[1] ** 2)
-        return (0 < t < 1) if strict else (0 <= t <= 1)
-    hull = convex_hull_2d(pts)
-    for i in range(len(hull)):
-        c = cross(hull[i], hull[(i + 1) % len(hull)], q)
-        if c < 0 or (strict and c == 0):
-            return False
-    return True
+    """Exact membership of a point in a 1- or 2-dimensional polytope, or
+    in its relative interior if strict."""
+    hull, q = _hull(poly), as_2d(p)
+    if len(hull) <= 2:
+        return _on_segment(q, hull[0], hull[-1], strict)
+    side = min(cross(a, b, q) for a, b in _edges(hull))
+    return side > 0 if strict else side >= 0
 
 
 @dataclass(frozen=True)
@@ -70,24 +77,13 @@ class MarkedPolytope:
 
     def violations(self):
         out = []
-        hull_pts = set(self._hull_vertices())
+        hull_pts = {v[:self.Q.ambient_dim] for v in _hull(self.Q)}
         if not hull_pts <= set(self.A):
             out.append(f"vertices {sorted(hull_pts - set(self.A))} not marked")
         for p in self.A:
             if not _contains(self.Q, p):
                 out.append(f"marked point {p} outside the polytope")
         return out
-
-    def _hull_vertices(self):
-        pts = [as_2d(v) for v in self.Q.vertices]
-        if affine_rank(pts) <= 1:
-            lo, hi = min(pts), max(pts)
-            verts = [lo, hi]
-        else:
-            verts = convex_hull_2d(pts)
-        if self.Q.ambient_dim == 1:
-            return [(v[0],) for v in verts]
-        return verts
 
 
 @dataclass(frozen=True)
@@ -98,29 +94,23 @@ class Bisection:
 
 @dataclass
 class ValidationReport:
-    passed: bool
     violations: list = field(default_factory=list)
 
-
-def _shared_region_1d(c0, c1):
-    """Intersection of two intervals, as a (lo, hi) pair or None."""
-    pts0 = [as_2d(v)[0] for v in c0.Q.vertices]
-    pts1 = [as_2d(v)[0] for v in c1.Q.vertices]
-    lo, hi = max(min(pts0), min(pts1)), min(max(pts0), max(pts1))
-    if lo > hi:
-        return None
-    return (lo, hi)
+    @property
+    def passed(self):
+        return not self.violations
 
 
-def _edges(hull):
-    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-
-
-def _clip_polygons(c0, c1):
-    """Exact intersection of two convex polygons (Sutherland–Hodgman with
-    rational vertices); returns the list of intersection vertices."""
-    subject = convex_hull_2d([as_2d(v) for v in c0.Q.vertices])
-    clip = convex_hull_2d([as_2d(v) for v in c1.Q.vertices])
+def _meet(c0, c1):
+    """The exact intersection of two cells, as its vertices: for two
+    intervals on one line the overlap of their ends, otherwise the
+    Sutherland–Hodgman clip of the first hull by the second, with rational
+    vertices."""
+    subject, clip = _hull(c0.Q), _hull(c1.Q)
+    if affine_rank(subject + clip) <= 1:
+        # Along one line the coordinate order is the order of the points.
+        lo, hi = max(subject[0], clip[0]), min(subject[-1], clip[-1])
+        return [] if lo > hi else sorted({lo, hi})
     for a, b in _edges(clip):
         if not subject:
             break
@@ -159,19 +149,14 @@ def validate_subdivision(cells, parent):
     """Check the four clauses for `cells` to subdivide `parent`, with exact
     arithmetic: full-dimensional cells, union equal to the parent, pairwise
     common-face intersections, and matching marked points on overlaps."""
-    report = ValidationReport(passed=True)
-
-    def fail(msg):
-        report.passed = False
-        report.violations.append(msg)
-
+    report = ValidationReport()
+    fail = report.violations.append
     for mp in list(cells) + [parent]:
-        for v in mp.violations():
-            fail(v)
+        report.violations.extend(mp.violations())
 
-    dim = affine_rank([as_2d(v) for v in parent.Q.vertices])
+    dim = affine_rank(_hull(parent.Q))
     for idx, cell in enumerate(cells):
-        if affine_rank([as_2d(v) for v in cell.Q.vertices]) != dim:
+        if affine_rank(_hull(cell.Q)) != dim:
             fail(f"cell {idx} is not full-dimensional")
         for v in cell.Q.vertices:
             if not _contains(parent.Q, v):
@@ -187,63 +172,29 @@ def validate_subdivision(cells, parent):
         fail(f"cells cover measure {total}, parent has {normalized_volume(parent.Q)}")
 
     for (i, ci), (j, cj) in itertools.combinations(enumerate(cells), 2):
-        if dim == 1:
-            shared = _shared_region_1d(ci, cj)
-            if shared is None:
-                shared_pts = []
-            elif shared[0] != shared[1]:
-                fail(f"cells {i},{j} overlap on a full interval {shared}")
-                continue
-            else:
-                x = shared[0]
-                shared_pts = [(x,) if parent.Q.ambient_dim == 1 else (x, 0)]
-                ends_i = [min(as_2d(v)[0] for v in ci.Q.vertices),
-                          max(as_2d(v)[0] for v in ci.Q.vertices)]
-                ends_j = [min(as_2d(v)[0] for v in cj.Q.vertices),
-                          max(as_2d(v)[0] for v in cj.Q.vertices)]
-                if x not in ends_i or x not in ends_j:
-                    fail(f"cells {i},{j} meet at {x}, not a face of both")
-        else:
-            inter = _clip_polygons(ci, cj)
-            if not inter:
-                shared_pts = []
-            elif twice_area(inter) != 0:
+        shared = _meet(ci, cj)
+        if shared and affine_rank(shared) == dim:
+            if dim == 2:
                 fail(f"cells {i},{j} overlap with positive area")
-                continue
             else:
-                if not _is_common_face(ci, cj, inter):
-                    fail(f"cells {i},{j} intersection is not a common face")
-                shared_pts = inter
-        # Matching marked points on the overlap.
-        region = shared_pts
-        mi = {p for p in ci.A if _on_region(p, region)}
-        mj = {p for p in cj.A if _on_region(p, region)}
+                ends = tuple(v[0] if parent.Q.ambient_dim == 1 else v for v in shared)
+                fail(f"cells {i},{j} overlap on a full interval {ends}")
+            continue
+        if shared and not _is_common_face(ci, cj, shared):
+            fail(f"cells {i},{j} intersection is not a common face")
+        # Matching marked points on the shared face.
+        mi, mj = ({p for p in c.A if shared and _on_segment(as_2d(p), shared[0], shared[-1])}
+                  for c in (ci, cj))
         if mi != mj:
             fail(f"cells {i},{j} mark the shared face differently: {sorted(mi)} vs {sorted(mj)}")
     return report
 
 
-def _on_region(p, region):
-    """Whether a lattice point lies on a shared region given by its exact
-    vertices (a point or a segment)."""
-    if not region:
-        return False
-    q = as_2d(p)
-    if len(region) == 1:
-        return q == as_2d(region[0])
-    a, b = as_2d(region[0]), as_2d(region[-1])
-    if cross(a, b, q) != 0:
-        return False
-    dot = (q[0] - a[0]) * (b[0] - a[0]) + (q[1] - a[1]) * (b[1] - a[1])
-    lensq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-    return 0 <= dot <= lensq
-
-
 def _is_common_face(ci, cj, inter):
     """The exact intersection (a point or segment) must be a vertex or a
-    full edge of both polygons."""
+    full edge of both hulls."""
     def faces(c):
-        hull = convex_hull_2d([as_2d(v) for v in c.Q.vertices])
+        hull = _hull(c.Q)
         return [frozenset([v]) for v in hull] + [frozenset(e) for e in _edges(hull)]
 
     key = frozenset(inter)
@@ -258,10 +209,8 @@ def validate_bisection(b, parent):
     report = validate_subdivision((b.cell0, b.cell1), parent)
     origin = (0,) * parent.Q.ambient_dim
     if not _contains(b.cell0.Q, origin, strict=True):
-        report.passed = False
         report.violations.append("origin not interior to the first cell")
     if set(b.cell0.A) | set(b.cell1.A) != set(parent.A):
-        report.passed = False
         report.violations.append("marked points of the cells do not cover the parent's")
     return report
 
@@ -270,33 +219,55 @@ def _wall(b):
     """The primitive integral affine functional that vanishes on the shared
     wall and is negative on the interior of the second cell, as a map from
     each marked point of either cell to its value."""
-    if b.cell0.Q.ambient_dim == 1:
-        shared = _shared_region_1d(b.cell0, b.cell1)
-        if shared is None or shared[0] != shared[1]:
+    wall = _meet(b.cell0, b.cell1)
+    hull1 = _hull(b.cell1.Q)
+    line = convex_hull_2d(_hull(b.cell0.Q) + hull1)
+    if len(line) <= 2:
+        # Cells on one line meet in a wall point.  The functional counts
+        # lattice steps along the line: its gradient takes the value 1 on
+        # the line's primitive direction (a Bezout pair), and a single
+        # point reads the first coordinate.
+        if len(wall) != 1:
             raise ValueError("cells do not share a wall point")
-        wall = shared[0]
-        pts1 = [as_2d(v)[0] for v in b.cell1.Q.vertices]
-        sign = -1 if sum(pts1) > wall * len(pts1) else 1
-        const, grad = -sign * wall, (sign,)
+        p = wall[0]
+        (x0, y0), (x1, y1) = line[0], line[-1]
+        g = gcd(x1 - x0, y1 - y0)
+        dx, dy = ((x1 - x0) // g, (y1 - y0) // g) if g else (1, 0)
+        if dx:
+            inv = pow(dy, -1, dx)
+            grad = ((1 - dy * inv) // dx, inv)
+        else:
+            grad = (0, 1)
     else:
-        inter = _clip_polygons(b.cell0, b.cell1)
-        lattice = [p for p in inter if p[0].denominator == 1 and p[1].denominator == 1]
-        if len(set(inter)) < 2 or len(lattice) < 2:
+        lattice = [p for p in wall if p[0].denominator == 1 and p[1].denominator == 1]
+        if len(set(wall)) < 2 or len(lattice) < 2:
             raise ValueError("shared wall is not spanned by lattice points")
-        p, q = inter[0], inter[-1]
-        d = (q[0] - p[0], q[1] - p[1])
-        g = gcd(int(d[0]), int(d[1]))
-        grad = (int(d[1]) // g, -int(d[0]) // g)
-        const = -(grad[0] * p[0] + grad[1] * p[1])
-        # The sign test at the vertex centroid of the second cell, scaled
-        # by the vertex count.
-        hull1 = convex_hull_2d([as_2d(v) for v in b.cell1.Q.vertices])
-        if (grad[0] * sum(v[0] for v in hull1) + grad[1] * sum(v[1] for v in hull1)
-                + const * len(hull1) > 0):
-            grad, const = (-grad[0], -grad[1]), -const
-        const = int(const)
+        p, q = wall[0], wall[-1]
+        dx, dy = int(q[0] - p[0]), int(q[1] - p[1])
+        g = gcd(dx, dy)
+        grad = (dy // g, -dx // g)
+    const = -(grad[0] * p[0] + grad[1] * p[1])
+    # The sign test at the vertex centroid of the second cell, scaled by
+    # the vertex count.
+    if (grad[0] * sum(v[0] for v in hull1) + grad[1] * sum(v[1] for v in hull1)
+            + const * len(hull1) > 0):
+        grad, const = (-grad[0], -grad[1]), -const
+    const = int(const)
     return {p: const + sum(g * x for g, x in zip(grad, as_2d(p)))
             for p in b.cell0.A + b.cell1.A}
+
+
+def _weights(b):
+    """The coherence weight and its re-basing at the second cell, both read
+    from one wall functional."""
+    lam = _wall(b)
+    eta = dict.fromkeys(b.cell0.A, 0)
+    for p in b.cell1.A:
+        if p not in eta:
+            eta[p] = lam[p]
+        elif lam[p] != 0:
+            raise ValueError(f"shared marked point {p} off the wall")
+    return eta, {p: v - lam[p] for p, v in eta.items()}
 
 
 def coherence_weight(b):
@@ -304,22 +275,14 @@ def coherence_weight(b):
     marked point to an int: zero on the origin cell and the primitive wall
     functional on the rest.  Its piecewise-linear extension is concave with
     linearity domains exactly the two cells."""
-    lam = _wall(b)
-    values = dict.fromkeys(b.cell0.A, 0)
-    for p in b.cell1.A:
-        if p not in values:
-            values[p] = lam[p]
-        elif lam[p] != 0:
-            raise ValueError(f"shared marked point {p} off the wall")
-    return values
+    return _weights(b)[0]
 
 
 def reparameterized_weight(b):
     """The coherence weight re-based at the second cell: subtract the wall
     functional, so the weight vanishes on the second cell's marked points
     and is negative at the origin."""
-    lam = _wall(b)
-    return {p: v - lam[p] for p, v in coherence_weight(b).items()}
+    return _weights(b)[1]
 
 
 def deform_coeffs(coeffs, weight, t):
@@ -449,8 +412,7 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
     if stray:
         raise ValueError(f"the coefficients and the marked points differ at {stray[0][0]}")
 
-    eta = coherence_weight(b)
-    tau = reparameterized_weight(b)
+    eta, tau = _weights(b)
 
     def restricted(points):
         return {p[0]: coeffs[p] for p in points}

@@ -107,9 +107,12 @@ class GenerationReport:
     """Result of the generation certificate: per-step summand degrees for
     every index subset, with the range checks of each step."""
 
-    passed: bool
     rows: list = field(default_factory=list)  # (m, J, degree, ok)
     violations: list = field(default_factory=list)
+
+    @property
+    def passed(self):
+        return not self.violations
 
 
 def generation_certificate(w):
@@ -121,18 +124,16 @@ def generation_certificate(w):
     full subset) hits l-1 exactly.  Consecutive c-vectors must differ by a
     standard basis vector.
     """
-    report = GenerationReport(passed=True)
+    report = GenerationReport()
     l = w.l
     subsets = _subsets(w)
     if cm_sequence(w, 0) != (0,) * (w.n + 1):
-        report.passed = False
         report.violations.append("c_0 is not the zero vector")
     for m in range(1, l + 1):
         prev = cm_sequence(w, m - 1)
         cur = cm_sequence(w, m)
         diff = tuple(a - b for a, b in zip(cur, prev))
         if sorted(diff) != [0] * w.n + [1]:
-            report.passed = False
             report.violations.append(f"step {m}: c_m - c_(m-1) = {diff} not a basis vector")
         for J, _ in subsets:
             degree = sum(prev[j] for j in J)
@@ -144,7 +145,6 @@ def generation_certificate(w):
                 ok = degree == l - 1
             report.rows.append((m, J, degree, ok))
             if not ok:
-                report.passed = False
                 report.violations.append(f"step {m}, J={J}: summand degree {degree}")
     return report
 

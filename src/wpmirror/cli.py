@@ -16,8 +16,7 @@ from .aside import (build_curves, critical_data, h_poly_roots, hom_space,
                     intersections, monodromy_data)
 from .bside import (dual_ext, ext_pushforward, generation_certificate,
                     resolution_summands)
-from .bisection import (bisection_from_config, coherence_weight, load_config,
-                        reparameterized_weight, track_splitting,
+from .bisection import (_weights, bisection_from_config, load_config, track_splitting,
                         validate_bisection)
 from .verify import hms_certificate, sweep
 from .weights import Weights
@@ -37,13 +36,12 @@ def _encode(obj):
     return obj
 
 
-def _emit(payload, fmt="json", stream=None):
-    stream = stream or sys.stdout
+def _emit(payload, fmt="json"):
     if fmt == "csv":
-        stream.write(payload if isinstance(payload, str) else _to_csv(payload))
+        sys.stdout.write(payload if isinstance(payload, str) else _to_csv(payload))
     else:
-        json.dump(_encode(payload), stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        json.dump(_encode(payload), sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
 
 
 def _to_csv(payload):
@@ -233,8 +231,7 @@ def _cmd_bisect(args):
               args.format)
         return 0 if report.passed else 1
     if args.action == "weights":
-        eta = coherence_weight(b)
-        tau = reparameterized_weight(b)
+        eta, tau = _weights(b)
         _emit({"eta": {str(p[0]): v for p, v in eta.items()},
                "tau": {str(p[0]): v for p, v in tau.items()}}, args.format)
         return 0

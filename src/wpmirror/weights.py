@@ -31,12 +31,6 @@ class Weights:
         """Total weight l = sum(a_i)."""
         return sum(self.a)
 
-    def __iter__(self):
-        return iter(self.a)
-
-    def __getitem__(self, i):
-        return self.a[i]
-
     def __repr__(self):
         return f"Weights{self.a}"
 
@@ -52,20 +46,6 @@ class Monomial:
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative")
 
-    def weighted_degree(self, w):
-        return sum(a * e for a, e in zip(w.a, self.exponents))
-
-    def __str__(self):
-        if not any(self.exponents):
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts)
-
 
 @dataclass(frozen=True)
 class ExteriorBasisElement:
@@ -78,15 +58,6 @@ class ExteriorBasisElement:
         if len(set(subset)) != len(subset):
             raise ValueError("repeated index in exterior subset")
         object.__setattr__(self, "subset", subset)
-
-    @property
-    def degree(self):
-        return len(self.subset)
-
-    def __str__(self):
-        if not self.subset:
-            return "e()"
-        return "e(" + ",".join(str(i) for i in self.subset) + ")"
 
 
 @dataclass(frozen=True)

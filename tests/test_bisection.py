@@ -28,6 +28,11 @@ def interval(points):
     return MarkedPolytope(LatticePolytope((min(xs), max(xs))), tuple(points))
 
 
+def segment(*points):
+    """A segment of the plane through the given lattice points, all marked."""
+    return MarkedPolytope(LatticePolytope((min(points), max(points))), points)
+
+
 def triangle(vertices, marked=None):
     return MarkedPolytope(LatticePolytope(tuple(vertices)),
                           tuple(marked if marked is not None else vertices))
@@ -80,6 +85,17 @@ class TestValidation:
         assert not report.passed
         assert any("overlap" in v or "measure" in v for v in report.violations)
 
+    def test_vertical_subdivision_passes(self):
+        # An interval off the x-axis: the shared face is the point (-3, -1).
+        cells = (segment((-3, -2), (-3, -1)), segment((-3, -1), (-3, 0)))
+        report = validate_subdivision(cells, segment((-3, -2), (-3, -1), (-3, 0)))
+        assert report.passed, report.violations
+
+    def test_vertical_overlap_fails(self):
+        cells = (segment((1, -2), (1, 1)), segment((1, 0), (1, 3)))
+        report = validate_subdivision(cells, segment((1, -2), (1, 3)))
+        assert any("overlap" in v for v in report.violations), report.violations
+
     def test_unmarked_vertex_fails(self):
         mp = MarkedPolytope(LatticePolytope((0, 3)), ((0,),))
         assert mp.violations()
@@ -105,6 +121,15 @@ class TestCoherenceWeights:
         assert tau[0, 0] == -1
         assert tau[-1, -1] == -3
         assert tau[2, 3] == 0 and tau[1, 0] == 0 and tau[0, 1] == 0
+
+    def test_diagonal_interval_weight_is_primitive(self):
+        # On the line through (1, 1) the wall functional counts lattice
+        # steps: one per point, not the squared length of the step.
+        b = Bisection(segment((-1, -1), (0, 0), (1, 1)), segment((1, 1), (2, 2), (3, 3)))
+        eta = coherence_weight(b)
+        assert [eta[p, p] for p in (-1, 0, 1, 2, 3)] == [0, 0, 0, -1, -2]
+        tau = reparameterized_weight(b)
+        assert [tau[p, p] for p in (-1, 0, 1, 2, 3)] == [-2, -1, 0, 0, 0]
 
     def test_weight_is_integral(self):
         for p, v in coherence_weight(B2D).items():

@@ -298,6 +298,21 @@ class TestBisect:
         assert run(["bisect", "track", "--config", str(path)]) == code
         assert_matches(out_json(capsys), track)
 
+    def test_pinned_validate_output(self, capsys, tmp_path):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(README_CONFIG))
+        assert run(["bisect", "validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == '{\n  "passed": true,\n  "violations": []\n}\n'
+        path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [0, 1, 2]}))
+        assert run(["bisect", "validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            '{\n  "passed": false,\n  "violations": [\n'
+            '    "cells cover measure 4, parent has 3",\n'
+            '    "cells 0,1 overlap on a full interval (0, 1)"\n  ]\n}\n')
+        assert run(["bisect", "weights", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: cells do not share a wall point\n")
+
     def test_invalid_bisection_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
