@@ -84,7 +84,6 @@ class IntersectionPoint:
     kind: PointKind
     x: object  # Fraction for segment kinds, None for ARC
     d: object  # period shift for segment kinds, None for ARC
-    degree: int
     label: ExteriorBasisElement
 
 
@@ -107,19 +106,19 @@ def intersections(w, j, k):
     _require_strip_weights(w)
     if not 0 <= j < k <= w.l - 2:
         raise ValueError(f"need 0 <= j < k <= l-2, got j={j}, k={k}")
-    points = [IntersectionPoint(j, k, PointKind.ARC, None, None, 0,
+    points = [IntersectionPoint(j, k, PointKind.ARC, None, None,
                                 ExteriorBasisElement(()))]
     if w.a[0] <= k - j:
         x = _seg_pm_x(w, j, k)
         if not 0 < x < 1:
             raise ArithmeticError(f"seg_pm x={x} outside (0,1)")
-        points.append(IntersectionPoint(j, k, PointKind.SEG_PM, x, 0, 1,
+        points.append(IntersectionPoint(j, k, PointKind.SEG_PM, x, 0,
                                         ExteriorBasisElement((0,))))
     if w.a[1] <= k - j:
         x = _seg_mp_x(w, j, k)
         if not 0 < x < 1:
             raise ArithmeticError(f"seg_mp x={x} outside (0,1)")
-        points.append(IntersectionPoint(j, k, PointKind.SEG_MP, x, -1, 1,
+        points.append(IntersectionPoint(j, k, PointKind.SEG_MP, x, -1,
                                         ExteriorBasisElement((1,))))
     return points
 

@@ -99,40 +99,25 @@ def _seg_jump_ok(prev, nxt):
     return False
 
 
-def _canonical_triangle(letters):
-    """All-arc words: the flow convention makes the triangle (+,-,+); the
-    reversed alternation (-,+,-) names the same disc and is accepted as an
-    alias, normalized here."""
-    signs = (letters[0].sign, letters[1].sign, letters[2].sign)
-    if signs == (1, -1, 1):
-        return letters
-    if signs == (-1, 1, -1):
-        return tuple(Letter(x.piece, x.curve, -x.sign) for x in letters)
-    return None
-
-
 def _shape(letters, arcs):
     """Word-shape rules, given the positions `arcs` of the arc letters.
-    Returns (letters, None), with an all-arc triangle in its canonical
-    orientation, or (None, reason)."""
+    Returns the reason the word is rejected, or None.  An all-arc word
+    passes as a triangle on increasing curves, whatever its orientation."""
     if not arcs:
-        return None, "segment-only disc"
+        return "segment-only disc"
     if len(arcs) == len(letters):
         # All-arc word: only the triangle closes up.
         if len(letters) != 3 or not letters[0].curve < letters[1].curve < letters[2].curve:
-            return None, "endpoints both arcs"
-        canon = _canonical_triangle(letters)
-        if canon is None:
-            return None, "orientation pairing"
-        return canon, None
+            return "endpoints both arcs"
+        return None
     if letters[0].piece == ARC and letters[-1].piece == ARC:
-        return None, "endpoints both arcs"
+        return "endpoints both arcs"
     if len(arcs) != 2 or arcs[1] != arcs[0] + 1:
-        return None, "orientation pairing"
+        return "orientation pairing"
     a, b = letters[arcs[0]], letters[arcs[1]]
     if a.curve == b.curve or a.sign == b.sign:
-        return None, "orientation pairing"
-    return letters, None
+        return "orientation pairing"
+    return None
 
 
 def _corner(prev, nxt, is_wrap, points):
@@ -181,63 +166,11 @@ def _monotone(letter, corner_in, corner_out):
     return a != b and (a < b) == (letter.sign > 0)
 
 
-def _word_rules(letters, points):
-    """Core rule pipeline on a nonempty word of letters on the curves
-    0..l-2, and the reference the word search is tested against.  Returns
-    (corners, None) on accept or (None, reason) on reject.  `points` is the
-    corner lookup of `_point_table`."""
-    curves = [x.curve for x in letters]
-    if sorted(curves) != curves:
-        return None, "non-decreasing subscripts"
-
-    # Consecutive letters on one curve walk it consecutively in a single
-    # direction.
-    for a, b in zip(letters, letters[1:]):
-        if a.curve == b.curve and (
-                b.sign != a.sign or b.piece != _NEXT_PIECE[a.piece, a.sign]):
-            return None, "orientation pairing"
-
-    if curves[0] == curves[-1]:  # sorted, so every letter is on one curve
-        return None, "missing corner"
-
-    run = 0
-    for x in letters:
-        run = run + 1 if x.piece != ARC else 0
-        if run >= 3:
-            return None, "three consecutive segments"
-
-    letters, reason = _shape(letters, [i for i, x in enumerate(letters) if x.piece == ARC])
-    if reason is not None:
-        return None, reason
-
-    # Corners: the jumps between consecutive letters on different curves,
-    # in order, then the wrap (last letter, first letter).  starts[k] is
-    # the position of the letter that leaves at corner k.
-    last = len(letters) - 1
-    starts = [i for i in range(last) if curves[i] != curves[i + 1]] + [last]
-    corners = []
-    for i in starts:
-        point, reason = _corner(letters[i], letters[(i + 1) % len(letters)],
-                                i == last, points)
-        if point is None:
-            return None, reason
-        corners.append(point)
-
-    # A letter that is entered at corner k and left at the next corner.
-    for k, i in enumerate(starts):
-        nk = (k + 1) % len(starts)
-        pos = (i + 1) % len(letters)
-        if starts[nk] == pos and not _monotone(letters[pos], corners[k], corners[nk]):
-            return None, "non-monotone boundary"
-
-    return tuple(corners), None
-
-
 def enumerate_accepted_words(w, points=None):
     """Exhaustively enumerate the accepted words on the curves 0..l-2.
 
     The search walks extendable letter sequences and prunes prefixes that
-    can no longer satisfy the rules of `_word_rules`.  It checks each jump
+    can no longer satisfy the word rules of the module docstring.  It checks each jump
     corner once per letter edge and each letter's monotonicity when the
     jump that leaves it is pushed; a failure there stays in every extension,
     so the whole subtree goes.  A closable word then needs only the shape
@@ -280,8 +213,9 @@ def enumerate_accepted_words(w, points=None):
         first, last = stack[0], stack[-1]
         if first.curve >= last.curve:
             return
-        # Search words are canonical, so _shape hands the stack back as is.
-        if _shape(stack, arcs)[1] is not None:
+        # An all-arc search word starts at C(+) and alternates, so it is
+        # the canonical triangle once its shape passes.
+        if _shape(stack, arcs) is not None:
             return
         found = wraps.get(id(last))
         if found is None:

@@ -18,8 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .weights import (LatticePolytope, affine_rank, as_2d, convex_hull_2d, cross,
-                      normalized_volume)
+from .weights import LatticePolytope, as_2d, convex_hull_2d, cross, normalized_volume
 
 # The defaults of a tracking run, read by `track_splitting` and `load_config`.
 DEFAULT_T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -39,6 +38,11 @@ def _hull(poly):
     interval's hull is its two ends in coordinate order, a point's is the
     point."""
     return convex_hull_2d([as_2d(v) for v in poly.vertices])
+
+
+def _rank(hull):
+    """The affine rank of a point set, from its planar hull."""
+    return min(len(hull), 3) - 1
 
 
 def _edges(hull):
@@ -102,15 +106,19 @@ class ValidationReport:
 
 
 def _meet(c0, c1):
-    """The exact intersection of two cells, as its vertices: for two
-    intervals on one line the overlap of their ends, otherwise the
-    Sutherland–Hodgman clip of the first hull by the second, with rational
-    vertices."""
+    """The exact intersection of two cells, as its vertices: for two cells
+    on one line the overlap of their ends, otherwise the
+    Sutherland–Hodgman clip of one hull by the other, a polygon's if either
+    is one, with rational vertices.  Only points of both cells are kept, so
+    the meet is one set in either order."""
     subject, clip = _hull(c0.Q), _hull(c1.Q)
-    if affine_rank(subject + clip) <= 1:
+    if len(convex_hull_2d(subject + clip)) <= 2:
         # Along one line the coordinate order is the order of the points.
         lo, hi = max(subject[0], clip[0]), min(subject[-1], clip[-1])
         return [] if lo > hi else sorted({lo, hi})
+    if len(clip) < 3:
+        # A segment or a point would clip by its whole line.
+        subject, clip = clip, subject
     for a, b in _edges(clip):
         if not subject:
             break
@@ -133,7 +141,7 @@ def _meet(c0, c1):
                 subject.append(p)
         if len(subject) > 1 and subject[0] == subject[-1]:
             subject.pop()
-    return subject
+    return [p for p in subject if _contains(c0.Q, p) and _contains(c1.Q, p)]
 
 
 def _line_intersect(a, b, p, q):
@@ -154,9 +162,9 @@ def validate_subdivision(cells, parent):
     for mp in list(cells) + [parent]:
         report.violations.extend(mp.violations())
 
-    dim = affine_rank(_hull(parent.Q))
+    dim = _rank(_hull(parent.Q))
     for idx, cell in enumerate(cells):
-        if affine_rank(_hull(cell.Q)) != dim:
+        if _rank(_hull(cell.Q)) != dim:
             fail(f"cell {idx} is not full-dimensional")
         for v in cell.Q.vertices:
             if not _contains(parent.Q, v):
@@ -173,7 +181,7 @@ def validate_subdivision(cells, parent):
 
     for (i, ci), (j, cj) in itertools.combinations(enumerate(cells), 2):
         shared = _meet(ci, cj)
-        if shared and affine_rank(shared) == dim:
+        if shared and _rank(convex_hull_2d(shared)) == dim:
             if dim == 2:
                 fail(f"cells {i},{j} overlap with positive area")
             else:

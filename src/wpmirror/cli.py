@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .aside import (build_curves, critical_data, h_poly_roots, hom_space,
-                    intersections, monodromy_data)
+                    intersections, maslov_degree, monodromy_data)
 from .bside import (dual_ext, ext_pushforward, generation_certificate,
                     resolution_summands)
 from .bisection import (_weights, bisection_from_config, load_config, track_splitting,
@@ -36,6 +36,9 @@ def _encode(obj):
     return obj
 
 
+_CSV_NEEDS_TABLE = "--format csv writes tables only; use --format json for this output"
+
+
 def _emit(payload, fmt="json"):
     if fmt == "csv":
         sys.stdout.write(payload if isinstance(payload, str) else _to_csv(payload))
@@ -45,20 +48,15 @@ def _emit(payload, fmt="json"):
 
 
 def _to_csv(payload):
-    """Flatten a {key: {col: val}} table into CSV."""
-    rows = []
-    cols = set()
+    """Flatten a {key: {col: val}} table into CSV; any other payload raises
+    ValueError, since it has no rows to write."""
+    if not all(isinstance(v, dict) for v in payload.values()):
+        raise ValueError(_CSV_NEEDS_TABLE)
+    cols = sorted({c for val in payload.values() for c in val}, key=str)
+    rows = ["key," + ",".join(str(c) for c in cols)]
     for key, val in sorted(payload.items()):
-        if isinstance(val, dict):
-            cols |= set(val)
-    cols = sorted(cols, key=str)
-    rows.append("key," + ",".join(str(c) for c in cols))
-    for key, val in sorted(payload.items()):
-        if isinstance(val, dict):
-            rows.append(str(key).replace(",", "|") + ","
-                        + ",".join(str(val.get(c, "")) for c in cols))
-        else:
-            rows.append(f"{str(key).replace(',', '|')},{val}")
+        rows.append(str(key).replace(",", "|") + ","
+                    + ",".join(str(val.get(c, "")) for c in cols))
     return "\n".join(rows) + "\n"
 
 
@@ -161,7 +159,7 @@ def _cmd_aside(args):
             for k in range(j + 1, w.l - 1):
                 out[f"{j},{k}"] = [
                     {"kind": p.kind.value, "x": p.x, "shift": p.d,
-                     "degree": p.degree, "label": list(p.label.subset)}
+                     "degree": maslov_degree(w, p), "label": list(p.label.subset)}
                     for p in intersections(w, j, k)
                 ]
         _emit(out, args.format)
@@ -211,6 +209,8 @@ def _cmd_verify(args):
                                for ws, l, p in summary.results],
                    "all_passed": summary.all_passed}, "json")
         return 0 if summary.all_passed else 1
+    if args.format == "csv":
+        raise SystemExit(_invalid(_CSV_NEEDS_TABLE))
     w = _parse_weights(args.weights, need_two=True)
     if w.a[0] > w.a[1]:
         raise SystemExit(_invalid("verification needs a0 <= a1"))
@@ -225,11 +225,13 @@ def _cmd_bisect(args):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise SystemExit(_invalid(f"bad config: {exc}"))
     b, parent = bisection_from_config(cfg)
+    report = validate_bisection(b, parent)
     if args.action == "validate":
-        report = validate_bisection(b, parent)
         _emit({"passed": report.passed, "violations": report.violations},
               args.format)
         return 0 if report.passed else 1
+    if not report.passed:
+        raise SystemExit(_invalid(f"invalid bisection: {report.violations[0]}"))
     if args.action == "weights":
         eta, tau = _weights(b)
         _emit({"eta": {str(p[0]): v for p, v in eta.items()},

@@ -142,21 +142,6 @@ def as_2d(p):
     return p if len(p) == 2 else (p[0], 0)
 
 
-def affine_rank(points):
-    """Affine rank of a set of 1- or 2-dimensional integer points."""
-    pts = [as_2d(p) for p in points]
-    base = pts[0]
-    vecs = [(p[0] - base[0], p[1] - base[1]) for p in pts[1:]]
-    vecs = [v for v in vecs if v != (0, 0)]
-    if not vecs:
-        return 0
-    v0 = vecs[0]
-    for v in vecs[1:]:
-        if v0[0] * v[1] - v0[1] * v[0] != 0:
-            return 2
-    return 1
-
-
 def cross(o, a, b):
     """The cross product of a - o and b - o: positive when o, a, b turn
     counterclockwise, zero when they are collinear."""
@@ -174,7 +159,8 @@ def twice_area(pts):
 
 
 def convex_hull_2d(points):
-    """Andrew's monotone chain; returns hull vertices counterclockwise."""
+    """Andrew's monotone chain; returns hull vertices counterclockwise, so
+    collinear points give their two ends and one point gives itself."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -192,23 +178,16 @@ def convex_hull_2d(points):
 
 
 def normalized_volume(p):
-    """d! times the euclidean volume: twice the area of a polygon, or the
-    lattice length of a (possibly degenerate) 1-dimensional interval.
+    """d! times the euclidean volume, read from the planar hull: twice the
+    area of a polygon, or the lattice length of a (possibly degenerate)
+    1-dimensional interval, the gcd of the steps between its two ends.
 
     Zero-dimensional input is rejected.
     """
-    rank = affine_rank(p.vertices)
-    if rank == 0:
+    hull = convex_hull_2d([as_2d(v) for v in p.vertices])
+    if len(hull) == 1:
         raise ValueError("degenerate polytope: all vertices coincide")
-    pts = [as_2d(v) for v in p.vertices]
-    if rank == 1:
-        base = pts[0]
-        # Project onto the carrier line and take the extreme points.
-        direction = next(
-            (q[0] - base[0], q[1] - base[1]) for q in pts if q != base
-        )
-        params = [(q[0] - base[0]) * direction[0] + (q[1] - base[1]) * direction[1]
-                  for q in pts]
-        lo, hi = pts[params.index(min(params))], pts[params.index(max(params))]
-        return gcd(abs(hi[0] - lo[0]), abs(hi[1] - lo[1]))
-    return twice_area(convex_hull_2d(pts))
+    if len(hull) == 2:
+        (x0, y0), (x1, y1) = hull
+        return gcd(x1 - x0, y1 - y0)
+    return twice_area(hull)

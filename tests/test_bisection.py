@@ -9,6 +9,7 @@ import pytest
 from wpmirror.bisection import (
     Bisection,
     MarkedPolytope,
+    _meet,
     bisection_from_config,
     coherence_weight,
     critical_values_univariate,
@@ -20,7 +21,7 @@ from wpmirror.bisection import (
     validate_bisection,
     validate_subdivision,
 )
-from wpmirror.weights import LatticePolytope
+from wpmirror.weights import LatticePolytope, convex_hull_2d
 
 
 def interval(points):
@@ -99,6 +100,49 @@ class TestValidation:
     def test_unmarked_vertex_fails(self):
         mp = MarkedPolytope(LatticePolytope((0, 3)), ((0,),))
         assert mp.violations()
+
+
+# A triangle and a segment off it: clipping the triangle by the segment's
+# whole line once gave the chord (-1,-1)-(1,1) as their wall.
+FAR_TRIANGLE = triangle([(-1, -1), (2, 0), (0, 2)])
+FAR_SEGMENT = segment((5, 5), (6, 6))
+
+MEET_CELLS = {
+    "far-triangle": FAR_TRIANGLE,
+    "far-segment": FAR_SEGMENT,
+    "cell0": CELL2D_0,
+    "cell1": CELL2D_1,
+    "inner-triangle": triangle([(1, 0), (0, 1), (0, 0)]),
+    "diagonal": segment((-1, -1), (0, 0), (1, 1)),
+    "antidiagonal": segment((0, 2), (1, 1), (2, 0)),
+    "axis-interval": interval([-1, 0, 1]),
+    "origin": segment((0, 0)),
+    "point-outside": segment((7, 7)),
+}
+
+
+class TestMeet:
+    @pytest.mark.parametrize("a", MEET_CELLS)
+    @pytest.mark.parametrize("b", MEET_CELLS)
+    def test_order_free(self, a, b):
+        ab, ba = _meet(MEET_CELLS[a], MEET_CELLS[b]), _meet(MEET_CELLS[b], MEET_CELLS[a])
+        assert convex_hull_2d(ab) == convex_hull_2d(ba), (ab, ba)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ("far-triangle", "far-segment", []),
+        ("far-triangle", "point-outside", []),
+        ("far-triangle", "origin", [(0, 0)]),
+        ("cell0", "cell1", [(0, 1), (1, 0)]),
+        ("diagonal", "antidiagonal", [(1, 1)]),
+        ("far-segment", "antidiagonal", []),
+        ("axis-interval", "diagonal", [(0, 0)]),
+    ])
+    def test_meet(self, a, b, expected):
+        assert convex_hull_2d(_meet(MEET_CELLS[a], MEET_CELLS[b])) == expected
+
+    def test_disjoint_cells_have_no_weight(self):
+        with pytest.raises(ValueError):
+            coherence_weight(Bisection(FAR_TRIANGLE, FAR_SEGMENT))
 
 
 class TestCoherenceWeights:

@@ -311,7 +311,25 @@ class TestBisect:
             '    "cells 0,1 overlap on a full interval (0, 1)"\n  ]\n}\n')
         assert run(["bisect", "weights", "--config", str(path)]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: cells do not share a wall point\n")
+        assert (captured.out, captured.err) == (
+            "", "error: invalid bisection: cells cover measure 4, parent has 3\n")
+
+    @pytest.mark.parametrize("config, message", [
+        ({"A": [0, 1, 2], "A0": [0], "A1": [0, 1, 2]}, "cell 0 is not full-dimensional"),
+        ({"A": [-1, 2], "A0": [-1, 1], "A1": [1, 2]},
+         "marked points of the cells do not cover the parent's"),
+    ], ids=["point-cell", "extra-marks"])
+    @pytest.mark.parametrize("action", ["weights", "track"])
+    def test_invalid_bisection_refused(self, capsys, tmp_path, config, message, action):
+        # Validate rejects both; weights and track refuse them with its
+        # first violation instead of computing on them.
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(config))
+        assert run(["bisect", "validate", "--config", str(path)]) == 1
+        assert message == out_json(capsys)["violations"][0]
+        assert run(["bisect", action, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: invalid bisection: {message}\n")
 
     def test_invalid_bisection_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -377,6 +395,36 @@ class TestBisect:
         assert run(["bisect", "validate", "--config",
                     str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
+
+
+class TestCsv:
+    def test_weights_table(self, capsys, tmp_path):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(README_CONFIG))
+        assert run(["bisect", "weights", "--config", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "key,-1,0,1,2\neta,0,0,0,-1\ntau,-2,-1,0,0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["aside", "points", "--weights", "2,3"],
+        ["aside", "critical", "--weights", "2,3"],
+        ["aside", "hq", "--weights", "2,3"],
+        ["bside", "resolve", "--weights", "2,3"],
+        ["bside", "certify-generation", "--weights", "2,3"],
+        ["verify", "--weights", "2,3"],
+        ["bisect", "validate", "--config", "{config}"],
+        ["bisect", "track", "--config", "{config}"],
+    ], ids=["points", "critical", "hq", "resolve", "certify-generation", "verify",
+            "validate", "track"])
+    def test_non_table_refused(self, capsys, tmp_path, argv):
+        # Only a table of rows has a csv form; reprs such as Fraction(1, 2)
+        # or (2+0j) are never written.
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(README_CONFIG))
+        argv = [a.replace("{config}", str(path)) for a in argv]
+        assert run(argv + ["--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: --format csv writes tables only; use --format json for this output\n")
 
 
 class TestVersion:

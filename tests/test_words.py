@@ -13,9 +13,10 @@ from wpmirror.aside.words import (
     SEG_PLUS,
     DiscWord,
     Letter,
+    _corner,
     _monotone,
     _point_table,
-    _word_rules,
+    _shape,
     enumerate_accepted_words,
     higher_product_report,
 )
@@ -81,13 +82,84 @@ def closable_words(w, max_len, caps=True):
                 yield from dfs((Letter(piece, c, sign),))
 
 
+def canonical_triangle(letters):
+    """All-arc words: the flow convention makes the triangle (+,-,+); the
+    reversed alternation (-,+,-) names the same disc and is accepted as an
+    alias, normalized here."""
+    signs = (letters[0].sign, letters[1].sign, letters[2].sign)
+    if signs == (1, -1, 1):
+        return letters
+    if signs == (-1, 1, -1):
+        return tuple(Letter(x.piece, x.curve, -x.sign) for x in letters)
+    return None
+
+
+def word_rules(letters, points):
+    """Core rule pipeline on a nonempty word of letters on the curves
+    0..l-2, the reference the word search is tested against.  Returns
+    (corners, None) on accept or (None, reason) on reject.  `points` is the
+    corner lookup of `_point_table`."""
+    curves = [x.curve for x in letters]
+    if sorted(curves) != curves:
+        return None, "non-decreasing subscripts"
+
+    # Consecutive letters on one curve walk it consecutively in a single
+    # direction.
+    for a, b in zip(letters, letters[1:]):
+        if a.curve == b.curve and (
+                b.sign != a.sign or b.piece != _NEXT_PIECE[a.piece, a.sign]):
+            return None, "orientation pairing"
+
+    if curves[0] == curves[-1]:  # sorted, so every letter is on one curve
+        return None, "missing corner"
+
+    run = 0
+    for x in letters:
+        run = run + 1 if x.piece != ARC else 0
+        if run >= 3:
+            return None, "three consecutive segments"
+
+    arcs = [i for i, x in enumerate(letters) if x.piece == ARC]
+    reason = _shape(letters, arcs)
+    if reason is not None:
+        return None, reason
+    if len(arcs) == len(letters):
+        letters = canonical_triangle(letters)
+        if letters is None:
+            return None, "orientation pairing"
+
+    # Corners: the jumps between consecutive letters on different curves,
+    # in order, then the wrap (last letter, first letter).  starts[k] is
+    # the position of the letter that leaves at corner k.
+    last = len(letters) - 1
+    starts = [i for i in range(last) if curves[i] != curves[i + 1]] + [last]
+    corners = []
+    for i in starts:
+        point, reason = _corner(letters[i], letters[(i + 1) % len(letters)],
+                                i == last, points)
+        if point is None:
+            return None, reason
+        corners.append(point)
+
+    # A letter that is entered at corner k and left at the next corner.
+    for k, i in enumerate(starts):
+        nk = (k + 1) % len(starts)
+        pos = (i + 1) % len(letters)
+        if starts[nk] == pos and not _monotone(letters[pos], corners[k], corners[nk]):
+            return None, "non-monotone boundary"
+
+    return tuple(corners), None
+
+
+
+
 def reference_search(w, max_len):
-    """The search as it was before pruning: `_word_rules` on every closable
+    """The search as it was before pruning: `word_rules` on every closable
     word."""
     points = _point_table(w)
     accepted = []
     for word in closable_words(w, max_len):
-        corners, _ = _word_rules(word, points)
+        corners, _ = word_rules(word, points)
         if corners is not None:
             accepted.append(DiscWord(word, corners))
     return accepted
@@ -95,7 +167,7 @@ def reference_search(w, max_len):
 
 def classify(w, letters):
     """(True, None) when the rules accept `letters`, else (False, reason)."""
-    corners, reason = _word_rules(tuple(letters), _point_table(w))
+    corners, reason = word_rules(tuple(letters), _point_table(w))
     return corners is not None, reason
 
 
@@ -169,7 +241,7 @@ class TestEnumeration:
             w = Weights(a)
             points = _point_table(w)
             for word in enumerate_accepted_words(w):
-                assert _word_rules(word.letters, points) == (word.corners, None)
+                assert word_rules(word.letters, points) == (word.corners, None)
                 assert len(word.corners) == 3
 
     def test_equal_letters_are_one_object(self):
@@ -199,11 +271,11 @@ class TestEnumeration:
 
 
 def arc_point(j, k):
-    return IntersectionPoint(j, k, PointKind.ARC, None, None, 0, ExteriorBasisElement(()))
+    return IntersectionPoint(j, k, PointKind.ARC, None, None, ExteriorBasisElement(()))
 
 
 def seg_point(x):
-    return IntersectionPoint(0, 1, PointKind.SEG_PM, Fraction(x), 0, 1,
+    return IntersectionPoint(0, 1, PointKind.SEG_PM, Fraction(x), 0,
                              ExteriorBasisElement((0,)))
 
 
@@ -276,7 +348,7 @@ class TestLengthBound:
             for word in closable_words(w, 8, caps=False):
                 if len(word) >= 6:
                     long_words += 1
-                    assert _word_rules(word, points)[0] is None, (a, word)
+                    assert word_rules(word, points)[0] is None, (a, word)
         assert long_words > 1000
 
 
