@@ -24,22 +24,3 @@ from .potential import (
     h_poly_roots,
     monodromy_data,
 )
-
-__all__ = [
-    "IntersectionPoint",
-    "PointKind",
-    "StripCurve",
-    "build_curves",
-    "hom_space",
-    "intersections",
-    "maslov_degree",
-    "DiscWord",
-    "Letter",
-    "enumerate_accepted_words",
-    "higher_product_report",
-    "CriticalDatum",
-    "HPolyRoots",
-    "critical_data",
-    "h_poly_roots",
-    "monodromy_data",
-]

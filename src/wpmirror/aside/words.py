@@ -17,6 +17,7 @@ which carry the product structure.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .strip import PointKind, intersections
 
@@ -179,6 +180,16 @@ def enumerate_accepted_words(w, points=None):
     orientation only, so each disc appears exactly once.  The caps stop
     every word at 5 letters (see `higher_product_report`).
 
+    Lemma (translation).  Shifting every curve index by c maps the search
+    from curve 0 onto the search from curve c, cut at curve l-2: `_corner`
+    and `_monotone` read only the gap k - j (whether a point of a kind
+    exists, and its x from `_seg_pm_x` or `_seg_mp_x`) or compare curve
+    indices, whose order a shift keeps, and `maslov_degree` too reads only
+    the gap.  Curves never decrease along a word, so the words from curve c
+    are the curve-0 words whose last letter lies on a curve <= l-2-c,
+    shifted by c, in the same order.  So the search runs from curve 0 only;
+    the copies take the interned letters and the corners of `points`.
+
     `points` is a `_point_table(w)` the caller shares; by default the call
     builds its own.
     """
@@ -274,14 +285,30 @@ def enumerate_accepted_words(w, points=None):
             elif entered is None or _monotone(last, entered, corner):
                 dfs(stack + (nxt,), corners + (corner,), n_arcs, n_seg, n_run)
 
-    for c in range(w.l - 1):
-        for piece in _FLOW_ORDER:
-            is_arc = piece == ARC
-            for sign in (1,) if is_arc else (1, -1):
-                wraps.clear()
-                dfs((letter(piece, c, sign),), (), (0,) if is_arc else (),
-                    int(not is_arc), int(not is_arc))
-    return accepted
+    for piece in _FLOW_ORDER:
+        is_arc = piece == ARC
+        for sign in (1,) if is_arc else (1, -1):
+            wraps.clear()
+            dfs((letter(piece, 0, sign),), (), (0,) if is_arc else (),
+                int(not is_arc), int(not is_arc))
+
+    # Each letter and corner of a curve-0 word, by id, with its copies
+    # shifted by c = 0, 1, ... while they stay on the curves 0..l-2.
+    chains = {}
+    for x in {id(x): x for word in accepted for x in word.letters + word.corners}.values():
+        if isinstance(x, Letter):
+            shifts = range(w.l - 1 - x.curve)
+            chains[id(x)] = [letter(x.piece, x.curve + c, x.sign) for c in shifts]
+        else:
+            pieces = _KIND_PIECES[x.kind]
+            chains[id(x)] = [points(x.j + c, x.k + c)[pieces] for c in range(w.l - 1 - x.k)]
+    # A word's last letter and its wrap corner lie on its top curve, so
+    # zip stops at the last shift that keeps the word on the curves.
+    copies = [zip(zip(*[chains[id(x)] for x in word.letters]),
+                  zip(*[chains[id(p)] for p in word.corners]))
+              for word in accepted]
+    # Row c holds each word's copy shifted by c, or None past its top curve.
+    return [DiscWord(*copy) for row in zip_longest(*copies) for copy in row if copy]
 
 
 @dataclass

@@ -213,13 +213,16 @@ def _is_common_face(ci, cj, inter):
 
 def validate_bisection(b, parent):
     """A bisection is a two-cell subdivision with the origin interior to the
-    first cell and the marked points jointly exhausting the parent's."""
+    first cell and the cells jointly marking exactly the parent's points."""
     report = validate_subdivision((b.cell0, b.cell1), parent)
     origin = (0,) * parent.Q.ambient_dim
     if not _contains(b.cell0.Q, origin, strict=True):
         report.violations.append("origin not interior to the first cell")
-    if set(b.cell0.A) | set(b.cell1.A) != set(parent.A):
-        report.violations.append("marked points of the cells do not cover the parent's")
+    marked, parent_marked = set(b.cell0.A) | set(b.cell1.A), set(parent.A)
+    for points, message in ((parent_marked - marked, "parent marks points no cell marks"),
+                            (marked - parent_marked, "cells mark points the parent does not")):
+        if points:
+            report.violations.append(f"{message}: {sorted(points)}")
     return report
 
 

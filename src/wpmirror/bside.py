@@ -5,7 +5,6 @@ generation certificate for the exceptional range [0, l-2].
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .weights import ExteriorBasisElement, monomial_basis
 
@@ -36,13 +35,6 @@ class BigradedHom:
         return dims
 
 
-def _subsets(w):
-    """Every index subset J with its weight a_J, by size and then in
-    lexicographic order, which is the basis order of the dual algebra."""
-    return [(J, sum(w.a[x] for x in J))
-            for r in range(w.n + 2) for J in combinations(range(w.n + 1), r)]
-
-
 def ext_pushforward(w, j, k):
     """Ext of the pushed-forward twisting sheaves O(j) -> O(k).
 
@@ -64,7 +56,7 @@ def dual_ext(w, k, i):
     _check_object_index(w, k, "source")
     _check_object_index(w, i, "target")
     return BigradedHom(k, i, tuple((len(J), ExteriorBasisElement(J))
-                                   for J, weight in _subsets(w) if weight <= k - i))
+                                   for J, weight in w.subsets if weight <= k - i))
 
 
 def _merge_sign(left, right):
@@ -126,7 +118,6 @@ def generation_certificate(w):
     """
     report = GenerationReport()
     l = w.l
-    subsets = _subsets(w)
     if cm_sequence(w, 0) != (0,) * (w.n + 1):
         report.violations.append("c_0 is not the zero vector")
     for m in range(1, l + 1):
@@ -135,7 +126,7 @@ def generation_certificate(w):
         diff = tuple(a - b for a, b in zip(cur, prev))
         if sorted(diff) != [0] * w.n + [1]:
             report.violations.append(f"step {m}: c_m - c_(m-1) = {diff} not a basis vector")
-        for J, _ in subsets:
+        for J, _ in w.subsets:
             degree = sum(prev[j] for j in J)
             if m < l:
                 ok = 0 <= degree <= l - 2
@@ -159,10 +150,9 @@ def resolution_summands(w, k):
     P_i = 0 for i < 0 convention).
     """
     _check_object_index(w, k)
-    subsets = _subsets(w)
     out = []
     for j in range(w.n + 1):
-        for J, weight in subsets:
+        for J, weight in w.subsets:
             if len(J) > j:
                 break
             i = k - j + len(J) - weight
@@ -183,7 +173,7 @@ def verify_prop6_via_resolution(w, k, i):
     _check_object_index(w, k)
     _check_object_index(w, i)
     basis = []
-    for J, weight in _subsets(w):
+    for J, weight in w.subsets:
         j = k - i + len(J) - weight
         if len(J) <= j <= k:
             basis.append((len(J), ExteriorBasisElement(J)))

@@ -10,6 +10,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 from . import __version__
 from .aside import (build_curves, critical_data, h_poly_roots, hom_space,
@@ -37,6 +38,8 @@ def _encode(obj):
 
 
 _CSV_NEEDS_TABLE = "--format csv writes tables only; use --format json for this output"
+# The (command, action) pairs that write a table; `verify` does for --sweep-l.
+_CSV_TABLES = {("bside", "ext"), ("bside", "dual"), ("aside", "homs"), ("bisect", "weights")}
 
 
 def _emit(payload, fmt="json"):
@@ -48,10 +51,7 @@ def _emit(payload, fmt="json"):
 
 
 def _to_csv(payload):
-    """Flatten a {key: {col: val}} table into CSV; any other payload raises
-    ValueError, since it has no rows to write."""
-    if not all(isinstance(v, dict) for v in payload.values()):
-        raise ValueError(_CSV_NEEDS_TABLE)
+    """Flatten a {key: {col: val}} table into CSV."""
     cols = sorted({c for val in payload.values() for c in val}, key=str)
     rows = ["key," + ",".join(str(c) for c in cols)]
     for key, val in sorted(payload.items()):
@@ -77,23 +77,17 @@ def _invalid(msg):
     return 2
 
 
+def _dims_table(w, hom, pairs):
+    """The table {"j,k": {degree: dimension}} of hom(w, j, k) over `pairs`."""
+    return {f"{j},{k}": {str(d): v for d, v in sorted(hom(w, j, k).dims_by_degree.items())}
+            for j, k in pairs}
+
+
 def _cmd_bside(args):
     w = _parse_weights(args.weights)
-    if args.action == "ext":
-        table = {}
-        for j in range(w.l - 1):
-            for k in range(w.l - 1):
-                dims = ext_pushforward(w, j, k).dims_by_degree
-                table[f"{j},{k}"] = {str(d): v for d, v in sorted(dims.items())}
-        _emit(table, args.format)
-        return 0
-    if args.action == "dual":
-        table = {}
-        for k in range(w.l - 1):
-            for i in range(w.l - 1):
-                dims = dual_ext(w, k, i).dims_by_degree
-                table[f"{k},{i}"] = {str(d): v for d, v in sorted(dims.items())}
-        _emit(table, args.format)
+    if args.action in ("ext", "dual"):
+        hom = ext_pushforward if args.action == "ext" else dual_ext
+        _emit(_dims_table(w, hom, product(range(w.l - 1), repeat=2)), args.format)
         return 0
     if args.action == "resolve":
         out = {}
@@ -145,13 +139,8 @@ def _cmd_aside(args):
     if args.svg:
         _svg_curves(w, args.svg)
     if args.action == "homs":
-        table = {}
-        for j in range(w.l - 1):
-            for k in range(j, w.l - 1):
-                hom = hom_space(w, j, k)
-                table[f"{j},{k}"] = {str(d): v
-                                     for d, v in sorted(hom.dims_by_degree.items())}
-        _emit(table, args.format)
+        _emit(_dims_table(w, hom_space, combinations_with_replacement(range(w.l - 1), 2)),
+              args.format)
         return 0
     if args.action == "points":
         out = {}
@@ -209,8 +198,6 @@ def _cmd_verify(args):
                                for ws, l, p in summary.results],
                    "all_passed": summary.all_passed}, "json")
         return 0 if summary.all_passed else 1
-    if args.format == "csv":
-        raise SystemExit(_invalid(_CSV_NEEDS_TABLE))
     w = _parse_weights(args.weights, need_two=True)
     if w.a[0] > w.a[1]:
         raise SystemExit(_invalid("verification needs a0 <= a1"))
@@ -302,6 +289,11 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # Only a table has a csv form; refuse any other output before its work.
+    if args.format == "csv" and not (
+            args.sweep_l is not None if args.command == "verify"
+            else (args.command, args.action) in _CSV_TABLES):
+        return _invalid(_CSV_NEEDS_TABLE)
     try:
         return args.func(args)
     except SystemExit as exc:

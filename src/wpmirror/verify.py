@@ -17,10 +17,8 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
 from .aside.words import _point_table
-from .bside import _subsets, compose_dual, dual_ext, verify_prop6_via_resolution
+from .bside import compose_dual, dual_ext, verify_prop6_via_resolution
 from .weights import Weights
-
-TOOL_VERSION = __version__
 
 # The payload's "max_word_len" field.  The search has no length bound (its
 # caps stop every word at 5 letters); the value is kept because every
@@ -71,8 +69,7 @@ def bside_digest(w):
     product is computed once per call and looked up for every later triple.
     """
     objects = range(w.l - 1)
-    subsets = _subsets(w)
-    bases = [[J for J, a in subsets if a <= span] for span in objects]
+    bases = [[J for J, a in w.subsets if a <= span] for span in objects]
     products = {}  # (subset0, subset1, k - i) -> (subset, sign) or None
     entries = []
     for i in objects:
@@ -167,24 +164,13 @@ class Certificate:
     passed: bool
     failures: list
     timestamp: str
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
 
     def to_json(self, include_timestamp=True):
-        payload = {
-            "weights": list(self.weights),
-            "l": self.l,
-            "dim_table": self.dim_table,
-            "aside_digest": self.aside_digest,
-            "bside_digest": self.bside_digest,
-            "higher_products": self.higher_products,
-            "resolution_check": self.resolution_check,
-            "conventions": self.conventions,
-            "passed": self.passed,
-            "failures": self.failures,
-            "tool_version": self.tool_version,
-        }
-        if include_timestamp:
-            payload["timestamp"] = self.timestamp
+        """The JSON text of every field, without the timestamp on request."""
+        payload = dict(vars(self))
+        if not include_timestamp:
+            del payload["timestamp"]
         return _json_text(payload)
 
     def digest(self):
@@ -203,26 +189,30 @@ def hms_certificate(w, corrupt=None):
         w = Weights(w)
     failures = []
     objects = range(w.l - 1)
-    dual = {(k, i): dual_ext(w, k, i) for k in objects for i in objects}
-    # One point table serves the dimension table and the word enumeration,
-    # so each pair's intersections are built once.
+    # Both sides depend only on the gap k - j (the translation lemma of
+    # `enumerate_accepted_words`), so each basis is built once per gap, the
+    # dual one once per signed span.  One point table serves the dimension
+    # table and the word search, so each pair's intersections are built once.
+    dual = {s: dual_ext(w, max(s, 0), max(-s, 0)) for s in range(2 - w.l, w.l - 1)}
     points = _point_table(w)
+
+    by_gap = []  # gap -> (dim_table entry, A-side dims, B-side dims, labels agree)
+    for gap in objects:
+        hom_a, hom_b = hom_space(w, 0, gap, points(0, gap).values() if gap else None), dual[gap]
+        da, db = hom_a.dims_by_degree, hom_b.dims_by_degree
+        by_gap.append(({"aside": {str(d): v for d, v in sorted(da.items())},
+                        "bside": {str(d): v for d, v in sorted(db.items())}}, da, db,
+                       sorted(lab.subset for _, lab in hom_a.basis)
+                       == sorted(lab.subset for _, lab in hom_b.basis)))
 
     dim_table = {}
     for j in objects:
         for k in range(j, w.l - 1):
-            hom_a = hom_space(w, j, k, points(j, k).values() if j < k else None)
-            hom_b = dual[k, j]
-            da, db = hom_a.dims_by_degree, hom_b.dims_by_degree
-            dim_table[f"{j},{k}"] = {
-                "aside": {str(d): v for d, v in sorted(da.items())},
-                "bside": {str(d): v for d, v in sorted(db.items())},
-            }
+            entry, da, db, labels_ok = by_gap[k - j]
+            dim_table[f"{j},{k}"] = entry
             if da != db:
                 failures.append(f"dimension mismatch at pair ({j},{k}): {da} vs {db}")
-            labels_a = sorted(lab.subset for _, lab in hom_a.basis)
-            labels_b = sorted(lab.subset for _, lab in hom_b.basis)
-            if labels_a != labels_b:
+            if not labels_ok:
                 failures.append(f"label mismatch at pair ({j},{k})")
 
     # One enumeration serves both the triangle digest and the higher-product
@@ -254,10 +244,9 @@ def hms_certificate(w, corrupt=None):
     res_ok = True
     for k in objects:
         for i in objects:
-            if verify_prop6_via_resolution(w, k, i).basis != dual[k, i].basis:
+            if verify_prop6_via_resolution(w, k, i).basis != dual[k - i].basis:
                 res_ok = False
                 failures.append(f"resolution oracle disagrees at (k={k}, i={i})")
-    resolution_check = {"ok": res_ok}
 
     return Certificate(
         weights=tuple(w.a),
@@ -266,7 +255,7 @@ def hms_certificate(w, corrupt=None):
         aside_digest=dig_a,
         bside_digest=dig_b,
         higher_products=higher,
-        resolution_check=resolution_check,
+        resolution_check={"ok": res_ok},
         conventions=dict(CONVENTIONS),
         passed=not failures,
         failures=failures,

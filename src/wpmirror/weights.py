@@ -6,6 +6,8 @@ only, no floating point, so that downstream certificates are bit-stable.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from math import gcd
 
 
@@ -30,6 +32,18 @@ class Weights:
     def l(self):
         """Total weight l = sum(a_i)."""
         return sum(self.a)
+
+    @cached_property
+    def subsets(self):
+        """Every index subset J with its weight a_J, by size and then in
+        lexicographic order (the dual basis order); dies with the object."""
+        return tuple((J, sum(self.a[x] for x in J))
+                     for r in range(self.n + 2) for J in combinations(range(self.n + 1), r))
+
+    @cached_property
+    def _monomial_bases(self):
+        """Weighted degree -> its monomials, filled by `monomial_basis`."""
+        return {}
 
     def __repr__(self):
         return f"Weights{self.a}"
@@ -108,10 +122,13 @@ def monomial_basis(w, k):
     """All monomials of weighted degree k, in the fixed lexicographic order.
 
     The order (largest leading exponent first) is the basis order used in
-    every downstream table and certificate.
+    every downstream table and certificate.  Each call returns a new
+    list; the monomials of a degree are built once per `Weights` object.
     """
     if k < 0:
         return []
+    if k in w._monomial_bases:
+        return list(w._monomial_bases[k])
     out = []
 
     def rec(i, remaining, prefix):
@@ -123,6 +140,7 @@ def monomial_basis(w, k):
             rec(i + 1, remaining - e * w.a[i], prefix + (e,))
 
     rec(0, k, ())
+    w._monomial_bases[k] = tuple(out)
     return out
 
 

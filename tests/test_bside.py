@@ -78,6 +78,18 @@ class TestDualExt:
         w = Weights((2, 3))
         assert dual_ext(w, 0, 3).basis == ()
 
+    def test_depends_on_span_only(self):
+        # The basis from k to i, degrees and labels, is the basis of the
+        # span k - i, which the certificate builds once per signed span.
+        pairs = [(a0, a1) for a0 in range(1, 12) for a1 in range(a0, 13 - a0)]
+        for a in pairs + THREE_AND_FOUR_WEIGHTS_L10:
+            w = Weights(a)
+            for k in range(w.l - 1):
+                for i in range(w.l - 1):
+                    span = k - i
+                    assert dual_ext(w, k, i).basis == \
+                        dual_ext(w, max(span, 0), max(-span, 0)).basis, (a, k, i)
+
 
 class TestComposeDual:
     # compose_dual(w, span, ju, jv) is e_ju after e_jv over span = k - i.

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import wpmirror
+from wpmirror import cli
 from wpmirror.cli import run
 from wpmirror.verify import hms_certificate
 from wpmirror.weights import Weights
@@ -317,7 +318,7 @@ class TestBisect:
     @pytest.mark.parametrize("config, message", [
         ({"A": [0, 1, 2], "A0": [0], "A1": [0, 1, 2]}, "cell 0 is not full-dimensional"),
         ({"A": [-1, 2], "A0": [-1, 1], "A1": [1, 2]},
-         "marked points of the cells do not cover the parent's"),
+         "cells mark points the parent does not: [(1,)]"),
     ], ids=["point-cell", "extra-marks"])
     @pytest.mark.parametrize("action", ["weights", "track"])
     def test_invalid_bisection_refused(self, capsys, tmp_path, config, message, action):
@@ -330,6 +331,23 @@ class TestBisect:
         assert run(["bisect", action, "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: invalid bisection: {message}\n")
+
+    @pytest.mark.parametrize("config, violations", [
+        ({"A": [-1, 2], "A0": [-1, 1], "A1": [1, 2]},
+         ["cells mark points the parent does not: [(1,)]"]),
+        ({"A": [-1, 0, 1, 2], "A0": [-1, 1], "A1": [1, 2]},
+         ["parent marks points no cell marks: [(0,)]"]),
+        ({"A": [-1, 0, 2], "A0": [-1, 1], "A1": [1, 2]},
+         ["parent marks points no cell marks: [(0,)]",
+          "cells mark points the parent does not: [(1,)]"]),
+    ], ids=["extra", "missing", "both"])
+    def test_marked_points_each_direction(self, capsys, tmp_path, config, violations):
+        # The cells cover the parent's marked points in "extra"; each
+        # direction of the mismatch is named with its points.
+        path = tmp_path / "marks.json"
+        path.write_text(json.dumps(config))
+        assert run(["bisect", "validate", "--config", str(path)]) == 1
+        assert out_json(capsys)["violations"] == violations
 
     def test_invalid_bisection_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -415,9 +433,17 @@ class TestCsv:
         ["bisect", "track", "--config", "{config}"],
     ], ids=["points", "critical", "hq", "resolve", "certify-generation", "verify",
             "validate", "track"])
-    def test_non_table_refused(self, capsys, tmp_path, argv):
+    def test_non_table_refused(self, capsys, monkeypatch, tmp_path, argv):
         # Only a table of rows has a csv form; reprs such as Fraction(1, 2)
-        # or (2+0j) are never written.
+        # or (2+0j) are never written.  The refusal comes before any work:
+        # no function that computes an output may run.
+        def must_not_run(*args, **kwargs):
+            pytest.fail("--format csv was refused only after the work began")
+
+        for name in ("track_splitting", "h_poly_roots", "critical_data", "intersections",
+                     "resolution_summands", "generation_certificate", "hms_certificate",
+                     "load_config", "validate_bisection"):
+            monkeypatch.setattr(cli, name, must_not_run)
         path = tmp_path / "readme.json"
         path.write_text(json.dumps(README_CONFIG))
         argv = [a.replace("{config}", str(path)) for a in argv]

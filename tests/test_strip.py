@@ -163,3 +163,12 @@ class TestHomSpace:
             for k in range(w.l - 1):
                 assert hom_space(w, j, k).dims_by_degree \
                     == dual_ext(w, k, j).dims_by_degree
+
+    def test_depends_on_gap_only(self):
+        # The translation lemma: the basis from curve j to curve k, degrees
+        # and labels, is the basis from curve 0 to curve k - j.
+        for a in [(a0, a1) for a0 in range(1, 12) for a1 in range(a0, 13 - a0)]:
+            w = Weights(a)
+            for j in range(w.l - 1):
+                for k in range(j, w.l - 1):
+                    assert hom_space(w, j, k).basis == hom_space(w, 0, k - j).basis, (a, j, k)

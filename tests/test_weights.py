@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from wpmirror import weights
 from wpmirror.weights import (
     ExteriorBasisElement,
     LatticePolytope,
@@ -41,6 +42,18 @@ class TestWeights:
             Weights((1, -2))
 
 
+class TestSubsets:
+    @pytest.mark.parametrize("a", [(1,), (2, 3), (1, 2, 3), (2, 2, 5), (3, 1, 4, 1)])
+    def test_matches_combinations(self, a):
+        w = Weights(a)
+        listing = [(J, sum(w.a[x] for x in J))
+                   for r in range(w.n + 2) for J in itertools.combinations(range(w.n + 1), r)]
+        assert list(w.subsets) == listing
+        # One table per object, which dies with it.
+        assert w.subsets is w.subsets
+        assert Weights(a).subsets is not w.subsets
+
+
 class TestGradedDim:
     @pytest.mark.parametrize("a", [(1,), (1, 1), (2, 3), (1, 2, 3), (2, 2, 5)])
     def test_matches_brute_force(self, a):
@@ -70,6 +83,26 @@ class TestMonomialBasis:
         assert len(basis) == graded_dim(w, k)
         assert all(sum(a * e for a, e in zip(w.a, m.exponents)) == k for m in basis)
         assert len(set(basis)) == len(basis)
+
+    def test_built_once_per_degree(self, monkeypatch):
+        built = []
+        real = weights.Monomial
+
+        def counting_monomial(exponents):
+            built.append(exponents)
+            return real(exponents)
+
+        monkeypatch.setattr(weights, "Monomial", counting_monomial)
+        w = Weights((1, 2, 3))
+        basis = monomial_basis(w, 7)
+        count = len(built)
+        assert count == graded_dim(w, 7)
+        basis.append(None)  # each caller gets a list of its own
+        assert monomial_basis(w, 7) == basis[:-1]
+        assert len(built) == count
+        # A new object builds its own basis.
+        assert monomial_basis(Weights((1, 2, 3)), 7) == basis[:-1]
+        assert len(built) == 2 * count
 
     def test_leading_exponent_descending(self):
         w = Weights((1, 1))

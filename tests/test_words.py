@@ -7,7 +7,10 @@ import pytest
 
 from wpmirror.aside.strip import IntersectionPoint, PointKind
 from wpmirror.aside.words import (
+    _FLOW_ORDER,
+    _KIND_PIECES,
     _NEXT_PIECE,
+    _OTHER_SEGMENT,
     ARC,
     SEG_MINUS,
     SEG_PLUS,
@@ -151,6 +154,95 @@ def word_rules(letters, points):
     return tuple(corners), None
 
 
+
+
+def all_first_curves_search(w):
+    """The pruned search started from every first curve in turn, as it ran
+    before the translation lemma of `enumerate_accepted_words` let the
+    search start from curve 0 alone: the reference for that lemma."""
+    points = _point_table(w)
+    accepted = []
+
+    def may_extend(arcs, seg_count):
+        if len(arcs) > 3:
+            return False
+        if seg_count and len(arcs) > 1:
+            return len(arcs) == 2 and arcs[1] == arcs[0] + 1
+        return True
+
+    interned = {}
+    successor_table = {}
+    wraps = {}
+
+    def letter(piece, curve, sign):
+        found = interned.get((piece, curve, sign))
+        if found is None:
+            found = interned[piece, curve, sign] = Letter(piece, curve, sign)
+        return found
+
+    def close(stack, corners, arcs):
+        first, last = stack[0], stack[-1]
+        if first.curve >= last.curve:
+            return
+        if _shape(stack, arcs) is not None:
+            return
+        found = wraps.get(id(last))
+        if found is None:
+            found = wraps[id(last)] = _corner(last, first, True, points)
+        wrap = found[0]
+        if wrap is None:
+            return
+        if stack[1].curve != first.curve and not _monotone(first, wrap, corners[0]):
+            return
+        if stack[-2].curve != last.curve and not _monotone(last, corners[-1], wrap):
+            return
+        accepted.append(DiscWord(stack, corners + (wrap,)))
+
+    def successors(last):
+        found = successor_table.get(id(last))
+        if found is not None:
+            return found
+        out = []
+        nxt = _NEXT_PIECE[last.piece, last.sign]
+        if nxt is not None:
+            out.append((letter(nxt, last.curve, last.sign), None))
+        piece = ARC if last.piece == ARC else _OTHER_SEGMENT[last.piece]
+        for c2 in range(last.curve + 1, w.l - 1):
+            for sign in (1, -1):
+                cand = letter(piece, c2, sign)
+                corner = _corner(last, cand, False, points)[0]
+                if corner is not None:
+                    out.append((cand, corner))
+        found = successor_table[id(last)] = tuple(out)
+        return found
+
+    def dfs(stack, corners, arcs, seg_count, seg_run):
+        close(stack, corners, arcs)
+        depth = len(stack)
+        last = stack[-1]
+        entered = corners[-1] if depth > 1 and stack[-2].curve != last.curve else None
+        for nxt, corner in successors(last):
+            if nxt.piece == ARC:
+                n_arcs, n_seg, n_run = arcs + (depth,), seg_count, 0
+            else:
+                n_arcs, n_seg, n_run = arcs, seg_count + 1, seg_run + 1
+                if n_run >= 3:
+                    continue
+            if not may_extend(n_arcs, n_seg):
+                continue
+            if corner is None:
+                dfs(stack + (nxt,), corners, n_arcs, n_seg, n_run)
+            elif entered is None or _monotone(last, entered, corner):
+                dfs(stack + (nxt,), corners + (corner,), n_arcs, n_seg, n_run)
+
+    for c in range(w.l - 1):
+        for piece in _FLOW_ORDER:
+            is_arc = piece == ARC
+            for sign in (1,) if is_arc else (1, -1):
+                wraps.clear()
+                dfs((letter(piece, c, sign),), (), (0,) if is_arc else (),
+                    int(not is_arc), int(not is_arc))
+    return accepted
 
 
 def reference_search(w, max_len):
@@ -327,6 +419,29 @@ class TestPrunedSearch:
         for a in pairs_up_to(12):
             w = Weights(a)
             assert enumerate_accepted_words(w) == reference_search(w, max_len), a
+
+
+class TestTranslation:
+    """The translation lemma of `enumerate_accepted_words`: the search from
+    curve 0 and its shifted copies find what a search from every first
+    curve finds, in the same order, with the same corners."""
+
+    def test_matches_all_first_curves_search(self):
+        # Every pair of the benchmark's sweep (a0 + a1 <= 20).
+        for a in pairs_up_to(20):
+            w = Weights(a)
+            assert enumerate_accepted_words(w) == all_first_curves_search(w), a
+
+    def test_shifted_corners_are_the_shared_points(self):
+        # Every corner, of a curve-0 word or of a shifted copy, is the
+        # object of the caller's point table.
+        w = Weights((2, 5))
+        points = _point_table(w)
+        words = enumerate_accepted_words(w, points=points)
+        assert {word.letters[0].curve for word in words} == set(range(w.l - 3))
+        for word in words:
+            for p in word.corners:
+                assert points(p.j, p.k)[_KIND_PIECES[p.kind]] is p
 
 
 class TestLengthBound:
