@@ -53,15 +53,16 @@ class HPolyRoots:
 def h_poly_roots(w, q):
     """Roots of h_q(x) = x^l - l^l x + l^l q, sorted by (argument, modulus).
 
-    The near_double_root flag fires when the smallest pairwise root
-    separation drops below _RTOL times the root scale, which happens
-    exactly near the critical parameter values.
+    Since h_q(l y) = l^l (y^l - l y + q), the roots are l times those of
+    y^l - l y + q, whose coefficients stay within float range for every l
+    and every finite q.  The near_double_root flag fires when the smallest
+    pairwise root separation drops below _RTOL times the root scale, which
+    happens exactly near the critical parameter values.
     """
     l = w.l
-    coeffs = [1.0] + [0.0] * (l - 2) + [-float(l) ** l, float(l) ** l * complex(q)]
-    roots = np.roots(coeffs)
+    roots = np.roots([1.0] + [0.0] * (l - 2) + [-float(l), complex(q)])
     ordered = sorted(
-        (complex(r) for r in roots),
+        (l * complex(r) for r in roots),
         key=lambda z: (cmath.phase(z), abs(z)),
     )
     min_sep = min(

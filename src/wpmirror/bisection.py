@@ -33,6 +33,11 @@ def _pt(p):
     return tuple(int(x) for x in p)
 
 
+def _show(p):
+    """A point as a config writes it: an int in 1D, a pair in 2D."""
+    return p[0] if len(p) == 1 else p
+
+
 def _hull(poly):
     """The planar hull of a polytope's vertices, counterclockwise; an
     interval's hull is its two ends in coordinate order, a point's is the
@@ -83,10 +88,11 @@ class MarkedPolytope:
         out = []
         hull_pts = {v[:self.Q.ambient_dim] for v in _hull(self.Q)}
         if not hull_pts <= set(self.A):
-            out.append(f"vertices {sorted(hull_pts - set(self.A))} not marked")
+            out.append(f"vertices {[_show(p) for p in sorted(hull_pts - set(self.A))]} "
+                       "not marked")
         for p in self.A:
             if not _contains(self.Q, p):
-                out.append(f"marked point {p} outside the polytope")
+                out.append(f"marked point {_show(p)} outside the polytope")
         return out
 
 
@@ -168,7 +174,7 @@ def validate_subdivision(cells, parent):
             fail(f"cell {idx} is not full-dimensional")
         for v in cell.Q.vertices:
             if not _contains(parent.Q, v):
-                fail(f"cell {idx} leaves the parent polytope at {v}")
+                fail(f"cell {idx} leaves the parent polytope at {_show(v)}")
 
     if not report.passed:
         return report
@@ -185,7 +191,7 @@ def validate_subdivision(cells, parent):
             if dim == 2:
                 fail(f"cells {i},{j} overlap with positive area")
             else:
-                ends = tuple(v[0] if parent.Q.ambient_dim == 1 else v for v in shared)
+                ends = tuple(_show(v[:parent.Q.ambient_dim]) for v in shared)
                 fail(f"cells {i},{j} overlap on a full interval {ends}")
             continue
         if shared and not _is_common_face(ci, cj, shared):
@@ -194,7 +200,8 @@ def validate_subdivision(cells, parent):
         mi, mj = ({p for p in c.A if shared and _on_segment(as_2d(p), shared[0], shared[-1])}
                   for c in (ci, cj))
         if mi != mj:
-            fail(f"cells {i},{j} mark the shared face differently: {sorted(mi)} vs {sorted(mj)}")
+            fail(f"cells {i},{j} mark the shared face differently: "
+                 f"{[_show(p) for p in sorted(mi)]} vs {[_show(p) for p in sorted(mj)]}")
     return report
 
 
@@ -222,7 +229,7 @@ def validate_bisection(b, parent):
     for points, message in ((parent_marked - marked, "parent marks points no cell marks"),
                             (marked - parent_marked, "cells mark points the parent does not")):
         if points:
-            report.violations.append(f"{message}: {sorted(points)}")
+            report.violations.append(f"{message}: {[_show(p) for p in sorted(points)]}")
     return report
 
 
@@ -268,32 +275,22 @@ def _wall(b):
             for p in b.cell0.A + b.cell1.A}
 
 
-def _weights(b):
-    """The coherence weight and its re-basing at the second cell, both read
-    from one wall functional."""
+def coherence_weights(b):
+    """The coherence weight of a bisection and its re-basing at the second
+    cell, (eta, tau), both maps from each marked point to an int read from
+    one wall functional.  eta is zero on the origin cell and the primitive
+    wall functional on the rest; its piecewise-linear extension is concave
+    with linearity domains exactly the two cells.  tau = eta minus the wall
+    functional vanishes on the second cell's marked points and is negative
+    at the origin."""
     lam = _wall(b)
     eta = dict.fromkeys(b.cell0.A, 0)
     for p in b.cell1.A:
         if p not in eta:
             eta[p] = lam[p]
         elif lam[p] != 0:
-            raise ValueError(f"shared marked point {p} off the wall")
+            raise ValueError(f"shared marked point {_show(p)} off the wall")
     return eta, {p: v - lam[p] for p, v in eta.items()}
-
-
-def coherence_weight(b):
-    """The distinguished integral weight of a bisection, as a map from each
-    marked point to an int: zero on the origin cell and the primitive wall
-    functional on the rest.  Its piecewise-linear extension is concave with
-    linearity domains exactly the two cells."""
-    return _weights(b)[0]
-
-
-def reparameterized_weight(b):
-    """The coherence weight re-based at the second cell: subtract the wall
-    functional, so the weight vanishes on the second cell's marked points
-    and is negative at the origin."""
-    return _weights(b)[1]
 
 
 def deform_coeffs(coeffs, weight, t):
@@ -421,9 +418,9 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
     coeffs = dict(sorted({_pt(k): Fraction(v) for k, v in coeffs.items()}.items()))
     stray = sorted(set(a_all) ^ set(coeffs))
     if stray:
-        raise ValueError(f"the coefficients and the marked points differ at {stray[0][0]}")
+        raise ValueError(f"the coefficients and the marked points differ at {_show(stray[0])}")
 
-    eta, tau = _weights(b)
+    eta, tau = coherence_weights(b)
 
     def restricted(points):
         return {p[0]: coeffs[p] for p in points}

@@ -2,7 +2,9 @@
 experiments, with JSON/CSV output and optional SVG rendering of the curves.
 
 Exit codes: 0 all checks pass, 1 a check failed (output still written),
-2 invalid input.
+2 invalid input.  Each `_cmd_*` action returns its output and whether its
+checks passed; `run` alone writes the output and turns an input error into
+exit 2.
 """
 
 import argparse
@@ -17,8 +19,8 @@ from .aside import (build_curves, critical_data, h_poly_roots, hom_space,
                     intersections, maslov_degree, monodromy_data)
 from .bside import (dual_ext, ext_pushforward, generation_certificate,
                     resolution_summands)
-from .bisection import (_weights, bisection_from_config, load_config, track_splitting,
-                        validate_bisection)
+from .bisection import (bisection_from_config, coherence_weights, load_config,
+                        track_splitting, validate_bisection)
 from .verify import hms_certificate, sweep
 from .weights import Weights
 
@@ -42,12 +44,13 @@ _CSV_NEEDS_TABLE = "--format csv writes tables only; use --format json for this 
 _CSV_TABLES = {("bside", "ext"), ("bside", "dual"), ("aside", "homs"), ("bisect", "weights")}
 
 
-def _emit(payload, fmt="json"):
-    if fmt == "csv":
-        sys.stdout.write(payload if isinstance(payload, str) else _to_csv(payload))
-    else:
-        json.dump(_encode(payload), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+def _emit(payload, fmt):
+    """Write one command's output: text as it is, a table as csv, anything
+    else as JSON."""
+    if not isinstance(payload, str):
+        payload = (_to_csv(payload) if fmt == "csv"
+                   else json.dumps(_encode(payload), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(payload)
 
 
 def _to_csv(payload):
@@ -64,17 +67,12 @@ def _parse_weights(text, need_two=False):
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(_invalid(f"weights must be comma-separated integers, got {text!r}"))
+        raise ValueError(f"weights must be comma-separated integers, got {text!r}")
     if any(p < 1 for p in parts) or not parts:
-        raise SystemExit(_invalid(f"weights must be positive, got {text!r}"))
+        raise ValueError(f"weights must be positive, got {text!r}")
     if need_two and len(parts) != 2:
-        raise SystemExit(_invalid("this command needs exactly two weights"))
+        raise ValueError("this command needs exactly two weights")
     return Weights(parts)
-
-
-def _invalid(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 def _dims_table(w, hom, pairs):
@@ -87,8 +85,7 @@ def _cmd_bside(args):
     w = _parse_weights(args.weights)
     if args.action in ("ext", "dual"):
         hom = ext_pushforward if args.action == "ext" else dual_ext
-        _emit(_dims_table(w, hom, product(range(w.l - 1), repeat=2)), args.format)
-        return 0
+        return _dims_table(w, hom, product(range(w.l - 1), repeat=2)), True
     if args.action == "resolve":
         out = {}
         for k in range(w.l - 1):
@@ -96,12 +93,9 @@ def _cmd_bside(args):
                 {"position": j, "projective": i, "shift": shift, "subset": list(J)}
                 for j, i, shift, J in resolution_summands(w, k)
             ]
-        _emit(out, args.format)
-        return 0
+        return out, True
     report = generation_certificate(w)
-    _emit({"passed": report.passed, "violations": report.violations},
-          args.format)
-    return 0 if report.passed else 1
+    return {"passed": report.passed, "violations": report.violations}, report.passed
 
 
 def _svg_curves(w, path):
@@ -135,13 +129,11 @@ def _svg_curves(w, path):
 def _cmd_aside(args):
     w = _parse_weights(args.weights, need_two=True)
     if w.a[0] > w.a[1]:
-        raise SystemExit(_invalid("strip model expects a0 <= a1"))
+        raise ValueError("strip model expects a0 <= a1")
     if args.svg:
         _svg_curves(w, args.svg)
     if args.action == "homs":
-        _emit(_dims_table(w, hom_space, combinations_with_replacement(range(w.l - 1), 2)),
-              args.format)
-        return 0
+        return _dims_table(w, hom_space, combinations_with_replacement(range(w.l - 1), 2)), True
     if args.action == "points":
         out = {}
         for j in range(w.l - 1):
@@ -151,8 +143,7 @@ def _cmd_aside(args):
                      "degree": maslov_degree(w, p), "label": list(p.label.subset)}
                     for p in intersections(w, j, k)
                 ]
-        _emit(out, args.format)
-        return 0
+        return out, True
     if args.action == "critical":
         out = {
             "critical_values": [
@@ -162,16 +153,15 @@ def _cmd_aside(args):
             ],
             "monodromy": monodromy_data(w),
         }
-        _emit(out, args.format)
-        return 0
+        return out, True
     # hq: root report at the critical parameters, or a custom q
     if args.q is not None:
         try:
             re, im = (float(x) for x in args.q.split(","))
         except ValueError:
-            raise SystemExit(_invalid(f"--q expects RE,IM, got {args.q!r}"))
+            raise ValueError(f"--q expects RE,IM, got {args.q!r}")
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise SystemExit(_invalid("--q must be finite"))
+            raise ValueError("--q must be finite")
         qs = [complex(re, im)]
     else:
         qs = [c.value for c in critical_data(w)]
@@ -181,49 +171,42 @@ def _cmd_aside(args):
         out.append({"q": rep.q, "roots": list(rep.roots),
                     "min_separation": rep.min_separation,
                     "near_double_root": rep.near_double_root})
-    _emit({"reports": out}, args.format)
-    return 0
+    return {"reports": out}, True
 
 
 def _cmd_verify(args):
     if (args.weights is None) == (args.sweep_l is None):
-        raise SystemExit(_invalid("give exactly one of --weights or --sweep-l"))
+        raise ValueError("give exactly one of --weights or --sweep-l")
     if args.sweep_l is not None:
         summary = sweep(args.sweep_l)
         if args.format == "csv":
-            _emit(summary.to_csv(), "csv")
-        else:
-            _emit({"l_max": summary.l_max,
-                   "results": [{"weights": list(ws), "l": l, "passed": p}
-                               for ws, l, p in summary.results],
-                   "all_passed": summary.all_passed}, "json")
-        return 0 if summary.all_passed else 1
+            return summary.to_csv(), summary.all_passed
+        return {"l_max": summary.l_max,
+                "results": [{"weights": list(ws), "l": l, "passed": p}
+                            for ws, l, p in summary.results],
+                "all_passed": summary.all_passed}, summary.all_passed
     w = _parse_weights(args.weights, need_two=True)
     if w.a[0] > w.a[1]:
-        raise SystemExit(_invalid("verification needs a0 <= a1"))
+        raise ValueError("verification needs a0 <= a1")
     cert = hms_certificate(w)
-    sys.stdout.write(cert.to_json() + "\n")
-    return 0 if cert.passed else 1
+    return cert.to_json() + "\n", cert.passed
 
 
 def _cmd_bisect(args):
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise SystemExit(_invalid(f"bad config: {exc}"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad config: {exc}")
     b, parent = bisection_from_config(cfg)
     report = validate_bisection(b, parent)
     if args.action == "validate":
-        _emit({"passed": report.passed, "violations": report.violations},
-              args.format)
-        return 0 if report.passed else 1
+        return {"passed": report.passed, "violations": report.violations}, report.passed
     if not report.passed:
-        raise SystemExit(_invalid(f"invalid bisection: {report.violations[0]}"))
+        raise ValueError(f"invalid bisection: {report.violations[0]}")
     if args.action == "weights":
-        eta, tau = _weights(b)
-        _emit({"eta": {str(p[0]): v for p, v in eta.items()},
-               "tau": {str(p[0]): v for p, v in tau.items()}}, args.format)
-        return 0
+        eta, tau = coherence_weights(b)
+        return {"eta": {str(p[0]): v for p, v in eta.items()},
+                "tau": {str(p[0]): v for p, v in tau.items()}}, True
     rep = track_splitting(
         b,
         coeffs=cfg.get("coefficients"),
@@ -231,7 +214,7 @@ def _cmd_bisect(args):
         seed=cfg["seed"],
         tolerance=cfg["tolerance"],
     )
-    _emit({
+    return {
         "ok": rep.ok,
         "m": rep.m,
         "r": rep.r,
@@ -243,8 +226,7 @@ def _cmd_bisect(args):
                    "err_cell0": s["err_cell0"], "err_cell1": s["err_cell1"]}
                   for s in rep.steps],
         "violations": rep.violations,
-    }, args.format)
-    return 0 if rep.ok else 1
+    }, rep.ok
 
 
 def build_parser():
@@ -258,7 +240,6 @@ def build_parser():
     p = sub.add_parser("bside", help="derived-category side computations")
     p.add_argument("action", choices=["ext", "dual", "resolve", "certify-generation"])
     p.add_argument("--weights", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_bside)
 
     p = sub.add_parser("aside", help="Fukaya-side computations")
@@ -266,20 +247,20 @@ def build_parser():
     p.add_argument("--weights", required=True)
     p.add_argument("--svg", default=None, help="write the curves as SVG")
     p.add_argument("--q", default=None, help="RE,IM parameter for hq")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_aside)
 
     p = sub.add_parser("verify", help="cross-check both sides")
     p.add_argument("--weights", default=None)
     p.add_argument("--sweep-l", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bisect", help="bisection experiments")
     p.add_argument("action", choices=["validate", "weights", "track"])
     p.add_argument("--config", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_bisect)
+
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
@@ -289,21 +270,21 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # Only a table has a csv form; refuse any other output before its work.
-    if args.format == "csv" and not (
-            args.sweep_l is not None if args.command == "verify"
-            else (args.command, args.action) in _CSV_TABLES):
-        return _invalid(_CSV_NEEDS_TABLE)
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        # Only a table has a csv form; refuse any other output before its work.
+        if args.format == "csv" and not (
+                args.sweep_l is not None if args.command == "verify"
+                else (args.command, args.action) in _CSV_TABLES):
+            raise ValueError(_CSV_NEEDS_TABLE)
+        payload, passed = args.func(args)
+        _emit(payload, args.format)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         # Input the library cannot work with: a bad value, an arithmetic
         # invariant, a seeded draw that found no generic configuration, or
         # an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 def main():

@@ -23,8 +23,7 @@ from wpmirror.aside import (
 from wpmirror.bisection import (
     Bisection,
     MarkedPolytope,
-    coherence_weight,
-    reparameterized_weight,
+    coherence_weights,
     track_splitting,
 )
 from wpmirror.bside import (
@@ -32,7 +31,7 @@ from wpmirror.bside import (
     generation_certificate,
     verify_prop6_via_resolution,
 )
-from wpmirror.verify import aside_digest, bside_digest, hms_certificate
+from wpmirror.verify import hms_certificate
 from wpmirror.weights import (
     LatticePolytope,
     Weights,
@@ -78,11 +77,13 @@ def test_criterion_01_mirror_dimension_match():
     assert time.perf_counter() - start < BUDGET_DIMS
 
 
-def test_criterion_02_mirror_composition_match():
+def test_criterion_02_mirror_composition_match(certificates):
     """The full tables of disc-counted products and truncated-wedge products
-    coincide entry by entry (labels and coefficients) for every l <= 25."""
+    coincide entry by entry (labels and coefficients) for every l <= 25,
+    read from each pair's certificate."""
     for w in weight_pairs():
-        assert aside_digest(w) == bside_digest(w), w
+        cert = certificates[w.a]
+        assert cert.aside_digest == cert.bside_digest, w
 
 
 def test_criterion_03_higher_products_vanish():
@@ -183,8 +184,7 @@ def test_criterion_09_bisection_splitting():
         MarkedPolytope(LatticePolytope((-1, 1)), ((-1,), (0,), (1,))),
         MarkedPolytope(LatticePolytope((1, 2)), ((1,), (2,))),
     )
-    eta = coherence_weight(b)
-    tau = reparameterized_weight(b)
+    eta, tau = coherence_weights(b)
     assert [eta[p,] for p in (-1, 0, 1, 2)] == [0, 0, 0, -1]
     assert [tau[p,] for p in (-1, 0, 1, 2)] == [-2, -1, 0, 0]
     report = track_splitting(b, seed=42, tolerance=TOL_SPLIT)

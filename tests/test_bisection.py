@@ -11,11 +11,10 @@ from wpmirror.bisection import (
     MarkedPolytope,
     _meet,
     bisection_from_config,
-    coherence_weight,
+    coherence_weights,
     critical_values_univariate,
     deform_coeffs,
     load_config,
-    reparameterized_weight,
     seeded_coefficients,
     track_splitting,
     validate_bisection,
@@ -142,26 +141,24 @@ class TestMeet:
 
     def test_disjoint_cells_have_no_weight(self):
         with pytest.raises(ValueError):
-            coherence_weight(Bisection(FAR_TRIANGLE, FAR_SEGMENT))
+            coherence_weights(Bisection(FAR_TRIANGLE, FAR_SEGMENT))
 
 
 class TestCoherenceWeights:
     def test_1d_weight_pair(self):
-        eta = coherence_weight(B1D)
+        eta, tau = coherence_weights(B1D)
         assert [eta[p,] for p in (-1, 0, 1, 2)] == [0, 0, 0, -1]
-        tau = reparameterized_weight(B1D)
         assert [tau[p,] for p in (-1, 0, 1, 2)] == [-2, -1, 0, 0]
 
     def test_symmetric_interval_weight(self):
         b = Bisection(interval([-1, 0]), interval([0, 1]))
-        eta = coherence_weight(b)
+        eta = coherence_weights(b)[0]
         assert [eta[p,] for p in (-1, 0, 1)] == [0, 0, -1]
 
     def test_2d_blowup_weights(self):
-        eta = coherence_weight(B2D)
+        eta, tau = coherence_weights(B2D)
         assert eta[2, 3] == -4
         assert eta[0, 0] == 0 and eta[1, 0] == 0 and eta[0, 1] == 0
-        tau = reparameterized_weight(B2D)
         assert tau[0, 0] == -1
         assert tau[-1, -1] == -3
         assert tau[2, 3] == 0 and tau[1, 0] == 0 and tau[0, 1] == 0
@@ -170,13 +167,12 @@ class TestCoherenceWeights:
         # On the line through (1, 1) the wall functional counts lattice
         # steps: one per point, not the squared length of the step.
         b = Bisection(segment((-1, -1), (0, 0), (1, 1)), segment((1, 1), (2, 2), (3, 3)))
-        eta = coherence_weight(b)
+        eta, tau = coherence_weights(b)
         assert [eta[p, p] for p in (-1, 0, 1, 2, 3)] == [0, 0, 0, -1, -2]
-        tau = reparameterized_weight(b)
         assert [tau[p, p] for p in (-1, 0, 1, 2, 3)] == [-2, -1, 0, 0, 0]
 
     def test_weight_is_integral(self):
-        for p, v in coherence_weight(B2D).items():
+        for p, v in coherence_weights(B2D)[0].items():
             assert isinstance(v, int)
 
 
@@ -185,16 +181,16 @@ class TestDeformation:
               (2,): Fraction(3)}
 
     def test_t_equal_one_is_identity(self):
-        assert deform_coeffs(self.COEFFS, coherence_weight(B1D), Fraction(1)) == self.COEFFS
+        assert deform_coeffs(self.COEFFS, coherence_weights(B1D)[0], Fraction(1)) == self.COEFFS
 
     def test_exact_scaling(self):
-        out = deform_coeffs(self.COEFFS, coherence_weight(B1D), Fraction(1, 10))
+        out = deform_coeffs(self.COEFFS, coherence_weights(B1D)[0], Fraction(1, 10))
         # eta[2,] = -1, so the coefficient at 2 is multiplied by t
         assert out[(2,)] == Fraction(3, 10)
         assert out[(0,)] == Fraction(2)
 
     def test_rebased_fixes_second_cell(self):
-        out = deform_coeffs(self.COEFFS, reparameterized_weight(B1D), Fraction(1, 100))
+        out = deform_coeffs(self.COEFFS, coherence_weights(B1D)[1], Fraction(1, 100))
         assert out[(1,)] == self.COEFFS[(1,)]
         assert out[(2,)] == self.COEFFS[(2,)]
         assert out[(-1,)] == Fraction(1, 10 ** 4)

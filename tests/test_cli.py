@@ -2,6 +2,7 @@
 formats, and the SVG/config side channels."""
 
 import json
+import warnings
 
 import pytest
 
@@ -114,6 +115,19 @@ class TestAside:
         assert not rep["near_double_root"]
         assert run(["aside", "hq", "--weights", "2,3", "--q", "nope"]) == 2
         capsys.readouterr()
+
+    def test_hq_large_l(self, capsys):
+        # l^l leaves float range from l = 144; q = 200 is a critical value.
+        assert run(["aside", "hq", "--weights", "1,200", "--q", "200,0"]) == 0
+        [rep] = out_json(capsys)["reports"]
+        assert len(rep["roots"]) == 201 and rep["near_double_root"]
+
+    def test_hq_huge_q(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["aside", "hq", "--weights", "2,3", "--q", "1e308,1e308"]) == 0
+        [rep] = out_json(capsys)["reports"]
+        assert len(rep["roots"]) == 5 and not rep["near_double_root"]
 
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "curves.svg"
@@ -318,7 +332,7 @@ class TestBisect:
     @pytest.mark.parametrize("config, message", [
         ({"A": [0, 1, 2], "A0": [0], "A1": [0, 1, 2]}, "cell 0 is not full-dimensional"),
         ({"A": [-1, 2], "A0": [-1, 1], "A1": [1, 2]},
-         "cells mark points the parent does not: [(1,)]"),
+         "cells mark points the parent does not: [1]"),
     ], ids=["point-cell", "extra-marks"])
     @pytest.mark.parametrize("action", ["weights", "track"])
     def test_invalid_bisection_refused(self, capsys, tmp_path, config, message, action):
@@ -334,12 +348,12 @@ class TestBisect:
 
     @pytest.mark.parametrize("config, violations", [
         ({"A": [-1, 2], "A0": [-1, 1], "A1": [1, 2]},
-         ["cells mark points the parent does not: [(1,)]"]),
+         ["cells mark points the parent does not: [1]"]),
         ({"A": [-1, 0, 1, 2], "A0": [-1, 1], "A1": [1, 2]},
-         ["parent marks points no cell marks: [(0,)]"]),
+         ["parent marks points no cell marks: [0]"]),
         ({"A": [-1, 0, 2], "A0": [-1, 1], "A1": [1, 2]},
-         ["parent marks points no cell marks: [(0,)]",
-          "cells mark points the parent does not: [(1,)]"]),
+         ["parent marks points no cell marks: [0]",
+          "cells mark points the parent does not: [1]"]),
     ], ids=["extra", "missing", "both"])
     def test_marked_points_each_direction(self, capsys, tmp_path, config, violations):
         # The cells cover the parent's marked points in "extra"; each

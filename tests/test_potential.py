@@ -1,13 +1,29 @@
 """Tests for the critical data and the auxiliary one-variable polynomial."""
 
 import cmath
+import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from wpmirror.aside.potential import critical_data, h_poly_roots, monodromy_data
 from wpmirror.weights import Weights
+
+# The inputs, for the pair (1, l - 1), at which solving h_q with its l^l
+# coefficients in floats gave the wrong flag or failed.
+DEFECTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "numeric-defects.json"
+
+
+def recorded_defects():
+    with open(DEFECTS) as fh:
+        failures = json.load(fh)["failures"]
+    cases = [f for f in failures if f["l"] in (34, 50, 60)]
+    cases += [f for f in failures if f["l"] == 144][::20]
+    return [pytest.param(f["l"], Fraction(f["modulus"]), Fraction(f["angle"]),
+                         id=f"{f['kind']}-l{f['l']}-{f['modulus']}-{f['angle']}")
+            for f in cases]
 
 
 class TestCriticalData:
@@ -61,6 +77,14 @@ class TestHPolyRoots:
         rep = h_poly_roots(w, 1.25)
         for z in rep.roots:
             assert abs(z ** l - l ** l * z + l ** l * 1.25) < 1e-6 * max(1.0, abs(z) ** l)
+
+    @pytest.mark.parametrize("l, modulus, angle", recorded_defects())
+    def test_recorded_defects_exact(self, l, modulus, angle):
+        # h_q has a double root exactly when q^(l-1) = (l-1)^(l-1), that is
+        # q = (l-1) e^(i pi angle) with (l-1) * angle even.
+        rep = h_poly_roots(Weights((1, l - 1)), modulus * cmath.exp(1j * cmath.pi * float(angle)))
+        assert len(rep.roots) == l
+        assert rep.near_double_root == (modulus == l - 1 and angle * (l - 1) % 2 == 0)
 
 
 class TestMonodromy:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wpmirror import verify
 from wpmirror.aside import strip, words
 from wpmirror.bside import compose_dual, dual_ext
-from wpmirror.verify import bside_digest, hms_certificate, sweep
+from wpmirror.verify import aside_digest, bside_digest, hms_certificate, sweep
 from wpmirror.weights import Weights
 
 
@@ -142,12 +142,10 @@ class TestBsideProductTable:
 # Digests recorded by the benchmark for every pair with a0 + a1 <= 25.
 EXPECTED_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "sweep-2w.json"
 
-PAIRS_L12 = [(a0, a1) for a0 in range(1, 12) for a1 in range(a0, 13 - a0)]
-
 
 @pytest.fixture(scope="module")
-def certificates_l12():
-    return {a: hms_certificate(Weights(a)) for a in PAIRS_L12}
+def certificates_l12(certificates):
+    return {a: cert for a, cert in certificates.items() if sum(a) <= 12}
 
 
 json_values = st.recursive(
@@ -183,11 +181,18 @@ class TestDigestEncoding:
             assert cert.to_json(include_timestamp=False) == \
                 json.dumps(payload, sort_keys=True, indent=2), a
 
-    def test_digests_match_recorded(self, certificates_l12):
+    def test_digests_match_recorded(self, certificates):
         with open(EXPECTED_SWEEP) as fh:
             recorded = json.load(fh)["digests"]
-        for a, cert in certificates_l12.items():
+        assert len(certificates) == len(recorded) == 156
+        for a, cert in certificates.items():
             assert cert.digest() == recorded[f"{a[0]},{a[1]}"], a
+
+    def test_public_digests_match_certificate(self, certificates_l12):
+        # Criterion 2 reads the two tables from the certificates.
+        for a, cert in certificates_l12.items():
+            assert aside_digest(Weights(a)) == cert.aside_digest, a
+            assert bside_digest(Weights(a)) == cert.bside_digest, a
 
 
 class TestMutation:
