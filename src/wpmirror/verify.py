@@ -32,13 +32,18 @@ CONVENTIONS = {
 }
 
 
-def _triangle_digest(words):
-    """Sorted two-fold product entries of the accepted triangles among
-    `words`: each contributes exactly one structure constant +1.
+def aside_digest(w, words=None):
+    """Sorted nonzero two-fold product table of the Fukaya side: each
+    accepted triangle contributes exactly one structure constant +1, keyed
+    by the triple and the three point labels.
 
+    `words` are the accepted words of `w` if the caller has already
+    enumerated them; by default one exhaustive enumeration is run here.
     Entries on both sides have one form, `((i, j, k), J0, J1, Jout, c)`
     with int tuples, from construction to the encoded certificate.
     """
+    if words is None:
+        words = enumerate_accepted_words(w)
     entries = []
     for word in words:
         if len(word.corners) != 3:
@@ -48,15 +53,6 @@ def _triangle_digest(words):
                         out.label.subset, 1))
     entries.sort()
     return entries
-
-
-def aside_digest(w):
-    """Sorted nonzero two-fold product table of the Fukaya side, with every
-    entry keyed by the triple and the three point labels.
-
-    One exhaustive word enumeration covers all triples.
-    """
-    return _triangle_digest(enumerate_accepted_words(w))
 
 
 def bside_digest(w):
@@ -94,34 +90,58 @@ def _json_text(value):
     any other type raises TypeError.
 
     The C encoder of `json` ignores `indent`, so `json.dumps` would run its
-    pure-Python encoder here, at about three times the cost.  A table that
-    lives for one call formats each distinct tuple once per indent level,
-    so a digest entry, and every triple and subset inside it, is formatted
-    once however often it repeats.  The table is keyed by marshal bytes,
-    which tell True from 1 where tuple equality does not; version 2 writes
-    no back-references, so equal values give equal bytes.
+    pure-Python encoder here, at about three times the cost.  Instead each
+    distinct piece is formatted once per indent level, in tables that live
+    for one call.  A list or dict is one piece, so equal digest tables and
+    the dimension-table entry that one gap shares are each formatted once.
+    A tuple of two or more items is two: its first item and the rest, so a
+    digest entry `((i, j, k), J0, J1, Jout, c)` is its triple plus a tail
+    that every triple with the same labels and constant shares.  The
+    tables are keyed by marshal bytes, which tell True from 1 and a tuple
+    from a list where equality does not; version 2 writes no
+    back-references, so equal values of one type give equal bytes.
     """
-    texts = {}
+    texts = {}  # (level, marshal bytes of a list or dict) -> its text
+    heads = {}  # (level, marshal bytes of a tuple's first item) -> "[" and its text
+    rests = {}  # (level, marshal bytes of a tuple's other items) -> "," to "]"
+
+    def memo(o, level, fmt):
+        if not level:  # the whole value, met once
+            return fmt(o, level)
+        try:
+            key = level, marshal.dumps(o, 2)
+        except ValueError:  # a type marshal cannot write; encode rejects it
+            return fmt(o, level)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = fmt(o, level)
+        return text
 
     def encode(o, level):
         t = type(o)
         if t is tuple:
-            try:
-                key = level, marshal.dumps(o, 2)
-            except ValueError:  # a type marshal cannot write; encode rejects it
+            if len(o) < 2:
                 return sequence(o, level)
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = sequence(o, level)
-            return text
+            try:
+                head_key = level, marshal.dumps(o[0], 2)
+                rest_key = level, marshal.dumps(o[1:], 2)
+            except ValueError:
+                return sequence(o, level)
+            head = heads.get(head_key)
+            if head is None:
+                head = heads[head_key] = "[\n" + "  " * (level + 1) + encode(o[0], level + 1)
+            rest = rests.get(rest_key)
+            if rest is None:
+                rest = rests[rest_key] = "," + sequence(o[1:], level)[1:]
+            return head + rest
         if t is int:
             return int.__repr__(o)
         if t is str:
             return encode_basestring_ascii(o)
         if t is list:
-            return sequence(o, level)
+            return memo(o, level, sequence)
         if t is dict:
-            return mapping(o, level)
+            return memo(o, level, mapping)
         if o is None:
             return "null"
         if o is True:
@@ -219,7 +239,7 @@ def hms_certificate(w, corrupt=None):
     # report.
     words = enumerate_accepted_words(w, points=points)
     hp = higher_product_report(words)
-    dig_a = _triangle_digest(words)
+    dig_a = aside_digest(w, words)
     dig_b = bside_digest(w)
     if corrupt is not None:
         side, idx = corrupt

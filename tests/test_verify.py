@@ -164,6 +164,19 @@ class TestDigestEncoding:
     @example({"b": [(0,), [(False,)]], "a": [(False,), [(0,)]]})
     @example({"\u00e9": "\x00\x1f\u2028\ud800 \U0001f600", "\x7f": ["\t\n"]})
     @example({"z": [], "y": (), "x": {}, "w": [[], (), {}]})
+    # A digest entry is formatted as its triple and a shared tail, and equal
+    # lists and dicts once per level; each example below needs two of those
+    # pieces that are equal by == to have different text.
+    @example([((0, 1, 2), (True,), (), (), 1), ((0, 1, 2), (1,), (), (), 1)])
+    @example([((0, 1, 2), (0,), (1,), (0, 1), True), ((0, 1, 3), (0,), (1,), (0, 1), 1),
+              ((0, 2, 3), (0,), (1,), (0, 1), False), ((1, 2, 3), (0,), (1,), (0, 1), 0)])
+    @example([[(0, 1)], [(0, True)], {"a": (0, 1)}, {"a": (0, True)}])
+    @example([[(0, 1)], [[(0, 1)]], [(0, True)], {"a": (0, 1)}, [{"a": (0, 1)}],
+              {"a": (0, True)}])
+    @example([{"a": (0, 1), "b": (0, True)}, {"b": (0, 1), "a": (0, True)}])
+    @example([((0, 1, 2), (0,), (), (), 1), 5, "x", None, (1, 2),
+              [((0, 1, 2), (0,), (), (), True)], ((0, 1, 2), (0,), (), (), True),
+              {"e": ((0, 1, 2), (0,), (), (), 1)}, ((0, 1, 2), (0,), ()), ((0, 1, 2),)])
     def test_matches_json_dumps(self, value):
         assert verify._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -173,8 +186,13 @@ class TestDigestEncoding:
         with pytest.raises(TypeError):
             verify._json_text(value)
 
-    def test_to_json_matches_json_dumps(self, certificates_l12):
-        for a, cert in certificates_l12.items():
+    def test_to_json_matches_json_dumps(self, certificates, certificates_l12):
+        # (1, 19) is the largest sweep-2w pair; the corrupted copy fails,
+        # so its two digest tables differ in one constant.
+        corrupted = hms_certificate(Weights((1, 19)), corrupt=("bside", 0))
+        assert corrupted.aside_digest != corrupted.bside_digest and not corrupted.passed
+        cases = {**certificates_l12, (1, 19): certificates[(1, 19)], "corrupted": corrupted}
+        for a, cert in cases.items():
             payload = dict(vars(cert))
             assert cert.to_json() == json.dumps(payload, sort_keys=True, indent=2), a
             del payload["timestamp"]
