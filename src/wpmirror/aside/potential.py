@@ -11,8 +11,6 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 # The near-double-root flag's threshold, relative to the root scale.
 _RTOL = 1e-4
 
@@ -59,6 +57,8 @@ def h_poly_roots(w, q):
     pairwise root separation drops below _RTOL times the root scale, which
     happens exactly near the critical parameter values.
     """
+    import numpy as np  # on first use: the exact commands never load numpy
+
     l = w.l
     roots = np.roots([1.0] + [0.0] * (l - 2) + [-float(l), complex(q)])
     ordered = sorted(

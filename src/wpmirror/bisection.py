@@ -12,11 +12,10 @@ import cmath
 import itertools
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .weights import LatticePolytope, as_2d, convex_hull_2d, cross, normalized_volume
 
@@ -314,6 +313,8 @@ def critical_values_univariate(coeffs):
     d_support = {a: a * c for a, c in support.items() if a != 0}
     if not d_support:
         raise ValueError("constant-like input has no critical points")
+    import numpy as np  # on first use: the exact commands never load numpy
+
     lo, hi = min(d_support), max(d_support)
     poly = [complex(d_support.get(a, 0)) for a in range(hi, lo - 1, -1)]
     roots = np.roots(poly)
@@ -368,16 +369,48 @@ def _extrapolate_to_zero(ts, vs):
 
 
 def _best_assignment(targets, values):
-    """Injective nearest matching of each target to a distinct value,
-    minimizing the worst error; brute force, sizes stay tiny.  Returns
-    (worst error, combo), where target i matches values[combo[i]]."""
-    best = None
-    for combo in itertools.permutations(range(len(values)), len(targets)):
-        errs = [abs(targets[i] - values[j]) for i, j in enumerate(combo)]
-        worst = max(errs) if errs else 0.0
-        if best is None or worst < best[0]:
-            best = (worst, combo)
-    return best
+    """Injective matching of each target to a distinct value that minimizes
+    the worst error, ties broken toward the lowest value index target by
+    target: the first minimizer in the order of
+    `itertools.permutations(range(len(values)), len(targets))`.  Returns
+    (worst error, combo), where target i matches values[combo[i]].
+
+    Bottleneck matching in polynomial time: a binary search over the
+    distinct errors finds the least bound that admits a complete matching,
+    then each target in turn takes the lowest free value within the bound
+    that leaves the later targets matchable.  Every test is one run of
+    augmenting paths.
+    """
+    m, n = len(targets), len(values)
+    if m > n:
+        raise ValueError(f"cannot match {m} targets to {n} distinct values")
+    if not m:
+        return 0.0, ()
+    err = [[abs(t - v) for v in values] for t in targets]
+
+    def complete(bound, fixed):
+        """Whether the targets after the fixed prefix can take distinct
+        values outside it, each within bound."""
+        owner = {}
+
+        def augment(i, seen):
+            for j in range(n):
+                if j not in seen and err[i][j] <= bound:
+                    seen.add(j)
+                    if j not in owner or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set(fixed)) for i in range(len(fixed), m))
+
+    levels = sorted({e for row in err for e in row})
+    bound = levels[bisect_left(levels, True, key=lambda e: complete(e, ()))]
+    combo = []
+    for i in range(m):
+        combo.append(next(j for j in range(n) if j not in combo and err[i][j] <= bound
+                          and complete(bound, combo + [j])))
+    return bound, tuple(combo)
 
 
 @dataclass
@@ -402,6 +435,8 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
     the deformed critical values to be evaluated in floats raises
     ValueError.
     """
+    import numpy as np  # on first use: the exact commands never load numpy
+
     t_schedule = [Fraction(t) for t in t_schedule]
     if any(t <= 0 for t in t_schedule) or any(
             a <= b for a, b in zip(t_schedule, t_schedule[1:])):

@@ -1,14 +1,18 @@
 """Tests for marked polytopes, bisections, coherence weights, deformed
 potentials, critical-value tracking, and tracking configs."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from wpmirror import bisection
 from wpmirror.bisection import (
     Bisection,
     MarkedPolytope,
+    _best_assignment,
     _meet,
     bisection_from_config,
     coherence_weights,
@@ -214,6 +218,67 @@ class TestCriticalValues:
             critical_values_univariate({0: 5})
 
 
+def best_assignment_reference(targets, values):
+    """The matching by brute force: the first permutation in order whose
+    worst error is least.  None if there are more targets than values."""
+    best = None
+    for combo in itertools.permutations(range(len(values)), len(targets)):
+        errs = [abs(targets[i] - values[j]) for i, j in enumerate(combo)]
+        worst = max(errs) if errs else 0.0
+        if best is None or worst < best[0]:
+            best = (worst, combo)
+    return best
+
+
+def random_points(rng, count, grid):
+    """Complex points: on a small integer grid, where errors tie exactly,
+    or Gaussian."""
+    if grid:
+        return [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(count)]
+    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(count)]
+
+
+class TestBestAssignment:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        for case in range(100):
+            r = rng.randint(1, 7)
+            m = rng.randint(0, r)
+            # Every third case lies on the grid.
+            targets, values = (random_points(rng, k, grid=case % 3 == 0) for k in (m, r))
+            assert _best_assignment(targets, values) == \
+                best_assignment_reference(targets, values), (targets, values)
+
+    def test_ties_go_to_the_lowest_value_index(self):
+        # Every matching has worst error 1; the first in order is kept.
+        targets, values = [0j, 0j], [1 + 0j, 1j, -1 + 0j]
+        assert _best_assignment(targets, values) == (1.0, (0, 1))
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_no_targets(self, r):
+        values = random_points(random.Random(r), r, grid=False)
+        assert _best_assignment([], values) == best_assignment_reference([], values) \
+            == (0.0, ())
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_as_many_targets_as_values(self, r):
+        rng = random.Random(r)
+        for grid in (True, False):
+            targets, values = (random_points(rng, r, grid) for _ in range(2))
+            assert _best_assignment(targets, values) == \
+                best_assignment_reference(targets, values)
+
+    def test_more_targets_than_values_refused(self):
+        with pytest.raises(ValueError, match="3 targets to 2"):
+            _best_assignment([0j, 1j, 2j], [0j, 1j])
+
+
+def bisection_at(lo, split, hi):
+    """The 1D bisection of [lo, hi] at split, every lattice point marked."""
+    return Bisection(interval(list(range(lo, split + 1))), interval(list(range(split, hi + 1))))
+
+
 class TestTracking:
     def test_seeded_run_passes(self):
         report = track_splitting(B1D, seed=42)
@@ -244,6 +309,26 @@ class TestTracking:
         backward = track_splitting(b, coeffs=dict(reversed(coeffs.items())))
         assert forward.ok, forward.violations
         assert forward == backward
+
+    @pytest.mark.parametrize("r", range(4, 9))
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_report_equals_brute_force_matching(self, monkeypatch, r, seed):
+        rng = random.Random(f"{r}:{seed}")
+        m = rng.choice((r // 2, r - r // 2))
+        lo = rng.randint(1 - m, -1)
+        b = bisection_at(lo, lo + m, lo + r)
+        report = track_splitting(b, seed=seed)
+        assert report.ok, report.violations
+        assert (report.m, report.r) == (m, r)
+        monkeypatch.setattr(bisection, "_best_assignment", best_assignment_reference)
+        assert track_splitting(b, seed=seed) == report
+
+    def test_twelve_critical_values(self):
+        # 12P7, about 4 million permutations per matching: out of reach of
+        # the brute-force scan.
+        report = track_splitting(bisection_at(-6, 1, 6))
+        assert report.ok, report.violations
+        assert (report.m, report.r) == (7, 12)
 
     def test_constant_schedule_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,11 @@
 formats, and the SVG/config side channels."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -477,3 +481,22 @@ class TestVersion:
         cert = hms_certificate(Weights((1, 2)))
         assert capsys.readouterr().out.strip() == wpmirror.__version__ \
             == cert.tool_version == json.loads(cert.to_json())["tool_version"]
+
+
+class TestImports:
+    # The exact commands use no float, so they never load numpy: it is
+    # imported by the numeric functions on their first call.
+    @pytest.mark.parametrize("code", [
+        "import wpmirror.cli",
+        "import contextlib, io, wpmirror.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert wpmirror.cli.run(['verify', '--weights', '1,1']) == 0",
+    ], ids=["import", "verify"])
+    def test_exact_commands_leave_numpy_unloaded(self, code):
+        src = str(Path(wpmirror.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = code + "\nimport sys\nsys.exit('numpy' in sys.modules)\n"
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr or "numpy was loaded"
