@@ -6,7 +6,7 @@ generation certificate for the exceptional range [0, l-2].
 
 from dataclasses import dataclass, field
 
-from .weights import ExteriorBasisElement, monomial_basis
+from .weights import _monomials
 
 
 def _check_object_index(w, idx, name="index"):
@@ -39,24 +39,30 @@ def ext_pushforward(w, j, k):
     """Ext of the pushed-forward twisting sheaves O(j) -> O(k).
 
     Degree 0 is the weighted graded piece R_{k-j}, degree 1 is R_{k-j-1};
-    the space vanishes for k < j (semi-orthogonality).
+    the space vanishes for k < j (semi-orthogonality).  The basis depends
+    only on the gap k - j and is built once per gap and `Weights` object.
     """
     _check_object_index(w, j, "source")
     _check_object_index(w, k, "target")
-    if k < j:
-        return BigradedHom(j, k, ())
-    basis = [(0, m) for m in monomial_basis(w, k - j)]
-    basis += [(1, m) for m in monomial_basis(w, k - j - 1)]
-    return BigradedHom(j, k, tuple(basis))
+    basis = w._ext_bases.get(k - j)
+    if basis is None:  # empty for k < j: no monomial has a negative degree
+        basis = w._ext_bases[k - j] = (tuple((0, m) for m in _monomials(w, k - j))
+                                       + tuple((1, m) for m in _monomials(w, k - j - 1)))
+    return BigradedHom(j, k, basis)
 
 
 def dual_ext(w, k, i):
     """Ext from the simple at k to the simple at i: all e_J with total
-    weight a_J <= k - i, placed in cohomological degree |J|."""
+    weight a_J <= k - i, placed in cohomological degree |J|.  The basis
+    depends only on the span k - i and is built once per span and
+    `Weights` object, from the shared entries of `w.exterior_basis`."""
     _check_object_index(w, k, "source")
     _check_object_index(w, i, "target")
-    return BigradedHom(k, i, tuple((len(J), ExteriorBasisElement(J))
-                                   for J, weight in w.subsets if weight <= k - i))
+    basis = w._dual_bases.get(k - i)
+    if basis is None:
+        basis = w._dual_bases[k - i] = tuple(
+            e for (_, weight), e in zip(w.subsets, w.exterior_basis) if weight <= k - i)
+    return BigradedHom(k, i, basis)
 
 
 def _merge_sign(left, right):
@@ -173,8 +179,8 @@ def verify_prop6_via_resolution(w, k, i):
     _check_object_index(w, k)
     _check_object_index(w, i)
     basis = []
-    for J, weight in w.subsets:
+    for (J, weight), e in zip(w.subsets, w.exterior_basis):
         j = k - i + len(J) - weight
         if len(J) <= j <= k:
-            basis.append((len(J), ExteriorBasisElement(J)))
+            basis.append(e)
     return BigradedHom(k, i, tuple(basis))

@@ -59,29 +59,38 @@ def bside_digest(w):
     """Sorted nonzero truncated-wedge product table of the dual algebra,
     over the same index triples and labels.
 
-    The basis of `dual_ext(w, k, i)` depends only on the span k - i, so
-    it is listed once per span, as subsets.  A product of basis elements
-    depends only on the two subsets and the span k - i, so each distinct
-    product is computed once per call and looked up for every later triple.
+    The basis of `dual_ext(w, k, i)` depends only on the span k - i, and a
+    product of two basis elements only on their subsets and the span, so
+    the products of a triple (i, j, k) depend only on its gaps (j - i,
+    k - j).  Each gap pair's nonzero products are listed once per call, as
+    the sorted tails (J0, J1, Jout, sign) of its entries, with one
+    `compose_dual` per distinct (J0, J1, span).  Triples run in sorted
+    order, so the entries come out sorted.
     """
-    objects = range(w.l - 1)
-    bases = [[J for J, a in w.subsets if a <= span] for span in objects]
+    n_objects = w.l - 1
+    bases = [[J for J, a in w.subsets if a <= span] for span in range(n_objects)]
     products = {}  # (subset0, subset1, k - i) -> (subset, sign) or None
-    entries = []
-    for i in objects:
-        for j in range(i + 1, w.l - 1):
-            for k in range(j + 1, w.l - 1):
-                for J0 in bases[j - i]:
-                    for J1 in bases[k - j]:
-                        key = (J0, J1, k - i)
-                        if key in products:
-                            found = products[key]
-                        else:
-                            found = products[key] = compose_dual(w, k - i, J0, J1)
-                        if found is not None:
-                            entries.append(((i, j, k), J0, J1, found[0], found[1]))
-    entries.sort()
-    return entries
+    tails = {}  # (j - i, k - j) -> sorted (subset0, subset1, subset, sign)
+    for gap0 in range(1, n_objects):
+        for gap1 in range(1, n_objects - gap0):
+            tail = []
+            for J0 in bases[gap0]:
+                for J1 in bases[gap1]:
+                    key = (J0, J1, gap0 + gap1)
+                    if key in products:
+                        found = products[key]
+                    else:
+                        found = products[key] = compose_dual(w, gap0 + gap1, J0, J1)
+                    if found is not None:
+                        tail.append((J0, J1) + found)
+            tail.sort()
+            tails[gap0, gap1] = tail
+    return [(triple, J0, J1, Jout, sign)
+            for i in range(n_objects)
+            for j in range(i + 1, n_objects)
+            for k in range(j + 1, n_objects)
+            for triple in [(i, j, k)]
+            for J0, J1, Jout, sign in tails[j - i, k - j]]
 
 
 def _json_text(value):

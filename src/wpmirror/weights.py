@@ -28,7 +28,7 @@ class Weights:
     def n(self):
         return len(self.a) - 1
 
-    @property
+    @cached_property
     def l(self):
         """Total weight l = sum(a_i)."""
         return sum(self.a)
@@ -41,8 +41,24 @@ class Weights:
                      for r in range(self.n + 2) for J in combinations(range(self.n + 1), r))
 
     @cached_property
+    def exterior_basis(self):
+        """The dual basis entry (|J|, e_J) of each subset J, in the order of
+        `subsets`: one e_J per subset, shared by every dual Ext space."""
+        return tuple((len(J), ExteriorBasisElement(J)) for J, _ in self.subsets)
+
+    @cached_property
     def _monomial_bases(self):
-        """Weighted degree -> its monomials, filled by `monomial_basis`."""
+        """Weighted degree -> its monomials, filled by `_monomials`."""
+        return {}
+
+    @cached_property
+    def _ext_bases(self):
+        """Gap k - j -> the basis of `ext_pushforward`, filled by it."""
+        return {}
+
+    @cached_property
+    def _dual_bases(self):
+        """Span k - i -> the basis of `dual_ext`, filled by it."""
         return {}
 
     def __repr__(self):
@@ -122,13 +138,18 @@ def monomial_basis(w, k):
     """All monomials of weighted degree k, in the fixed lexicographic order.
 
     The order (largest leading exponent first) is the basis order used in
-    every downstream table and certificate.  Each call returns a new
-    list; the monomials of a degree are built once per `Weights` object.
+    every downstream table and certificate.  Each call returns a new list
+    of the monomials that `_monomials` builds once per `Weights` object.
     """
+    return list(_monomials(w, k))
+
+
+def _monomials(w, k):
+    """The monomials of `monomial_basis(w, k)` as the tuple kept on `w`."""
     if k < 0:
-        return []
+        return ()
     if k in w._monomial_bases:
-        return list(w._monomial_bases[k])
+        return w._monomial_bases[k]
     out = []
 
     def rec(i, remaining, prefix):
@@ -140,8 +161,8 @@ def monomial_basis(w, k):
             rec(i + 1, remaining - e * w.a[i], prefix + (e,))
 
     rec(0, k, ())
-    w._monomial_bases[k] = tuple(out)
-    return out
+    basis = w._monomial_bases[k] = tuple(out)
+    return basis
 
 
 def sheaf_cohomology_dim(w, p, k):

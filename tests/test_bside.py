@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from perfbench.workloads import bside_hash, bside_pass, load
-from wpmirror import bside
+from wpmirror import weights
 from wpmirror.bside import (
     cm_sequence,
     compose_dual,
@@ -16,7 +16,7 @@ from wpmirror.bside import (
     resolution_summands,
     verify_prop6_via_resolution,
 )
-from wpmirror.weights import Weights, graded_dim
+from wpmirror.weights import Weights, graded_dim, monomial_basis
 
 THREE_AND_FOUR_WEIGHTS_L10 = [
     a for n in (3, 4)
@@ -89,6 +89,35 @@ class TestDualExt:
                     span = k - i
                     assert dual_ext(w, k, i).basis == \
                         dual_ext(w, max(span, 0), max(-span, 0)).basis, (a, k, i)
+
+
+class TestSharedTables:
+    """The bases that depend only on a gap or a span are built once per
+    `Weights` object and shared by every call on it."""
+
+    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (2, 3, 4, 1)])
+    def test_one_basis_per_span_and_gap(self, a):
+        w = Weights(a)
+        for k in range(w.l - 2):
+            for i in range(w.l - 2):
+                assert dual_ext(w, k, i).basis is dual_ext(w, k + 1, i + 1).basis
+                assert ext_pushforward(w, i, k).basis is ext_pushforward(w, i + 1, k + 1).basis
+
+    def test_fresh_weights_fresh_tables(self):
+        w, v = Weights((2, 3, 4, 1)), Weights((2, 3, 4, 1))
+        assert w.exterior_basis == v.exterior_basis
+        assert w.exterior_basis is not v.exterior_basis
+        for hom, args in ((dual_ext, (5, 1)), (ext_pushforward, (1, 5))):
+            assert hom(w, *args).basis == hom(v, *args).basis
+            assert hom(w, *args).basis is not hom(v, *args).basis
+
+    def test_monomial_basis_returns_a_new_list(self):
+        w = Weights((2, 3, 4, 1))
+        first = monomial_basis(w, 6)
+        first.clear()
+        assert monomial_basis(w, 6) is not monomial_basis(w, 6)
+        assert monomial_basis(w, 6) == [m for d, m in ext_pushforward(w, 0, 6).basis if d == 0]
+        assert len(monomial_basis(w, 6)) == graded_dim(w, 6)
 
 
 class TestComposeDual:
@@ -211,22 +240,23 @@ class TestResolution:
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (1, 1, 2, 3)])
     def test_one_label_per_subset(self, monkeypatch, a):
+        # Across every (k, i) of dual_ext and of the oracle on one Weights,
+        # each e_J is built at most once, and both hand out those objects.
         built = []
-        real_element = bside.ExteriorBasisElement
+        real_element = weights.ExteriorBasisElement
 
         def counting_element(subset):
             built.append(subset)
             return real_element(subset)
 
-        monkeypatch.setattr(bside, "ExteriorBasisElement", counting_element)
+        monkeypatch.setattr(weights, "ExteriorBasisElement", counting_element)
         w = Weights(a)
+        shared = {id(lab) for _, lab in w.exterior_basis}
         for k in range(w.l - 1):
             for i in range(w.l - 1):
-                built.clear()
-                hom = verify_prop6_via_resolution(w, k, i)
-                # One label per basis element, none for a subset left out.
-                assert built == [lab.subset for _, lab in hom.basis]
-                assert len(built) == len(set(built)) <= 2 ** (w.n + 1)
+                for hom in (dual_ext(w, k, i), verify_prop6_via_resolution(w, k, i)):
+                    assert {id(lab) for _, lab in hom.basis} <= shared
+        assert len(built) == len(set(built)) == 2 ** (w.n + 1)
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (2, 2, 5), (1, 1)])
     def test_oracle_agrees_with_dual_ext(self, a):

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import wpmirror
 from wpmirror import cli
 from wpmirror.cli import run
 from wpmirror.verify import hms_certificate
-from wpmirror.weights import Weights
+from wpmirror.weights import Weights, graded_dim
 
 
 def out_json(capsys):
@@ -64,6 +66,26 @@ class TestBside:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("key,")
         assert len(lines) == 17  # header + 4x4 pairs
+
+    def test_four_weights_ext_and_dual(self, capsys):
+        w = Weights((2, 3, 4, 1))
+        assert run(["bside", "ext", "--weights", "2,3,4,1"]) == 0
+        ext = out_json(capsys)
+        assert run(["bside", "dual", "--weights", "2,3,4,1"]) == 0
+        dual = out_json(capsys)
+        pairs = list(product(range(w.l - 1), repeat=2))
+        assert set(ext) == set(dual) == {f"{j},{k}" for j, k in pairs}
+        subsets = [J for r in range(5) for J in combinations(range(4), r)]
+        for j, k in pairs:
+            ext_dims = {"0": graded_dim(w, k - j), "1": graded_dim(w, k - j - 1)}
+            assert ext[f"{j},{k}"] == {d: v for d, v in ext_dims.items() if v}
+            # dual_ext from the simple at j to the simple at k: every subset
+            # of weight <= j - k, in degree |J|.
+            dual_dims = Counter(str(len(J)) for J in subsets if sum(w.a[x] for x in J) <= j - k)
+            assert dual[f"{j},{k}"] == dict(dual_dims)
+        for action in ("ext", "dual"):
+            assert run(["bside", action, "--weights", "2,3,4,1", "--format", "csv"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 1 + len(pairs)
 
     def test_resolve(self, capsys):
         assert run(["bside", "resolve", "--weights", "2,3"]) == 0

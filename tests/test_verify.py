@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from perfbench.workloads import BSIDE_L, bside_vectors
 from wpmirror import verify
 from wpmirror.aside import strip, words
 from wpmirror.bside import compose_dual, dual_ext
@@ -109,7 +110,47 @@ def direct_bside_digest(w):
     return entries
 
 
+def bside_digest_reference(w):
+    """Reference for bside_digest: every triple in turn, one product table
+    keyed by (subset0, subset1, k - i), and one sort of all entries at the
+    end."""
+    objects = range(w.l - 1)
+    bases = [[J for J, a in w.subsets if a <= span] for span in objects]
+    products = {}  # (subset0, subset1, k - i) -> (subset, sign) or None
+    entries = []
+    for i in objects:
+        for j in range(i + 1, w.l - 1):
+            for k in range(j + 1, w.l - 1):
+                for J0 in bases[j - i]:
+                    for J1 in bases[k - j]:
+                        key = (J0, J1, k - i)
+                        if key in products:
+                            found = products[key]
+                        else:
+                            found = products[key] = compose_dual(w, k - i, J0, J1)
+                        if found is not None:
+                            entries.append(((i, j, k), J0, J1, found[0], found[1]))
+    entries.sort()
+    return entries
+
+
 class TestBsideProductTable:
+    def test_matches_reference_bside_multi(self):
+        # Every vector of the benchmark's bside-multi workload.
+        vectors = bside_vectors(BSIDE_L)
+        assert len(vectors) == 223
+        signs = set()
+        for a in vectors:
+            digest = bside_digest(Weights(a))
+            assert digest == bside_digest_reference(Weights(a)), a
+            signs |= {e[4] for e in digest}
+        # Three or more weights give products with sign -1.
+        assert signs == {1, -1}
+
+    def test_matches_reference_certificates(self, certificates):
+        for a, cert in certificates.items():
+            assert cert.bside_digest == bside_digest_reference(Weights(a)), a
+
     def test_matches_direct_loop_three_and_four_weights(self):
         signs = set()
         for a in [a for n in (3, 4)
