@@ -123,6 +123,17 @@ def intersections(w, j, k):
     return points
 
 
+def points_by_kind(w, j, k):
+    """The intersection points of curves j < k keyed by their kind: the
+    pair's one set of point objects, built once per pair and `Weights`
+    object and shared by `hom_space` and the word search."""
+    table = w._tables["points"]
+    found = table.get((j, k))
+    if found is None:
+        found = table[j, k] = {p.kind: p for p in intersections(w, j, k)}
+    return found
+
+
 # Every angle of the Maslov pipeline is a multiple of pi / D with
 # D = 2(l - 1), so the pipeline runs on integers in that unit.
 
@@ -179,20 +190,14 @@ def maslov_degree(w, p):
     return mu // d
 
 
-def hom_space(w, j, k, points=None):
+def hom_space(w, j, k):
     """The morphism space from curve j to curve k: labeled intersection
-    points graded by Maslov degree; identity for j = k, zero for j > k.
-
-    `points`, for j < k, are the intersection points of the pair if the
-    caller has already built them; by default they are built here.
-    """
+    points graded by Maslov degree; identity for j = k, zero for j > k."""
     _require_strip_weights(w)
     if j == k:
         return BigradedHom(j, k, ((0, ExteriorBasisElement(())),))
     if j > k:
         return BigradedHom(j, k, ())
-    if points is None:
-        points = intersections(w, j, k)
-    basis = [(maslov_degree(w, p), p.label) for p in points]
+    basis = [(maslov_degree(w, p), p.label) for p in points_by_kind(w, j, k).values()]
     basis.sort(key=lambda t: (t[0], t[1].subset))
     return BigradedHom(j, k, tuple(basis))

@@ -19,7 +19,7 @@ which carry the product structure.
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .strip import PointKind, intersections
+from .strip import PointKind, points_by_kind
 
 SEG_PLUS = "s+"
 ARC = "C"
@@ -65,28 +65,12 @@ class DiscWord:
         return " ".join(str(x) for x in self.letters)
 
 
-# Point kind -> the pieces (lower curve, upper curve) that cross there.
-_KIND_PIECES = {
-    PointKind.ARC: (ARC, ARC),
-    PointKind.SEG_PM: (SEG_PLUS, SEG_MINUS),
-    PointKind.SEG_MP: (SEG_MINUS, SEG_PLUS),
+# The pieces (lower curve, upper curve) that cross at a point -> its kind.
+_PIECES_KIND = {
+    (ARC, ARC): PointKind.ARC,
+    (SEG_PLUS, SEG_MINUS): PointKind.SEG_PM,
+    (SEG_MINUS, SEG_PLUS): PointKind.SEG_MP,
 }
-
-
-def _point_table(w):
-    """The intersection points of curves lo < hi, keyed by the pieces
-    (lower, upper) that cross there, as a lookup that builds each pair once
-    and lives as long as the caller keeps it."""
-    table = {}
-
-    def points(lo, hi):
-        found = table.get((lo, hi))
-        if found is None:
-            found = table[lo, hi] = {_KIND_PIECES[p.kind]: p
-                                     for p in intersections(w, lo, hi)}
-        return found
-
-    return points
 
 
 def _seg_jump_ok(prev, nxt):
@@ -121,11 +105,10 @@ def _shape(letters, arcs):
     return None
 
 
-def _corner(prev, nxt, is_wrap, points):
+def _corner(w, prev, nxt, is_wrap):
     """The corner where `prev` hands over to `nxt`: a jump to a higher
     curve, or the wrap from the last letter back to the first.  Returns
-    (point, None), or (None, reason) when the two letters cannot meet.
-    `points` is the corner lookup of `_point_table`."""
+    (point, None), or (None, reason) when the two letters cannot meet."""
     if prev.piece == ARC and nxt.piece == ARC:
         if prev.sign == nxt.sign and not is_wrap:
             return None, "orientation pairing"
@@ -138,7 +121,8 @@ def _corner(prev, nxt, is_wrap, points):
     else:
         return None, "missing corner"
     lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
-    point = points(lower.curve, upper.curve).get((lower.piece, upper.piece))
+    point = points_by_kind(w, lower.curve, upper.curve).get(
+        _PIECES_KIND.get((lower.piece, upper.piece)))
     if point is None:
         return None, "missing corner"
     return point, None
@@ -167,7 +151,7 @@ def _monotone(letter, corner_in, corner_out):
     return a != b and (a < b) == (letter.sign > 0)
 
 
-def enumerate_accepted_words(w, points=None):
+def enumerate_accepted_words(w):
     """Exhaustively enumerate the accepted words on the curves 0..l-2.
 
     The search walks extendable letter sequences and prunes prefixes that
@@ -188,13 +172,8 @@ def enumerate_accepted_words(w, points=None):
     the gap.  Curves never decrease along a word, so the words from curve c
     are the curve-0 words whose last letter lies on a curve <= l-2-c,
     shifted by c, in the same order.  So the search runs from curve 0 only;
-    the copies take the interned letters and the corners of `points`.
-
-    `points` is a `_point_table(w)` the caller shares; by default the call
-    builds its own.
+    the copies take the interned letters and the corners of `points_by_kind`.
     """
-    if points is None:
-        points = _point_table(w)
     accepted = []
 
     def may_extend(arcs, seg_count):
@@ -210,7 +189,7 @@ def enumerate_accepted_words(w, points=None):
     # id, which is cheaper than the dataclass hash.
     interned = {}  # (piece, curve, sign) -> the one Letter of this call
     successor_table = {}  # id(letter) -> ((next letter, jump corner or None), ...)
-    # id(last) -> _corner(last, first, True, points) for the first letter of
+    # id(last) -> _corner(w, last, first, True) for the first letter of
     # the subtree being searched; cleared when the first letter changes.
     wraps = {}
 
@@ -230,7 +209,7 @@ def enumerate_accepted_words(w, points=None):
             return
         found = wraps.get(id(last))
         if found is None:
-            found = wraps[id(last)] = _corner(last, first, True, points)
+            found = wraps[id(last)] = _corner(w, last, first, True)
         wrap = found[0]
         if wrap is None:
             return
@@ -257,7 +236,7 @@ def enumerate_accepted_words(w, points=None):
         for c2 in range(last.curve + 1, w.l - 1):
             for sign in (1, -1):
                 cand = letter(piece, c2, sign)
-                corner = _corner(last, cand, False, points)[0]
+                corner = _corner(w, last, cand, False)[0]
                 if corner is not None:
                     out.append((cand, corner))
         found = successor_table[id(last)] = tuple(out)
@@ -300,8 +279,8 @@ def enumerate_accepted_words(w, points=None):
             shifts = range(w.l - 1 - x.curve)
             chains[id(x)] = [letter(x.piece, x.curve + c, x.sign) for c in shifts]
         else:
-            pieces = _KIND_PIECES[x.kind]
-            chains[id(x)] = [points(x.j + c, x.k + c)[pieces] for c in range(w.l - 1 - x.k)]
+            chains[id(x)] = [points_by_kind(w, x.j + c, x.k + c)[x.kind]
+                             for c in range(w.l - 1 - x.k)]
     # A word's last letter and its wrap corner lie on its top curve, so
     # zip stops at the last shift that keeps the word on the curves.
     copies = [zip(zip(*[chains[id(x)] for x in word.letters]),

@@ -438,9 +438,9 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
     import numpy as np  # on first use: the exact commands never load numpy
 
     t_schedule = [Fraction(t) for t in t_schedule]
-    if any(t <= 0 for t in t_schedule) or any(
+    if not t_schedule or any(t <= 0 for t in t_schedule) or any(
             a <= b for a, b in zip(t_schedule, t_schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing and positive")
+        raise ValueError("schedule must be nonempty, strictly decreasing and positive")
 
     a_all = sorted(set(b.cell0.A) | set(b.cell1.A))
     if any(len(p) != 1 for p in a_all):
@@ -547,6 +547,20 @@ def _config_point(p):
     return (p,)
 
 
+def _config_number(value, what):
+    """A config number, a JSON number or a string such as "3/2" or "1e-3",
+    as an exact Fraction in float range; `what` names it in a refusal."""
+    try:
+        number = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    try:
+        float(number)
+    except OverflowError:
+        raise ValueError(f"{what} is outside float range: {value!r}")
+    return number
+
+
 def load_config(path):
     """Read a tracking-experiment config: marked points, the two cells,
     coefficients or a seed, the schedule, and the tolerance.  A value of
@@ -572,14 +586,16 @@ def load_config(path):
     if not 0 < cfg["tolerance"] < float("inf"):
         raise ValueError(f"tolerance must be positive and finite, got {cfg['tolerance']}")
     schedule = raw.get("t_schedule", list(DEFAULT_T_SCHEDULE))
-    if not isinstance(schedule, list):
-        raise ValueError(f"t_schedule must be a list, got {schedule!r}")
-    cfg["t_schedule"] = [Fraction(str(t)) for t in schedule]
+    if not isinstance(schedule, list) or not schedule:
+        raise ValueError(f"t_schedule must be a nonempty list, got {schedule!r}")
+    cfg["t_schedule"] = [_config_number(t, "a t_schedule entry") for t in schedule]
     if "coefficients" in raw:
         if not isinstance(raw["coefficients"], dict):
             raise ValueError("coefficients must be a JSON object")
-        cfg["coefficients"] = {_config_point(json.loads(k)): Fraction(str(v))
-                               for k, v in raw["coefficients"].items()}
+        cfg["coefficients"] = {}
+        for k, v in raw["coefficients"].items():
+            p = _config_point(json.loads(k))
+            cfg["coefficients"][p] = _config_number(v, f"the coefficient at {_show(p)}")
     return cfg
 
 

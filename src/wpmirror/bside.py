@@ -6,7 +6,7 @@ generation certificate for the exceptional range [0, l-2].
 
 from dataclasses import dataclass, field
 
-from .weights import _monomials
+from .weights import monomial_basis
 
 
 def _check_object_index(w, idx, name="index"):
@@ -44,10 +44,11 @@ def ext_pushforward(w, j, k):
     """
     _check_object_index(w, j, "source")
     _check_object_index(w, k, "target")
-    basis = w._ext_bases.get(k - j)
+    table = w._tables["ext"]
+    basis = table.get(k - j)
     if basis is None:  # empty for k < j: no monomial has a negative degree
-        basis = w._ext_bases[k - j] = (tuple((0, m) for m in _monomials(w, k - j))
-                                       + tuple((1, m) for m in _monomials(w, k - j - 1)))
+        basis = table[k - j] = (tuple((0, m) for m in monomial_basis(w, k - j))
+                                + tuple((1, m) for m in monomial_basis(w, k - j - 1)))
     return BigradedHom(j, k, basis)
 
 
@@ -58,9 +59,10 @@ def dual_ext(w, k, i):
     `Weights` object, from the shared entries of `w.exterior_basis`."""
     _check_object_index(w, k, "source")
     _check_object_index(w, i, "target")
-    basis = w._dual_bases.get(k - i)
+    table = w._tables["dual"]
+    basis = table.get(k - i)
     if basis is None:
-        basis = w._dual_bases[k - i] = tuple(
+        basis = table[k - i] = tuple(
             e for (_, weight), e in zip(w.subsets, w.exterior_basis) if weight <= k - i)
     return BigradedHom(k, i, basis)
 

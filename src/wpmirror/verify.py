@@ -16,7 +16,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
-from .aside.words import _point_table
 from .bside import compose_dual, dual_ext, verify_prop6_via_resolution
 from .weights import Weights
 
@@ -32,18 +31,15 @@ CONVENTIONS = {
 }
 
 
-def aside_digest(w, words=None):
-    """Sorted nonzero two-fold product table of the Fukaya side: each
-    accepted triangle contributes exactly one structure constant +1, keyed
-    by the triple and the three point labels.
+def aside_digest(words):
+    """Sorted nonzero two-fold product table of the Fukaya side, from the
+    accepted words of one enumeration: each accepted triangle contributes
+    exactly one structure constant +1, keyed by the triple and the three
+    point labels.
 
-    `words` are the accepted words of `w` if the caller has already
-    enumerated them; by default one exhaustive enumeration is run here.
     Entries on both sides have one form, `((i, j, k), J0, J1, Jout, c)`
     with int tuples, from construction to the encoded certificate.
     """
-    if words is None:
-        words = enumerate_accepted_words(w)
     entries = []
     for word in words:
         if len(word.corners) != 3:
@@ -59,16 +55,17 @@ def bside_digest(w):
     """Sorted nonzero truncated-wedge product table of the dual algebra,
     over the same index triples and labels.
 
-    The basis of `dual_ext(w, k, i)` depends only on the span k - i, and a
-    product of two basis elements only on their subsets and the span, so
-    the products of a triple (i, j, k) depend only on its gaps (j - i,
-    k - j).  Each gap pair's nonzero products are listed once per call, as
-    the sorted tails (J0, J1, Jout, sign) of its entries, with one
-    `compose_dual` per distinct (J0, J1, span).  Triples run in sorted
-    order, so the entries come out sorted.
+    The basis of `dual_ext(w, k, i)` depends only on the span k - i, and
+    each span's subsets are read from it.  A product of two basis elements
+    depends only on their subsets and the span, so the products of a
+    triple (i, j, k) depend only on its gaps (j - i, k - j).  Each gap
+    pair's nonzero products are listed once per call, as the sorted tails
+    (J0, J1, Jout, sign) of its entries, with one `compose_dual` per
+    distinct (J0, J1, span).  Triples run in sorted order, so the entries
+    come out sorted.
     """
     n_objects = w.l - 1
-    bases = [[J for J, a in w.subsets if a <= span] for span in range(n_objects)]
+    bases = [[e.subset for _, e in dual_ext(w, span, 0).basis] for span in range(n_objects)]
     products = {}  # (subset0, subset1, k - i) -> (subset, sign) or None
     tails = {}  # (j - i, k - j) -> sorted (subset0, subset1, subset, sign)
     for gap0 in range(1, n_objects):
@@ -220,14 +217,13 @@ def hms_certificate(w, corrupt=None):
     objects = range(w.l - 1)
     # Both sides depend only on the gap k - j (the translation lemma of
     # `enumerate_accepted_words`), so each basis is built once per gap, the
-    # dual one once per signed span.  One point table serves the dimension
-    # table and the word search, so each pair's intersections are built once.
+    # dual one once per signed span.  The dimension table and the word
+    # search read each pair's intersections from the one table on `w`.
     dual = {s: dual_ext(w, max(s, 0), max(-s, 0)) for s in range(2 - w.l, w.l - 1)}
-    points = _point_table(w)
 
     by_gap = []  # gap -> (dim_table entry, A-side dims, B-side dims, labels agree)
     for gap in objects:
-        hom_a, hom_b = hom_space(w, 0, gap, points(0, gap).values() if gap else None), dual[gap]
+        hom_a, hom_b = hom_space(w, 0, gap), dual[gap]
         da, db = hom_a.dims_by_degree, hom_b.dims_by_degree
         by_gap.append(({"aside": {str(d): v for d, v in sorted(da.items())},
                         "bside": {str(d): v for d, v in sorted(db.items())}}, da, db,
@@ -246,9 +242,9 @@ def hms_certificate(w, corrupt=None):
 
     # One enumeration serves both the triangle digest and the higher-product
     # report.
-    words = enumerate_accepted_words(w, points=points)
+    words = enumerate_accepted_words(w)
     hp = higher_product_report(words)
-    dig_a = aside_digest(w, words)
+    dig_a = aside_digest(words)
     dig_b = bside_digest(w)
     if corrupt is not None:
         side, idx = corrupt

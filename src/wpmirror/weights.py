@@ -47,19 +47,14 @@ class Weights:
         return tuple((len(J), ExteriorBasisElement(J)) for J, _ in self.subsets)
 
     @cached_property
-    def _monomial_bases(self):
-        """Weighted degree -> its monomials, filled by `_monomials`."""
-        return {}
-
-    @cached_property
-    def _ext_bases(self):
-        """Gap k - j -> the basis of `ext_pushforward`, filled by it."""
-        return {}
-
-    @cached_property
-    def _dual_bases(self):
-        """Span k - i -> the basis of `dual_ext`, filled by it."""
-        return {}
+    def _tables(self):
+        """The facts that depend on these weights alone, one table per
+        owner, each entry built once and freed with the object: "monomials"
+        (degree -> the monomials of `monomial_basis`), "ext" (gap k - j ->
+        the basis of `bside.ext_pushforward`), "dual" (span k - i -> the
+        basis of `bside.dual_ext`) and "points" (curve pair (j, k) -> the
+        lookup of `aside.strip.points_by_kind`)."""
+        return {"monomials": {}, "ext": {}, "dual": {}, "points": {}}
 
     def __repr__(self):
         return f"Weights{self.a}"
@@ -138,31 +133,27 @@ def monomial_basis(w, k):
     """All monomials of weighted degree k, in the fixed lexicographic order.
 
     The order (largest leading exponent first) is the basis order used in
-    every downstream table and certificate.  Each call returns a new list
-    of the monomials that `_monomials` builds once per `Weights` object.
+    every downstream table and certificate.  The monomials of a degree are
+    built once per `Weights` object; each call returns a new list of them.
     """
-    return list(_monomials(w, k))
-
-
-def _monomials(w, k):
-    """The monomials of `monomial_basis(w, k)` as the tuple kept on `w`."""
     if k < 0:
-        return ()
-    if k in w._monomial_bases:
-        return w._monomial_bases[k]
-    out = []
+        return []
+    table = w._tables["monomials"]
+    basis = table.get(k)
+    if basis is None:
+        out = []
 
-    def rec(i, remaining, prefix):
-        if i == w.n:
-            if remaining % w.a[i] == 0:
-                out.append(Monomial(prefix + (remaining // w.a[i],)))
-            return
-        for e in range(remaining // w.a[i], -1, -1):
-            rec(i + 1, remaining - e * w.a[i], prefix + (e,))
+        def rec(i, remaining, prefix):
+            if i == w.n:
+                if remaining % w.a[i] == 0:
+                    out.append(Monomial(prefix + (remaining // w.a[i],)))
+                return
+            for e in range(remaining // w.a[i], -1, -1):
+                rec(i + 1, remaining - e * w.a[i], prefix + (e,))
 
-    rec(0, k, ())
-    basis = w._monomial_bases[k] = tuple(out)
-    return basis
+        rec(0, k, ())
+        basis = table[k] = tuple(out)
+    return list(basis)
 
 
 def sheaf_cohomology_dim(w, p, k):

@@ -335,6 +335,8 @@ class TestTracking:
             track_splitting(B1D, t_schedule=[Fraction(1, 10), Fraction(1, 10)])
         with pytest.raises(ValueError):
             track_splitting(B1D, t_schedule=[Fraction(1, 10), Fraction(-1, 100)])
+        with pytest.raises(ValueError):
+            track_splitting(B1D, t_schedule=[])
 
     def test_generic_coefficients_are_small_nonzero(self):
         coeffs = seeded_coefficients([(-1,), (0,), (1,), (2,)], seed=7, tolerance=1e-4,

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, output
 formats, and the SVG/config side channels."""
 
+import ast
 import json
 import os
 import subprocess
@@ -440,8 +441,18 @@ class TestBisect:
         ({"tolerance": "nan"}, "error: bad config: tolerance must be"),
         ({"coefficients": {"0": 1, "1": 2, "2": 1}}, "error: the coefficients and the marked "
                                                      "points differ at -1"),
+        ({"t_schedule": []}, "error: bad config: t_schedule must be a nonempty list, got []\n"),
+        ({"t_schedule": ["1/10", "1/0"]},
+         "error: bad config: a t_schedule entry is not a number: '1/0'\n"),
+        ({"t_schedule": ["1e400", "1/10"]},
+         "error: bad config: a t_schedule entry is outside float range: '1e400'\n"),
+        ({"coefficients": {"-1": 1, "0": "1/0", "1": 1, "2": 1}},
+         "error: bad config: the coefficient at 0 is not a number: '1/0'\n"),
+        ({"coefficients": {"-1": 1, "0": 1, "1": 1, "2": "1e400"}},
+         "error: bad config: the coefficient at 2 is outside float range: '1e400'\n"),
     ], ids=["A-int", "A0-empty", "point-nested", "point-float", "schedule-int", "seed-list",
-            "tolerance-nan", "coefficient-missing"])
+            "tolerance-nan", "coefficient-missing", "schedule-empty", "schedule-zero-denominator",
+            "schedule-huge", "coefficient-zero-denominator", "coefficient-huge"])
     def test_bad_config_shape_invalid(self, capsys, tmp_path, change, message):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
@@ -522,3 +533,17 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr or "numpy was loaded"
+
+    def test_no_private_name_imported_across_modules(self):
+        # A private helper is used in its own module only; the others reach
+        # what it computes through public calls.  Dunder names are public.
+        root = Path(wpmirror.__file__).resolve().parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").startswith("wpmirror")):
+                    found += [f"{path.relative_to(root)}:{node.lineno} {alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_") and not alias.name.endswith("__")]
+        assert found == []

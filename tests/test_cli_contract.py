@@ -126,6 +126,7 @@ def test_exit_code_contract(argv):
 @given(config=CONFIGS, action=st.sampled_from(["validate", "weights", "track"]))
 @example(config={**GOOD, "A": 5}, action="track")
 @example(config={**GOOD, "t_schedule": 5}, action="track")
+@example(config={**GOOD, "t_schedule": []}, action="track")
 @example(config={**GOOD, "A": [[[1]]]}, action="track")
 @example(config={**GOOD, "seed": [1]}, action="track")
 @example(config={**GOOD, "coefficients": {"0": 1, "1": 2, "2": 1}}, action="track")

@@ -1,6 +1,8 @@
 """Tests for the cross-verification certificates and the sweep."""
 
+import gc
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 from perfbench.workloads import BSIDE_L, bside_vectors
 from wpmirror import verify
 from wpmirror.aside import strip, words
-from wpmirror.bside import compose_dual, dual_ext
+from wpmirror.bside import compose_dual, dual_ext, ext_pushforward
 from wpmirror.verify import aside_digest, bside_digest, hms_certificate, sweep
-from wpmirror.weights import Weights
+from wpmirror.weights import Weights, monomial_basis
 
 
 class TestCertificate:
@@ -80,9 +82,8 @@ class TestOncePerCertificate:
             return real_intersections(w, j, k)
 
         monkeypatch.setattr(verify, "enumerate_accepted_words", counting_enumerate)
-        # Every module that looks `intersections` up by name, so the count
-        # covers the dimension table as well as the word search.
-        monkeypatch.setattr(words, "intersections", counting_intersections)
+        # `points_by_kind` builds each pair's points for the dimension
+        # table and the word search alike.
         monkeypatch.setattr(strip, "intersections", counting_intersections)
         cert = hms_certificate(Weights(a))
         assert cert.passed
@@ -90,6 +91,20 @@ class TestOncePerCertificate:
         # Exactly one build per pair j < k for the whole certificate.
         l = sum(a)
         assert built == Counter({(j, k): 1 for j in range(l - 1) for k in range(j + 1, l - 1)})
+
+    def test_weights_collected_with_its_tables(self):
+        # The tables live on the object alone: once the caller drops a
+        # `Weights` it has certified, the object and every table entry go.
+        w = Weights((2, 5))
+        assert hms_certificate(w).passed
+        kept = [w, monomial_basis(w, 7)[0], ext_pushforward(w, 0, 5).basis[-1][1],
+                dual_ext(w, 5, 0).basis[-1][1],
+                strip.points_by_kind(w, 0, 5)[strip.PointKind.SEG_MP]]
+        assert all(w._tables.values())
+        refs = [weakref.ref(x) for x in kept]
+        del w, kept
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def direct_bside_digest(w):
@@ -250,7 +265,7 @@ class TestDigestEncoding:
     def test_public_digests_match_certificate(self, certificates_l12):
         # Criterion 2 reads the two tables from the certificates.
         for a, cert in certificates_l12.items():
-            assert aside_digest(Weights(a)) == cert.aside_digest, a
+            assert aside_digest(words.enumerate_accepted_words(Weights(a))) == cert.aside_digest, a
             assert bside_digest(Weights(a)) == cert.bside_digest, a
 
 
@@ -285,8 +300,8 @@ class TestComponentMutation:
         For (2, 3) it is e() in degree 0 and e0, e1 in degree 1."""
         real = verify.hom_space
 
-        def hom_space(w, j, k, points=None):
-            hom = real(w, j, k, points)
+        def hom_space(w, j, k):
+            hom = real(w, j, k)
             if (j, k) == (0, 3):
                 assert [(d, lab.subset) for d, lab in hom.basis] == [(0, ()), (1, (0,)), (1, (1,))]
                 hom = replace(hom, basis=change_basis(list(hom.basis)))

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from wpmirror.aside.strip import IntersectionPoint, PointKind
+from wpmirror.aside.strip import IntersectionPoint, PointKind, points_by_kind
 from wpmirror.aside.words import (
     _FLOW_ORDER,
-    _KIND_PIECES,
     _NEXT_PIECE,
     _OTHER_SEGMENT,
     ARC,
@@ -18,7 +17,6 @@ from wpmirror.aside.words import (
     Letter,
     _corner,
     _monotone,
-    _point_table,
     _shape,
     enumerate_accepted_words,
     higher_product_report,
@@ -97,11 +95,10 @@ def canonical_triangle(letters):
     return None
 
 
-def word_rules(letters, points):
+def word_rules(w, letters):
     """Core rule pipeline on a nonempty word of letters on the curves
     0..l-2, the reference the word search is tested against.  Returns
-    (corners, None) on accept or (None, reason) on reject.  `points` is the
-    corner lookup of `_point_table`."""
+    (corners, None) on accept or (None, reason) on reject."""
     curves = [x.curve for x in letters]
     if sorted(curves) != curves:
         return None, "non-decreasing subscripts"
@@ -138,8 +135,8 @@ def word_rules(letters, points):
     starts = [i for i in range(last) if curves[i] != curves[i + 1]] + [last]
     corners = []
     for i in starts:
-        point, reason = _corner(letters[i], letters[(i + 1) % len(letters)],
-                                i == last, points)
+        point, reason = _corner(w, letters[i], letters[(i + 1) % len(letters)],
+                                i == last)
         if point is None:
             return None, reason
         corners.append(point)
@@ -160,7 +157,6 @@ def all_first_curves_search(w):
     """The pruned search started from every first curve in turn, as it ran
     before the translation lemma of `enumerate_accepted_words` let the
     search start from curve 0 alone: the reference for that lemma."""
-    points = _point_table(w)
     accepted = []
 
     def may_extend(arcs, seg_count):
@@ -188,7 +184,7 @@ def all_first_curves_search(w):
             return
         found = wraps.get(id(last))
         if found is None:
-            found = wraps[id(last)] = _corner(last, first, True, points)
+            found = wraps[id(last)] = _corner(w, last, first, True)
         wrap = found[0]
         if wrap is None:
             return
@@ -210,7 +206,7 @@ def all_first_curves_search(w):
         for c2 in range(last.curve + 1, w.l - 1):
             for sign in (1, -1):
                 cand = letter(piece, c2, sign)
-                corner = _corner(last, cand, False, points)[0]
+                corner = _corner(w, last, cand, False)[0]
                 if corner is not None:
                     out.append((cand, corner))
         found = successor_table[id(last)] = tuple(out)
@@ -248,10 +244,9 @@ def all_first_curves_search(w):
 def reference_search(w, max_len):
     """The search as it was before pruning: `word_rules` on every closable
     word."""
-    points = _point_table(w)
     accepted = []
     for word in closable_words(w, max_len):
-        corners, _ = word_rules(word, points)
+        corners, _ = word_rules(w, word)
         if corners is not None:
             accepted.append(DiscWord(word, corners))
     return accepted
@@ -259,7 +254,7 @@ def reference_search(w, max_len):
 
 def classify(w, letters):
     """(True, None) when the rules accept `letters`, else (False, reason)."""
-    corners, reason = word_rules(tuple(letters), _point_table(w))
+    corners, reason = word_rules(w, tuple(letters))
     return corners is not None, reason
 
 
@@ -331,9 +326,8 @@ class TestEnumeration:
         # search carried, on every pair with l <= 10.
         for a in pairs_up_to(10):
             w = Weights(a)
-            points = _point_table(w)
             for word in enumerate_accepted_words(w):
-                assert word_rules(word.letters, points) == (word.corners, None)
+                assert word_rules(w, word.letters) == (word.corners, None)
                 assert len(word.corners) == 3
 
     def test_equal_letters_are_one_object(self):
@@ -434,14 +428,13 @@ class TestTranslation:
 
     def test_shifted_corners_are_the_shared_points(self):
         # Every corner, of a curve-0 word or of a shifted copy, is the
-        # object of the caller's point table.
+        # object of the point table of `w`.
         w = Weights((2, 5))
-        points = _point_table(w)
-        words = enumerate_accepted_words(w, points=points)
+        words = enumerate_accepted_words(w)
         assert {word.letters[0].curve for word in words} == set(range(w.l - 3))
         for word in words:
             for p in word.corners:
-                assert points(p.j, p.k)[_KIND_PIECES[p.kind]] is p
+                assert points_by_kind(w, p.j, p.k)[p.kind] is p
 
 
 class TestLengthBound:
@@ -459,11 +452,10 @@ class TestLengthBound:
         long_words = 0
         for a in pairs_up_to(10):
             w = Weights(a)
-            points = _point_table(w)
             for word in closable_words(w, 8, caps=False):
                 if len(word) >= 6:
                     long_words += 1
-                    assert word_rules(word, points)[0] is None, (a, word)
+                    assert word_rules(w, word)[0] is None, (a, word)
         assert long_words > 1000
 
 
