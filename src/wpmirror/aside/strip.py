@@ -106,20 +106,19 @@ def intersections(w, j, k):
     _require_strip_weights(w)
     if not 0 <= j < k <= w.l - 2:
         raise ValueError(f"need 0 <= j < k <= l-2, got j={j}, k={k}")
-    points = [IntersectionPoint(j, k, PointKind.ARC, None, None,
-                                ExteriorBasisElement(()))]
+    # The shared labels; for two weights the subsets are (), (0,), (1,), (0, 1).
+    (_, e_empty), (_, e_0), (_, e_1) = w.exterior_basis[:3]
+    points = [IntersectionPoint(j, k, PointKind.ARC, None, None, e_empty)]
     if w.a[0] <= k - j:
         x = _seg_pm_x(w, j, k)
         if not 0 < x < 1:
             raise ArithmeticError(f"seg_pm x={x} outside (0,1)")
-        points.append(IntersectionPoint(j, k, PointKind.SEG_PM, x, 0,
-                                        ExteriorBasisElement((0,))))
+        points.append(IntersectionPoint(j, k, PointKind.SEG_PM, x, 0, e_0))
     if w.a[1] <= k - j:
         x = _seg_mp_x(w, j, k)
         if not 0 < x < 1:
             raise ArithmeticError(f"seg_mp x={x} outside (0,1)")
-        points.append(IntersectionPoint(j, k, PointKind.SEG_MP, x, -1,
-                                        ExteriorBasisElement((1,))))
+        points.append(IntersectionPoint(j, k, PointKind.SEG_MP, x, -1, e_1))
     return points
 
 
@@ -195,7 +194,7 @@ def hom_space(w, j, k):
     points graded by Maslov degree; identity for j = k, zero for j > k."""
     _require_strip_weights(w)
     if j == k:
-        return BigradedHom(j, k, ((0, ExteriorBasisElement(())),))
+        return BigradedHom(j, k, ((0, w.exterior_basis[0][1]),))
     if j > k:
         return BigradedHom(j, k, ())
     basis = [(maslov_degree(w, p), p.label) for p in points_by_kind(w, j, k).values()]

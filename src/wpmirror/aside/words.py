@@ -17,7 +17,6 @@ which carry the product structure.
 """
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .strip import PointKind, points_by_kind
 
@@ -152,7 +151,8 @@ def _monotone(letter, corner_in, corner_out):
 
 
 def enumerate_accepted_words(w):
-    """Exhaustively enumerate the accepted words on the curves 0..l-2.
+    """Exhaustively enumerate the accepted words on the curves 0..l-2, one
+    per translation orbit: the words whose first letter is on curve 0.
 
     The search walks extendable letter sequences and prunes prefixes that
     can no longer satisfy the word rules of the module docstring.  It checks each jump
@@ -171,8 +171,9 @@ def enumerate_accepted_words(w):
     indices, whose order a shift keeps, and `maslov_degree` too reads only
     the gap.  Curves never decrease along a word, so the words from curve c
     are the curve-0 words whose last letter lies on a curve <= l-2-c,
-    shifted by c, in the same order.  So the search runs from curve 0 only;
-    the copies take the interned letters and the corners of `points_by_kind`.
+    shifted by c, in the same order.  So the search runs from curve 0 only,
+    and each word it returns stands for its orbit, its copies shifted by
+    c = 0 .. l-2-top, where top is the curve of its last letter.
     """
     accepted = []
 
@@ -271,23 +272,7 @@ def enumerate_accepted_words(w):
             dfs((letter(piece, 0, sign),), (), (0,) if is_arc else (),
                 int(not is_arc), int(not is_arc))
 
-    # Each letter and corner of a curve-0 word, by id, with its copies
-    # shifted by c = 0, 1, ... while they stay on the curves 0..l-2.
-    chains = {}
-    for x in {id(x): x for word in accepted for x in word.letters + word.corners}.values():
-        if isinstance(x, Letter):
-            shifts = range(w.l - 1 - x.curve)
-            chains[id(x)] = [letter(x.piece, x.curve + c, x.sign) for c in shifts]
-        else:
-            chains[id(x)] = [points_by_kind(w, x.j + c, x.k + c)[x.kind]
-                             for c in range(w.l - 1 - x.k)]
-    # A word's last letter and its wrap corner lie on its top curve, so
-    # zip stops at the last shift that keeps the word on the curves.
-    copies = [zip(zip(*[chains[id(x)] for x in word.letters]),
-                  zip(*[chains[id(p)] for p in word.corners]))
-              for word in accepted]
-    # Row c holds each word's copy shifted by c, or None past its top curve.
-    return [DiscWord(*copy) for row in zip_longest(*copies) for copy in row if copy]
+    return accepted
 
 
 @dataclass
@@ -298,9 +283,12 @@ class HigherProductReport:
     offenders: list
 
 
-def higher_product_report(words):
+def higher_product_report(w, words):
     """Check that every word of one enumeration is a triangle (three
     corners), so no products beyond the two-fold one receive contributions.
+
+    Each of `words` stands for its orbit (`enumerate_accepted_words`) and
+    is counted once per shift; `offenders` lists the words themselves.
 
     Lemma (length bound).  The search never builds a word of more than 5
     letters, so no accepted word has more; the search's caps and gap
@@ -317,13 +305,13 @@ def higher_product_report(words):
     counts = {}
     offenders = []
     for word in words:
-        counts[len(word.letters)] = counts.get(len(word.letters), 0) + 1
+        n = len(word.letters)
+        counts[n] = counts.get(n, 0) + w.l - 1 - word.letters[-1].curve
         if len(word.corners) != 3:
             offenders.append(word)
     return HigherProductReport(
         ok=not offenders,
-        accepted_count=len(words),
+        accepted_count=sum(counts.values()),
         counts_by_length=counts,
         offenders=offenders,
     )
-

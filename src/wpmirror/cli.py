@@ -278,11 +278,11 @@ def run(argv=None):
             raise ValueError(_CSV_NEEDS_TABLE)
         payload, passed = args.func(args)
         _emit(payload, args.format)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         # Input the library cannot work with: a bad value, an arithmetic
-        # invariant, a seeded draw that found no generic configuration, or
-        # an output path that cannot be written.
-        print(f"error: {exc}", file=sys.stderr)
+        # invariant, a seeded draw that found no generic configuration, an
+        # output path that cannot be written, or a size past the memory.
+        print(f"error: {str(exc) or 'not enough memory for this input'}", file=sys.stderr)
         return 2
     return 0 if passed else 1
 

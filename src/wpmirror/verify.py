@@ -31,24 +31,40 @@ CONVENTIONS = {
 }
 
 
-def aside_digest(words):
+def _triple_entries(n_objects, tails):
+    """The entries `((i, j, k), J0, J1, Jout, c)` of every triple i < j < k
+    < n_objects, one per tail in the sorted list `tails[j - i, k - j]` of its
+    gaps: both digests come out sorted, with no sort of the whole table."""
+    return [(triple, J0, J1, Jout, c)
+            for i in range(n_objects)
+            for j in range(i + 1, n_objects)
+            for k in range(j + 1, n_objects)
+            for triple in [(i, j, k)]
+            for J0, J1, Jout, c in tails.get((j - i, k - j), ())]
+
+
+def aside_digest(w, words):
     """Sorted nonzero two-fold product table of the Fukaya side, from the
     accepted words of one enumeration: each accepted triangle contributes
     exactly one structure constant +1, keyed by the triple and the three
     point labels.
 
-    Entries on both sides have one form, `((i, j, k), J0, J1, Jout, c)`
-    with int tuples, from construction to the encoded certificate.
+    Each word stands for its orbit (`enumerate_accepted_words`), whose
+    copies reach every triple with its gaps (g0, g1) with the same labels,
+    so a triangle gives its gap pair one tail (J0, J1, Jout, 1).  Entries
+    on both sides have one form, `((i, j, k), J0, J1, Jout, c)` with int
+    tuples, from construction to the encoded certificate.
     """
-    entries = []
+    tails = {}  # (j - i, k - j) -> sorted (subset0, subset1, subset, 1)
     for word in words:
         if len(word.corners) != 3:
             continue
         p0, p1, out = word.corners
-        entries.append(((p0.j, p0.k, p1.k), p0.label.subset, p1.label.subset,
-                        out.label.subset, 1))
-    entries.sort()
-    return entries
+        tails.setdefault((p0.k - p0.j, p1.k - p0.k), []).append(
+            (p0.label.subset, p1.label.subset, out.label.subset, 1))
+    for tail in tails.values():
+        tail.sort()
+    return _triple_entries(w.l - 1, tails)
 
 
 def bside_digest(w):
@@ -61,8 +77,7 @@ def bside_digest(w):
     triple (i, j, k) depend only on its gaps (j - i, k - j).  Each gap
     pair's nonzero products are listed once per call, as the sorted tails
     (J0, J1, Jout, sign) of its entries, with one `compose_dual` per
-    distinct (J0, J1, span).  Triples run in sorted order, so the entries
-    come out sorted.
+    distinct (J0, J1, span).
     """
     n_objects = w.l - 1
     bases = [[e.subset for _, e in dual_ext(w, span, 0).basis] for span in range(n_objects)]
@@ -82,12 +97,7 @@ def bside_digest(w):
                         tail.append((J0, J1) + found)
             tail.sort()
             tails[gap0, gap1] = tail
-    return [(triple, J0, J1, Jout, sign)
-            for i in range(n_objects)
-            for j in range(i + 1, n_objects)
-            for k in range(j + 1, n_objects)
-            for triple in [(i, j, k)]
-            for J0, J1, Jout, sign in tails[j - i, k - j]]
+    return _triple_entries(n_objects, tails)
 
 
 def _json_text(value):
@@ -243,8 +253,8 @@ def hms_certificate(w, corrupt=None):
     # One enumeration serves both the triangle digest and the higher-product
     # report.
     words = enumerate_accepted_words(w)
-    hp = higher_product_report(words)
-    dig_a = aside_digest(words)
+    hp = higher_product_report(w, words)
+    dig_a = aside_digest(w, words)
     dig_b = bside_digest(w)
     if corrupt is not None:
         side, idx = corrupt

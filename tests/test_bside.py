@@ -7,6 +7,7 @@ import pytest
 
 from perfbench.workloads import bside_hash, bside_pass, load
 from wpmirror import weights
+from wpmirror.aside import strip
 from wpmirror.bside import (
     cm_sequence,
     compose_dual,
@@ -238,10 +239,12 @@ class TestResolution:
                     assert (hom.source, hom.target) == (k, i)
                     assert [(d, lab.subset) for d, lab in hom.basis] == full[i], (a, k, i)
 
-    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (1, 1, 2, 3)])
+    @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (1, 1, 2, 3)])
     def test_one_label_per_subset(self, monkeypatch, a):
         # Across every (k, i) of dual_ext and of the oracle on one Weights,
-        # each e_J is built at most once, and both hand out those objects.
+        # and for two weights every pair of the strip model's intersections
+        # and hom_space, each e_J is built at most once, and all of them
+        # hand out those objects.
         built = []
         real_element = weights.ExteriorBasisElement
 
@@ -250,12 +253,19 @@ class TestResolution:
             return real_element(subset)
 
         monkeypatch.setattr(weights, "ExteriorBasisElement", counting_element)
+        monkeypatch.setattr(strip, "ExteriorBasisElement", counting_element)
         w = Weights(a)
         shared = {id(lab) for _, lab in w.exterior_basis}
         for k in range(w.l - 1):
             for i in range(w.l - 1):
-                for hom in (dual_ext(w, k, i), verify_prop6_via_resolution(w, k, i)):
-                    assert {id(lab) for _, lab in hom.basis} <= shared
+                homs = [dual_ext(w, k, i), verify_prop6_via_resolution(w, k, i)]
+                if w.n == 1:
+                    homs.append(strip.hom_space(w, i, k))
+                    if i < k:
+                        labels = {id(p.label) for p in strip.intersections(w, i, k)}
+                        assert labels <= shared, (i, k)
+                for hom in homs:
+                    assert {id(lab) for _, lab in hom.basis} <= shared, (k, i)
         assert len(built) == len(set(built)) == 2 ** (w.n + 1)
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (2, 2, 5), (1, 1)])

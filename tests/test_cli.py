@@ -54,6 +54,14 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("action", ["ext", "dual"])
+    def test_table_past_memory_is_invalid(self, capsys, action):
+        # l - 1 = 10^11 objects: the pair table asks for far more memory
+        # than there is and fails before it allocates anything.
+        assert run(["bside", action, "--weights", "1,100000000000"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: not enough memory for this input\n")
+
 
 class TestBside:
     def test_ext_table(self, capsys):

@@ -1,7 +1,9 @@
 """Tests for the disc-word rules, the word search, and the vanishing of
 higher products."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -21,6 +23,7 @@ from wpmirror.aside.words import (
     enumerate_accepted_words,
     higher_product_report,
 )
+from wpmirror.verify import aside_digest
 from wpmirror.weights import ExteriorBasisElement, Weights
 
 W23 = Weights((2, 3))
@@ -241,6 +244,55 @@ def all_first_curves_search(w):
     return accepted
 
 
+def shifted_copies(w, words):
+    """Every accepted word on the curves 0..l-2, from the curve-0 words of
+    one enumeration, in the order the search emitted them before each word
+    stood for its translation orbit: row c holds each word's copy shifted
+    by c, or nothing past its top curve, and the rows run in order of c.
+    The copies take the letters of `words` where they exist, one `Letter`
+    per (piece, curve, sign) otherwise, and the corners of `points_by_kind`.
+    """
+    interned = {(x.piece, x.curve, x.sign): x for word in words for x in word.letters}
+
+    def letter(piece, curve, sign):
+        found = interned.get((piece, curve, sign))
+        if found is None:
+            found = interned[piece, curve, sign] = Letter(piece, curve, sign)
+        return found
+
+    # Each letter and corner of a curve-0 word, by id, with its copies
+    # shifted by c = 0, 1, ... while they stay on the curves 0..l-2.
+    chains = {}
+    for x in {id(x): x for word in words for x in word.letters + word.corners}.values():
+        if isinstance(x, Letter):
+            shifts = range(w.l - 1 - x.curve)
+            chains[id(x)] = [letter(x.piece, x.curve + c, x.sign) for c in shifts]
+        else:
+            chains[id(x)] = [points_by_kind(w, x.j + c, x.k + c)[x.kind]
+                             for c in range(w.l - 1 - x.k)]
+    # A word's last letter and its wrap corner lie on its top curve, so
+    # zip stops at the last shift that keeps the word on the curves.
+    copies = [zip(zip(*[chains[id(x)] for x in word.letters]),
+                  zip(*[chains[id(p)] for p in word.corners]))
+              for word in words]
+    return [DiscWord(*copy) for row in zip_longest(*copies) for copy in row if copy]
+
+
+def aside_digest_reference(words):
+    """Reference for `aside_digest`: one entry per accepted triangle of the
+    full word list (`shifted_copies`), keyed by its own triple, and one sort
+    of all entries at the end."""
+    entries = []
+    for word in words:
+        if len(word.corners) != 3:
+            continue
+        p0, p1, out = word.corners
+        entries.append(((p0.j, p0.k, p1.k), p0.label.subset, p1.label.subset,
+                        out.label.subset, 1))
+    entries.sort()
+    return entries
+
+
 def reference_search(w, max_len):
     """The search as it was before pruning: `word_rules` on every closable
     word."""
@@ -315,18 +367,19 @@ class TestClassify:
 class TestEnumeration:
     def test_counts_small_example(self):
         words = enumerate_accepted_words(W23)
-        by_len = {}
-        for word in words:
-            by_len[len(word.letters)] = by_len.get(len(word.letters), 0) + 1
+        # From curve 0: the arc triangles (0, j, k) and both mixed discs.
+        assert Counter(len(word.letters) for word in words) == {3: 3, 5: 2}
         # 4 arc triangles over C(4,3) triples and 2 mixed five-letter discs
-        assert by_len == {3: 4, 5: 2}
+        assert Counter(len(word.letters) for word in shifted_copies(W23, words)) == {3: 4, 5: 2}
 
     def test_every_word_classifies_as_accepted(self):
-        # The rules accept every word of the search, with the corners the
-        # search carried, on every pair with l <= 10.
+        # The rules accept every word of the search and every shifted copy,
+        # with the corners the search carried, on every pair with l <= 10.
         for a in pairs_up_to(10):
             w = Weights(a)
-            for word in enumerate_accepted_words(w):
+            words = enumerate_accepted_words(w)
+            assert {word.letters[0].curve for word in words} <= {0}
+            for word in shifted_copies(w, words):
                 assert word_rules(w, word.letters) == (word.corners, None)
                 assert len(word.corners) == 3
 
@@ -340,7 +393,8 @@ class TestEnumeration:
     def test_no_duplicate_words(self):
         for a in [(2, 3), (3, 4)]:
             w = Weights(a)
-            words = [tuple(x.letters) for x in enumerate_accepted_words(w)]
+            words = [tuple(x.letters) for x in
+                     shifted_copies(w, enumerate_accepted_words(w))]
             assert len(words) == len(set(words))
 
     def test_one_disc_per_nonzero_product(self):
@@ -349,7 +403,7 @@ class TestEnumeration:
         for a in [(2, 3), (2, 5)]:
             w = Weights(a)
             seen = set()
-            for word in enumerate_accepted_words(w):
+            for word in shifted_copies(w, enumerate_accepted_words(w)):
                 p0, p1, out = word.corners
                 key = ((p0.j, p0.k), p0.kind, (p1.j, p1.k), p1.kind)
                 assert key not in seen
@@ -402,9 +456,9 @@ class TestMonotone:
 
 
 class TestPrunedSearch:
-    """The search prunes on each corner as it pushes a letter; it must find
-    what the unpruned search finds, in the same order, with the same
-    corners."""
+    """The search prunes on each corner as it pushes a letter; with their
+    shifted copies, its words must be what the unpruned search finds, in
+    the same order, with the same corners."""
 
     @pytest.mark.parametrize("max_len", [6, 8, 12])
     def test_matches_unpruned_search(self, max_len):
@@ -412,7 +466,8 @@ class TestPrunedSearch:
         # least 6 may find a word the search misses.
         for a in pairs_up_to(12):
             w = Weights(a)
-            assert enumerate_accepted_words(w) == reference_search(w, max_len), a
+            words = shifted_copies(w, enumerate_accepted_words(w))
+            assert words == reference_search(w, max_len), a
 
 
 class TestTranslation:
@@ -424,17 +479,56 @@ class TestTranslation:
         # Every pair of the benchmark's sweep (a0 + a1 <= 20).
         for a in pairs_up_to(20):
             w = Weights(a)
-            assert enumerate_accepted_words(w) == all_first_curves_search(w), a
+            words = enumerate_accepted_words(w)
+            assert {word.letters[0].curve for word in words} <= {0}, a
+            assert shifted_copies(w, words) == all_first_curves_search(w), a
 
     def test_shifted_corners_are_the_shared_points(self):
         # Every corner, of a curve-0 word or of a shifted copy, is the
         # object of the point table of `w`.
         w = Weights((2, 5))
         words = enumerate_accepted_words(w)
-        assert {word.letters[0].curve for word in words} == set(range(w.l - 3))
-        for word in words:
+        copies = shifted_copies(w, words)
+        assert {word.letters[0].curve for word in words} == {0}
+        assert {word.letters[0].curve for word in copies} == set(range(w.l - 3))
+        for word in words + copies:
             for p in word.corners:
                 assert points_by_kind(w, p.j, p.k)[p.kind] is p
+
+
+class TestOrbitForm:
+    """`aside_digest` and `higher_product_report` read each curve-0 word as
+    its translation orbit; they must give what the full word list of
+    `shifted_copies` gives."""
+
+    def test_matches_full_word_list(self, certificates):
+        # Every certificate of the fixture (a0 + a1 <= 25), which holds
+        # every pair of the benchmark's sweep.
+        for a, cert in certificates.items():
+            w = Weights(a)
+            words = enumerate_accepted_words(w)
+            full = shifted_copies(w, words)
+            assert aside_digest(w, words) == aside_digest_reference(full) \
+                == cert.aside_digest, a
+            report = higher_product_report(w, words)
+            assert report.ok and report.offenders == [], a
+            assert report.accepted_count == len(full) \
+                == cert.higher_products["accepted_count"], a
+            assert report.counts_by_length == Counter(len(x.letters) for x in full), a
+
+    def test_offender_counts_once_per_shift(self):
+        # On the curves 0..3 of (2, 3), a four-corner word whose last letter
+        # is on curve 2 stands for its copies at shifts 0 and 1: both are
+        # counted, it is listed once, and the digest skips it.
+        words = enumerate_accepted_words(W23)
+        word = next(x for x in words if x.letters[-1].curve == 2)
+        square = DiscWord(word.letters, word.corners + word.corners[:1])
+        report = higher_product_report(W23, words + [square])
+        full = shifted_copies(W23, words)
+        assert not report.ok and report.offenders == [square]
+        assert report.accepted_count == len(full) + 2
+        assert report.counts_by_length == {3: 4 + 2, 5: 2}
+        assert aside_digest(W23, words + [square]) == aside_digest_reference(full)
 
 
 class TestLengthBound:
@@ -462,6 +556,7 @@ class TestLengthBound:
 class TestHigherProducts:
     @pytest.mark.parametrize("a", [(1, 2), (2, 3), (3, 4), (2, 7)])
     def test_vanish(self, a):
-        report = higher_product_report(enumerate_accepted_words(Weights(a)))
+        w = Weights(a)
+        report = higher_product_report(w, enumerate_accepted_words(w))
         assert report.ok
         assert all(length in (3, 5) for length in report.counts_by_length)
