@@ -71,32 +71,32 @@ def bside_digest(w):
     """Sorted nonzero truncated-wedge product table of the dual algebra,
     over the same index triples and labels.
 
-    The basis of `dual_ext(w, k, i)` depends only on the span k - i, and
-    each span's subsets are read from it.  A product of two basis elements
-    depends only on their subsets and the span, so the products of a
-    triple (i, j, k) depend only on its gaps (j - i, k - j).  Each gap
-    pair's nonzero products are listed once per call, as the sorted tails
-    (J0, J1, Jout, sign) of its entries, with one `compose_dual` per
-    distinct (J0, J1, span).
+    The basis of `dual_ext(w, k, i)` depends only on the span k - i and
+    grows with it, so each subset has a first span, read from those bases.
+    A triple (i, j, k) multiplies J0 from span j - i by J1 from span k - j.
+    The truncation never binds inside a triple: a_J0 <= j - i and a_J1 <=
+    k - j, so the wedge has weight <= k - i.  The product of a triple thus
+    depends on (J0, J1) alone, and each ordered subset pair that fits some
+    gap pair gets one `compose_dual`, at its least span.  The nonzero
+    products (J0, J1, Jout, sign) are sorted once, and each gap pair's
+    tail is the sublist of those whose subsets fit its gaps, so every tail
+    comes out sorted.
     """
     n_objects = w.l - 1
-    bases = [[e.subset for _, e in dual_ext(w, span, 0).basis] for span in range(n_objects)]
-    products = {}  # (subset0, subset1, k - i) -> (subset, sign) or None
-    tails = {}  # (j - i, k - j) -> sorted (subset0, subset1, subset, sign)
-    for gap0 in range(1, n_objects):
-        for gap1 in range(1, n_objects - gap0):
-            tail = []
-            for J0 in bases[gap0]:
-                for J1 in bases[gap1]:
-                    key = (J0, J1, gap0 + gap1)
-                    if key in products:
-                        found = products[key]
-                    else:
-                        found = products[key] = compose_dual(w, gap0 + gap1, J0, J1)
-                    if found is not None:
-                        tail.append((J0, J1) + found)
-            tail.sort()
-            tails[gap0, gap1] = tail
+    least_gap = {}  # subset -> the least gap >= 1 whose dual_ext basis holds it
+    for span in range(n_objects):
+        for _, e in dual_ext(w, span, 0).basis:
+            least_gap.setdefault(e.subset, max(span, 1))
+    products = []  # ((subset0, subset1, subset, sign), least gap0, least gap1)
+    for J0, g0 in least_gap.items():
+        for J1, g1 in least_gap.items():
+            if g0 + g1 < n_objects:
+                found = compose_dual(w, g0 + g1, J0, J1)
+                if found is not None:
+                    products.append(((J0, J1) + found, g0, g1))
+    products.sort()
+    tails = {(gap0, gap1): [p for p, g0, g1 in products if g0 <= gap0 and g1 <= gap1]
+             for gap0 in range(1, n_objects) for gap1 in range(1, n_objects - gap0)}
     return _triple_entries(n_objects, tails)
 
 
@@ -224,7 +224,9 @@ def hms_certificate(w, corrupt=None):
     if not isinstance(w, Weights):
         w = Weights(w)
     failures = []
-    objects = range(w.l - 1)
+    # Held as a tuple, which a size past the memory cannot allocate: such an
+    # input raises MemoryError here, before any work.
+    objects = tuple(range(w.l - 1))
     # Both sides depend only on the gap k - j (the translation lemma of
     # `enumerate_accepted_words`), so each basis is built once per gap, the
     # dual one once per signed span.  The dimension table and the word

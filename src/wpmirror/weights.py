@@ -52,9 +52,11 @@ class Weights:
         owner, each entry built once and freed with the object: "monomials"
         (degree -> the monomials of `monomial_basis`), "ext" (gap k - j ->
         the basis of `bside.ext_pushforward`), "dual" (span k - i -> the
-        basis of `bside.dual_ext`) and "points" (curve pair (j, k) -> the
-        lookup of `aside.strip.points_by_kind`)."""
-        return {"monomials": {}, "ext": {}, "dual": {}, "points": {}}
+        basis of `bside.dual_ext`), "oracle" (span k - i -> the basis of
+        `bside.verify_prop6_via_resolution`, by its own criterion) and
+        "points" (curve pair (j, k) -> the lookup of
+        `aside.strip.points_by_kind`)."""
+        return {"monomials": {}, "ext": {}, "dual": {}, "oracle": {}, "points": {}}
 
     def __repr__(self):
         return f"Weights{self.a}"

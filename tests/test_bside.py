@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from perfbench.workloads import bside_hash, bside_pass, load
+from perfbench.workloads import BSIDE_L, bside_hash, bside_pass, bside_vectors, load
 from wpmirror import weights
 from wpmirror.aside import strip
 from wpmirror.bside import (
@@ -102,6 +102,8 @@ class TestSharedTables:
         for k in range(w.l - 2):
             for i in range(w.l - 2):
                 assert dual_ext(w, k, i).basis is dual_ext(w, k + 1, i + 1).basis
+                assert verify_prop6_via_resolution(w, k, i).basis \
+                    is verify_prop6_via_resolution(w, k + 1, i + 1).basis
                 assert ext_pushforward(w, i, k).basis is ext_pushforward(w, i + 1, k + 1).basis
 
     def test_fresh_weights_fresh_tables(self):
@@ -209,6 +211,17 @@ def full_resolution_by_projective(w, k):
     return [sorted(group) for group in groups]
 
 
+def resolution_oracle_reference(w, k, i):
+    """Reference for verify_prop6_via_resolution: one scan of every subset
+    per call, with the whole bound |J| <= j <= k on J's position j."""
+    basis = []
+    for (J, weight), e in zip(w.subsets, w.exterior_basis):
+        j = k - i + len(J) - weight
+        if len(J) <= j <= k:
+            basis.append(e)
+    return tuple(basis)
+
+
 class TestResolution:
     def test_default_positions(self):
         w = Weights((2, 3))
@@ -267,6 +280,27 @@ class TestResolution:
                 for hom in homs:
                     assert {id(lab) for _, lab in hom.basis} <= shared, (k, i)
         assert len(built) == len(set(built)) == 2 ** (w.n + 1)
+
+    def test_oracle_table_matches_reference(self):
+        # Every (k, i) of the benchmark's bside-multi vectors and of five
+        # weights out of order.
+        vectors = bside_vectors(BSIDE_L)
+        assert len(vectors) == 223
+        for a in vectors + [(3, 1, 4, 1, 5)]:
+            w = Weights(a)
+            for k in range(w.l - 1):
+                for i in range(w.l - 1):
+                    hom = verify_prop6_via_resolution(w, k, i)
+                    assert (hom.source, hom.target) == (k, i)
+                    assert hom.basis == resolution_oracle_reference(w, k, i), (a, k, i)
+
+    def test_oracle_refuses_a_subset_past_the_resolution(self):
+        # A weight 0, which `Weights` refuses, puts e_J past position k at
+        # target 0; the oracle raises rather than count it.
+        w = Weights((1, 2, 3))
+        object.__setattr__(w, "a", (0, 2, 3))
+        with pytest.raises(ArithmeticError, match=r"subset \(0,\) of weight 0"):
+            verify_prop6_via_resolution(w, 2, 0)
 
     @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (2, 2, 5), (1, 1)])
     def test_oracle_agrees_with_dual_ext(self, a):

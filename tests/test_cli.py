@@ -62,6 +62,12 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "error: not enough memory for this input\n")
 
+    def test_certificate_past_memory_is_invalid(self, capsys):
+        # The certificate holds its 10^11 objects first and fails at once.
+        assert run(["verify", "--weights", "1,100000000000"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: not enough memory for this input\n")
+
 
 class TestBside:
     def test_ext_table(self, capsys):

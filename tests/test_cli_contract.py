@@ -117,9 +117,10 @@ def run_captured(argv):
 @given(argv=argvs())
 @example(argv=["aside", "homs", "--weights", "2,3", "--svg", "{tmp}/no/such/c.svg"])
 @example(argv=["aside", "hq", "--weights", "2,3", "--q", "inf,0"])
-# A pair table past the memory: the request fails at once.
+# A pair table or a certificate past the memory: the request fails at once.
 @example(argv=["bside", "ext", "--weights", "1,100000000000"])
 @example(argv=["bside", "dual", "--weights", "1,100000000000"])
+@example(argv=["verify", "--weights", "1,100000000000"])
 def test_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         run_captured([a.replace("{tmp}", tmp) for a in argv])

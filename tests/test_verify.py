@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from perfbench.workloads import BSIDE_L, bside_vectors
 from wpmirror import verify
 from wpmirror.aside import strip, words
-from wpmirror.bside import compose_dual, dual_ext, ext_pushforward
+from wpmirror.bside import (compose_dual, dual_ext, ext_pushforward,
+                            verify_prop6_via_resolution)
 from wpmirror.verify import aside_digest, bside_digest, hms_certificate, sweep
 from wpmirror.weights import Weights, monomial_basis
 
@@ -97,8 +98,9 @@ class TestOncePerCertificate:
         # `Weights` it has certified, the object and every table entry go.
         w = Weights((2, 5))
         assert hms_certificate(w).passed
+        assert verify_prop6_via_resolution(w, 5, 0).basis is w._tables["oracle"][5]
         kept = [w, monomial_basis(w, 7)[0], ext_pushforward(w, 0, 5).basis[-1][1],
-                dual_ext(w, 5, 0).basis[-1][1],
+                dual_ext(w, 5, 0).basis[-1][1], w._tables["oracle"][5][-1][1],
                 strip.points_by_kind(w, 0, 5)[strip.PointKind.SEG_MP]]
         assert all(w._tables.values())
         refs = [weakref.ref(x) for x in kept]
@@ -151,11 +153,13 @@ def bside_digest_reference(w):
 
 class TestBsideProductTable:
     def test_matches_reference_bside_multi(self):
-        # Every vector of the benchmark's bside-multi workload.
+        # Every vector of the benchmark's bside-multi workload, and every
+        # vector of five weights with l <= 9, where -1 signs are densest.
         vectors = bside_vectors(BSIDE_L)
-        assert len(vectors) == 223
+        five = [a for a in combinations_with_replacement(range(1, 10), 5) if sum(a) <= 9]
+        assert (len(vectors), len(five)) == (223, 12)
         signs = set()
-        for a in vectors:
+        for a in vectors + five:
             digest = bside_digest(Weights(a))
             assert digest == bside_digest_reference(Weights(a)), a
             signs |= {e[4] for e in digest}
@@ -181,18 +185,24 @@ class TestBsideProductTable:
         for a in [(a0, a1) for a0 in range(1, 12) for a1 in range(a0, 13 - a0)]:
             assert bside_digest(Weights(a)) == direct_bside_digest(Weights(a)), a
 
-    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (1, 1, 2, 3)])
+    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (1, 1, 2, 3), (1, 1, 1, 2, 3)])
     def test_one_product_per_key(self, monkeypatch, a):
+        # The truncation never binds inside a triple, so each ordered
+        # subset pair (ju, jv) is composed once, whatever its span.
         keys = []
         real_compose = verify.compose_dual
 
         def counting_compose(w, span, ju, jv):
-            keys.append((ju, jv, span))
+            keys.append((ju, jv))
             return real_compose(w, span, ju, jv)
 
         monkeypatch.setattr(verify, "compose_dual", counting_compose)
-        assert bside_digest(Weights(a))
-        assert len(keys) == len(set(keys))
+        w = Weights(a)
+        assert bside_digest(w)
+        # The pairs whose least gaps, a_J but at least 1, fit a triple.
+        least = {J: max(weight, 1) for J, weight in w.subsets}
+        assert sorted(keys) == sorted((J0, J1) for J0 in least for J1 in least
+                                      if least[J0] + least[J1] <= w.l - 2)
 
 
 # Digests recorded by the benchmark for every pair with a0 + a1 <= 25.
