@@ -13,6 +13,7 @@ import marshal
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from . import __version__
 from .aside import enumerate_accepted_words, higher_product_report, hom_space
@@ -31,16 +32,32 @@ CONVENTIONS = {
 }
 
 
-def _triple_entries(n_objects, tails):
-    """The entries `((i, j, k), J0, J1, Jout, c)` of every triple i < j < k
-    < n_objects, one per tail in the sorted list `tails[j - i, k - j]` of its
-    gaps: both digests come out sorted, with no sort of the whole table."""
-    return [(triple, J0, J1, Jout, c)
-            for i in range(n_objects)
-            for j in range(i + 1, n_objects)
-            for k in range(j + 1, n_objects)
-            for triple in [(i, j, k)]
-            for J0, J1, Jout, c in tails.get((j - i, k - j), ())]
+class DigestTable(list):
+    """A digest table: the entries `((i, j, k), J0, J1, Jout, c)` of every
+    triple i < j < k < n_objects, one per tail in the sorted list
+    `tails[j - i, k - j]` of its gaps, so both digests come out sorted with
+    no sort of the whole table.  It keeps `n_objects` and its gap table,
+    empty tails dropped and read-only, from which `_json_text` formats it;
+    so the list refuses change in place, and a changed copy is a plain
+    `list(table)`.
+    """
+
+    def __init__(self, n_objects, tails):
+        tails = {gaps: tuple(tail) for gaps, tail in tails.items() if tail}
+        self.n_objects, self.tails = n_objects, MappingProxyType(tails)
+        super().__init__([(triple, J0, J1, Jout, c)
+                          for i in range(n_objects)
+                          for j in range(i + 1, n_objects)
+                          for k in range(j + 1, n_objects)
+                          for triple in [(i, j, k)]
+                          for J0, J1, Jout, c in tails.get((j - i, k - j), ())])
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a DigestTable is formatted from its gap table and cannot change; "
+                        "change a copy made with list()")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
 
 
 def aside_digest(w, words):
@@ -64,7 +81,7 @@ def aside_digest(w, words):
             (p0.label.subset, p1.label.subset, out.label.subset, 1))
     for tail in tails.values():
         tail.sort()
-    return _triple_entries(w.l - 1, tails)
+    return DigestTable(w.l - 1, tails)
 
 
 def bside_digest(w):
@@ -80,7 +97,9 @@ def bside_digest(w):
     gap pair gets one `compose_dual`, at its least span.  The nonzero
     products (J0, J1, Jout, sign) are sorted once, and each gap pair's
     tail is the sublist of those whose subsets fit its gaps, so every tail
-    comes out sorted.
+    comes out sorted.  That sublist is fixed by the largest least gaps
+    e0 <= gap0 and e1 <= gap1 that some product has, so it is built once
+    per (e0, e1) and shared by the gap pairs with those floors.
     """
     n_objects = w.l - 1
     least_gap = {}  # subset -> the least gap >= 1 whose dual_ext basis holds it
@@ -95,37 +114,42 @@ def bside_digest(w):
                 if found is not None:
                     products.append(((J0, J1) + found, g0, g1))
     products.sort()
-    tails = {(gap0, gap1): [p for p, g0, g1 in products if g0 <= gap0 and g1 <= gap1]
+    firsts = {g0 for _, g0, _ in products}, {g1 for _, _, g1 in products}
+    # (e0, e1) -> the products whose least gaps fit it; these are the floors of gap pair (e0, e1)
+    built = {(e0, e1): tuple([p for p, g0, g1 in products if g0 <= e0 and g1 <= e1])
+             for e0 in firsts[0] for e1 in firsts[1] if e0 + e1 < n_objects}
+    floor0, floor1 = ([max([e for e in es if e <= gap], default=0) for gap in range(n_objects)]
+                      for es in firsts)
+    tails = {(gap0, gap1): built.get((floor0[gap0], floor1[gap1]), ())
              for gap0 in range(1, n_objects) for gap1 in range(1, n_objects - gap0)}
-    return _triple_entries(n_objects, tails)
+    return DigestTable(n_objects, tails)
 
 
 def _json_text(value):
     """The text of `json.dumps(value, sort_keys=True, indent=2)` for values
-    made of dicts with str keys, lists, tuples, str, int, bool and None;
-    any other type raises TypeError.
+    made of dicts with str keys, lists, `DigestTable`s, tuples, str, int,
+    bool and None; any other type raises TypeError.
 
     The C encoder of `json` ignores `indent`, so `json.dumps` would run its
     pure-Python encoder here, at about three times the cost.  Instead each
-    distinct piece is formatted once per indent level, in tables that live
-    for one call.  A list or dict is one piece, so equal digest tables and
-    the dimension-table entry that one gap shares are each formatted once.
-    A tuple of two or more items is two: its first item and the rest, so a
-    digest entry `((i, j, k), J0, J1, Jout, c)` is its triple plus a tail
-    that every triple with the same labels and constant shares.  The
-    tables are keyed by marshal bytes, which tell True from 1 and a tuple
-    from a list where equality does not; version 2 writes no
-    back-references, so equal values of one type give equal bytes.
+    list and dict is formatted once per indent level, in a table that lives
+    for one call, so the dimension-table entry that one gap shares is
+    formatted once.  A `DigestTable` is formatted from its gap table: each
+    distinct tail `(J0, J1, Jout, c)` once per level, each triple's head
+    once, and the entries of a triple in one join of its head with the
+    texts of its gaps' tails.  Two tables with equal gap tables, the two
+    digests of a passing certificate, are formatted once.  The memo is
+    keyed by marshal bytes, which tell True from 1 and a tuple from a list
+    where equality does not; version 2 writes no back-references, so equal
+    values of one type give equal bytes.
     """
-    texts = {}  # (level, marshal bytes of a list or dict) -> its text
-    heads = {}  # (level, marshal bytes of a tuple's first item) -> "[" and its text
-    rests = {}  # (level, marshal bytes of a tuple's other items) -> "," to "]"
+    texts = {}  # (formatter, level, marshal bytes of the key) -> its text
 
-    def memo(o, level, fmt):
+    def memo(o, key, level, fmt):
         if not level:  # the whole value, met once
             return fmt(o, level)
         try:
-            key = level, marshal.dumps(o, 2)
+            key = fmt, level, marshal.dumps(key, 2)
         except ValueError:  # a type marshal cannot write; encode rejects it
             return fmt(o, level)
         text = texts.get(key)
@@ -136,28 +160,17 @@ def _json_text(value):
     def encode(o, level):
         t = type(o)
         if t is tuple:
-            if len(o) < 2:
-                return sequence(o, level)
-            try:
-                head_key = level, marshal.dumps(o[0], 2)
-                rest_key = level, marshal.dumps(o[1:], 2)
-            except ValueError:
-                return sequence(o, level)
-            head = heads.get(head_key)
-            if head is None:
-                head = heads[head_key] = "[\n" + "  " * (level + 1) + encode(o[0], level + 1)
-            rest = rests.get(rest_key)
-            if rest is None:
-                rest = rests[rest_key] = "," + sequence(o[1:], level)[1:]
-            return head + rest
+            return sequence(o, level)
         if t is int:
             return int.__repr__(o)
         if t is str:
             return encode_basestring_ascii(o)
         if t is list:
-            return memo(o, level, sequence)
+            return memo(o, o, level, sequence)
         if t is dict:
-            return memo(o, level, mapping)
+            return memo(o, o, level, mapping)
+        if t is DigestTable:
+            return memo(o, (o.n_objects, sorted(o.tails.items())), level, table)
         if o is None:
             return "null"
         if o is True:
@@ -183,6 +196,33 @@ def _json_text(value):
                 + ("," + newline).join([encode_basestring_ascii(k) + ": " + encode(v, level + 1)
                                         for k, v in sorted(o.items())])
                 + newline[:-2] + "}")
+
+    def after_triple(tail, level):  # an entry's text from the "," after its triple
+        return "," + sequence(tail, level)[1:]
+
+    def table(o, level):
+        if not o:
+            return "[]"
+        newline = "\n" + "  " * (level + 1)
+        sep = "," + newline
+        # An entry's text up to the end of its triple, whose ints come from range().
+        inner = "," + newline + "    "
+        head_of = ("[" + newline + "  [" + newline + "    {}" + inner + "{}" + inner + "{}"
+                   + newline + "  ]").format
+        by_tail = {}  # id of a tail of the gap table -> the texts of its entries after the triple
+        for tail in o.tails.values():
+            if id(tail) not in by_tail:
+                by_tail[id(tail)] = [memo(x, x, level + 1, after_triple) for x in tail]
+        rests_of = {gaps: by_tail[id(tail)] for gaps, tail in o.tails.items()}
+        chunks = []
+        for i in range(o.n_objects):
+            for j in range(i + 1, o.n_objects):
+                for k in range(j + 1, o.n_objects):
+                    rests = rests_of.get((j - i, k - j))
+                    if rests:
+                        head = head_of(i, j, k)
+                        chunks.append(head + (sep + head).join(rests))
+        return "[" + newline + sep.join(chunks) + newline[:-2] + "]"
 
     return encode(value, 0)
 
@@ -213,6 +253,21 @@ class Certificate:
         """Content hash, excluding the timestamp."""
         return hashlib.sha256(
             self.to_json(include_timestamp=False).encode()).hexdigest()
+
+
+def _digest_mismatch(dig_a, dig_b):
+    """The failure reason for two sorted digests that differ: the first
+    entry, in sorted order, whose constant differs, read as absent on a
+    side that lacks it."""
+    at = next((p for p, (x, y) in enumerate(zip(dig_a, dig_b)) if x != y),
+              min(len(dig_a), len(dig_b)))
+    here = [d[at] for d in (dig_a, dig_b) if at < len(d)]
+    key = min(e[:4] for e in here)
+    aside_c, bside_c = (d[at][4] if at < len(d) and d[at][:4] == key else "absent"
+                        for d in (dig_a, dig_b))
+    triple, J0, J1, Jout = key
+    return (f"composition digests differ at triple {triple}: J0 {J0} J1 {J1} Jout {Jout}, "
+            f"aside {aside_c}, bside {bside_c}")
 
 
 def hms_certificate(w, corrupt=None):
@@ -260,13 +315,16 @@ def hms_certificate(w, corrupt=None):
     dig_b = bside_digest(w)
     if corrupt is not None:
         side, idx = corrupt
-        target = dig_a if side == "aside" else dig_b
+        target = list(dig_a if side == "aside" else dig_b)  # a DigestTable cannot change
         if target:
-            entry = list(target[idx % len(target)])
-            entry[4] += 1
-            target[idx % len(target)] = tuple(entry)
+            triple, J0, J1, Jout, c = target[idx % len(target)]
+            target[idx % len(target)] = triple, J0, J1, Jout, c + 1
+        if side == "aside":
+            dig_a = target
+        else:
+            dig_b = target
     if dig_a != dig_b:
-        failures.append("composition digests differ")
+        failures.append(_digest_mismatch(dig_a, dig_b))
 
     higher = {
         "ok": hp.ok,

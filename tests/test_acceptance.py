@@ -213,4 +213,8 @@ def test_criterion_11_mutation_sensitivity():
         idx = rng.randrange(0, 50)
         cert = hms_certificate(Weights((2, 3)), corrupt=(side, idx))
         assert not cert.passed, (side, idx)
-        assert any("digest" in f for f in cert.failures)
+        # The failure names the triple of the bumped entry.
+        digest = getattr(clean, side + "_digest")
+        triple = digest[idx % len(digest)][0]
+        assert any(f.startswith(f"composition digests differ at triple {triple}:")
+                   for f in cert.failures), (side, idx, cert.failures)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import operator
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -159,12 +160,20 @@ class TestBsideProductTable:
         five = [a for a in combinations_with_replacement(range(1, 10), 5) if sum(a) <= 9]
         assert (len(vectors), len(five)) == (223, 12)
         signs = set()
+        gap_pairs = built = 0
         for a in vectors + five:
             digest = bside_digest(Weights(a))
             assert digest == bside_digest_reference(Weights(a)), a
             signs |= {e[4] for e in digest}
+            # Gap pairs with equal tails share one tail, built once.
+            tails = digest.tails.values()
+            assert len({id(t) for t in tails}) == len(set(tails)), a
+            if a in vectors:
+                gap_pairs += len(tails)
+                built += len(set(tails))
         # Three or more weights give products with sign -1.
         assert signs == {1, -1}
+        assert (gap_pairs, built) == (10903, 5050)
 
     def test_matches_reference_certificates(self, certificates):
         for a, cert in certificates.items():
@@ -222,6 +231,14 @@ json_values = st.recursive(
 )
 
 
+subsets = st.lists(st.integers(0, 3) | st.booleans()
+                   | st.lists(st.integers(0, 3), max_size=2).map(tuple), max_size=3).map(tuple)
+tails_lists = st.lists(st.tuples(subsets, subsets, subsets, st.integers(-1, 2) | st.booleans()),
+                       max_size=3)
+gap_tables = st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 6)), tails_lists,
+                             max_size=8)
+
+
 class TestDigestEncoding:
     @given(json_values)
     # True == 1 and False == 0, so equal tuples may need different text.
@@ -245,6 +262,49 @@ class TestDigestEncoding:
               {"e": ((0, 1, 2), (0,), (), (), 1)}, ((0, 1, 2), (0,), ()), ((0, 1, 2),)])
     def test_matches_json_dumps(self, value):
         assert verify._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @given(st.integers(0, 7), gap_tables, st.none() | st.tuples(st.integers(0, 7), gap_tables))
+    # Equal by == but not in text: a True constant next to a 1.
+    @example(4, {(1, 1): [((0,), (1,), (0, 1), True), ((0,), (1,), (0, 1), 1)]},
+             (4, {(1, 1): [((0,), (1,), (0, 1), 1), ((0,), (1,), (0, 1), 1)]}))
+    @example(5, {(1, 1): [((0, (1, 2)), (), (True,), -1)], (1, 2): [], (2, 2): [((), (), (), 0)]},
+             (5, {(2, 2): [((), (), (), False)], (1, 2): [((0, (1, 2)), (), (True,), -1)]}))
+    # One gap table, two sizes.
+    @example(4, {(1, 1): [((), (), (), 1)], (1, 2): [((0,), (), (0,), 1)]},
+             (3, {(1, 1): [((), (), (), 1)], (1, 2): [((0,), (), (0,), 1)]}))
+    @example(0, {}, (3, {(1, 1): []}))
+    def test_table_matches_json_dumps(self, n, tails, other):
+        # Each value holds two tables with equal gap tables and, from
+        # `other`, one more; `w` holds a table one level deeper, next to a
+        # plain list of the same entries.
+        table = verify.DigestTable(n, tails)
+        value = {"t": table, "u": verify.DigestTable(n, dict(reversed(tails.items()))),
+                 "w": [table, list(table)]}
+        if other is not None:
+            value["v"] = verify.DigestTable(*other)
+        plain = {key: [list(t) for t in v] if key == "w" else list(v) for key, v in value.items()}
+        assert verify._json_text(value) == json.dumps(plain, sort_keys=True, indent=2)
+
+    def test_table_refuses_change(self):
+        entry = ((0, 1, 2), (0,), (1,), (0, 1), 1)
+        table = verify.DigestTable(3, {(1, 1): [entry[1:]], (2, 1): []})
+        text = verify._json_text({"t": table})
+        changes = [lambda t: t.__setitem__(0, entry), lambda t: operator.delitem(t, 0),
+                   lambda t: operator.iadd(t, [entry]), lambda t: operator.imul(t, 2),
+                   lambda t: t.append(entry), lambda t: t.extend([entry]),
+                   lambda t: t.insert(0, entry), lambda t: t.pop(), lambda t: t.remove(entry),
+                   lambda t: t.clear(), lambda t: t.sort(), lambda t: t.reverse(),
+                   lambda t: operator.setitem(t.tails, (1, 1), ())]
+        for change in changes:
+            with pytest.raises(TypeError):
+                change(table)
+        assert table == [entry] and dict(table.tails) == {(1, 1): (entry[1:],)}
+        assert verify._json_text({"t": table}) == text
+        # A changed copy is a plain list, formatted through the generic path.
+        changed = list(table)
+        changed[0] = entry[:4] + (2,)
+        assert verify._json_text({"t": changed}) == json.dumps({"t": changed}, sort_keys=True,
+                                                               indent=2)
 
     @pytest.mark.parametrize("value", [1.0, (1, 2.5), {1: "a"}, {"a": {2}}, [object()],
                                        (1, object())])
@@ -283,10 +343,25 @@ class TestDigestEncoding:
 class TestMutation:
     @pytest.mark.parametrize("side", ["aside", "bside"])
     def test_single_constant_flip_fails(self, side):
+        clean = hms_certificate(Weights((2, 3)))
         for idx in range(3):
             cert = hms_certificate(Weights((2, 3)), corrupt=(side, idx))
             assert not cert.passed
-            assert any("digest" in f for f in cert.failures)
+            # The failure names the bumped entry and each side's constant.
+            triple, J0, J1, Jout, c = getattr(clean, side + "_digest")[idx]
+            const = {"aside": c, "bside": c, side: c + 1}
+            assert cert.failures == [
+                f"composition digests differ at triple {triple}: J0 {J0} J1 {J1} "
+                f"Jout {Jout}, aside {const['aside']}, bside {const['bside']}"]
+
+    def test_mismatch_names_entry_absent_on_one_side(self):
+        first, second = ((0, 1, 2), (0,), (1,), (0, 1), 1), ((0, 1, 3), (), (), (), -1)
+        assert verify._digest_mismatch([first, second], [second]) == (
+            "composition digests differ at triple (0, 1, 2): J0 (0,) J1 (1,) Jout (0, 1), "
+            "aside 1, bside absent")
+        assert verify._digest_mismatch([first], [first, second]) == (
+            "composition digests differ at triple (0, 1, 3): J0 () J1 () Jout (), "
+            "aside absent, bside -1")
 
     def test_corrupted_digest_changes_hash(self):
         clean = hms_certificate(Weights((2, 3)))
