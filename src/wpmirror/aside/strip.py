@@ -27,6 +27,10 @@ class PointKind(enum.Enum):
     SEG_PM = "seg_pm"    # s_{j+} with s_{k-}
     SEG_MP = "seg_mp"    # s_{k+} with s_{j-}
 
+    # Members are singletons, so the identity hash, in C, serves the point
+    # tables that key by kind; `Enum.__hash__` is a Python-level call.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class StripCurve:

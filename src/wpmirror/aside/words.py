@@ -17,6 +17,7 @@ which carry the product structure.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .strip import PointKind, points_by_kind
 
@@ -104,10 +105,11 @@ def _shape(letters, arcs):
     return None
 
 
-def _corner(w, prev, nxt, is_wrap):
-    """The corner where `prev` hands over to `nxt`: a jump to a higher
-    curve, or the wrap from the last letter back to the first.  Returns
-    (point, None), or (None, reason) when the two letters cannot meet."""
+def _corner_kind(prev, nxt, is_wrap):
+    """The kind of the corner where `prev` hands over to `nxt`: a jump to a
+    higher curve, or the wrap from the last letter back to the first.  It
+    reads the pieces and signs alone.  Returns (kind, None), or (None,
+    reason) when the two letters cannot meet at a point of any kind."""
     if prev.piece == ARC and nxt.piece == ARC:
         if prev.sign == nxt.sign and not is_wrap:
             return None, "orientation pairing"
@@ -120,8 +122,21 @@ def _corner(w, prev, nxt, is_wrap):
     else:
         return None, "missing corner"
     lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
-    point = points_by_kind(w, lower.curve, upper.curve).get(
-        _PIECES_KIND.get((lower.piece, upper.piece)))
+    kind = _PIECES_KIND.get((lower.piece, upper.piece))
+    if kind is None:
+        return None, "missing corner"
+    return kind, None
+
+
+def _corner(w, prev, nxt, is_wrap):
+    """The corner point where `prev` hands over to `nxt`: the kind of
+    `_corner_kind`, looked up between the two letters' curves.  Returns
+    (point, None), or (None, reason) when the two letters cannot meet."""
+    kind, reason = _corner_kind(prev, nxt, is_wrap)
+    if kind is None:
+        return None, reason
+    lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
+    point = points_by_kind(w, lower.curve, upper.curve).get(kind)
     if point is None:
         return None, "missing corner"
     return point, None
@@ -150,128 +165,153 @@ def _monotone(letter, corner_in, corner_out):
     return a != b and (a < b) == (letter.sign > 0)
 
 
+class _Pattern(NamedTuple):
+    """A node of `_PATTERNS`: the last letter of a letter pattern, by its
+    piece and sign, and what the word rules let follow it."""
+
+    piece: str
+    sign: int
+    by_jump: bool  # entered by a jump, at the pattern's last corner
+    wrap: object   # (kind, first letter left by a jump) of its wrap corner, or None
+    step: object   # the child pattern one step along the curve, or None
+    jump: object   # (kind, child pattern) of its one jump, or None
+
+
+def _pattern(letters, arcs, seg_run, by_jump):
+    """The node of `_PATTERNS` for `letters`, symbolic letters whose curve is
+    the number of jumps before them; `arcs` are the positions of its arc
+    letters and `seg_run` the number of segments that end it."""
+    first, last = letters[0], letters[-1]
+    wrap = None
+    if first.curve < last.curve and _shape(letters, arcs) is None:
+        kind = _corner_kind(last, first, True)[0]
+        if kind is not None:
+            wrap = kind, letters[1].curve != first.curve
+
+    def child(nxt):
+        """The pattern that `nxt` extends `letters` to, or None past the
+        caps: at most three arcs, and with any segment at most two,
+        adjacent; no three consecutive segments."""
+        if nxt.piece == ARC:
+            n_arcs, n_run = arcs + (len(letters),), 0
+        else:
+            n_arcs, n_run = arcs, seg_run + 1
+        if n_run >= 3 or len(n_arcs) > 3:
+            return None
+        has_segment = len(n_arcs) <= len(letters)
+        if has_segment and len(n_arcs) > 1 and n_arcs != (n_arcs[0], n_arcs[0] + 1):
+            return None
+        return _pattern(letters + (nxt,), n_arcs, n_run, nxt.curve != last.curve)
+
+    piece = _NEXT_PIECE[last.piece, last.sign]
+    step = None if piece is None else child(Letter(piece, last.curve, last.sign))
+    # A jump meets an arc from an arc, the other segment from a segment,
+    # with the sign that the sign laws of `_corner_kind` leave.
+    piece = ARC if last.piece == ARC else _OTHER_SEGMENT[last.piece]
+    jumps = []
+    for sign in (1, -1):
+        nxt = Letter(piece, last.curve + 1, sign)
+        kind = _corner_kind(last, nxt, False)[0]
+        found = None if kind is None else child(nxt)
+        if found is not None:
+            jumps.append((kind, found))
+    # The sign laws leave one jump sign at most; a second fails here, at import.
+    [jump] = jumps or [None]
+    return _Pattern(last.piece, last.sign, by_jump, wrap, step, jump)
+
+
+# The letter patterns that the word rules admit, as a trie of roots, one
+# per first letter on curve 0, in search order.  Pure-arc words start at
+# C(+) only, so each arc triangle appears once, in the canonical (+,-,+)
+# orientation.
+_PATTERNS = tuple(_pattern((Letter(piece, 0, sign),), (0,) if piece == ARC else (),
+                           int(piece != ARC), False)
+                  for piece in _FLOW_ORDER for sign in ((1,) if piece == ARC else (1, -1)))
+
+
 def enumerate_accepted_words(w):
     """Exhaustively enumerate the accepted words on the curves 0..l-2, one
     per translation orbit: the words whose first letter is on curve 0.
 
-    The search walks extendable letter sequences and prunes prefixes that
-    can no longer satisfy the word rules of the module docstring.  It checks each jump
-    corner once per letter edge and each letter's monotonicity when the
-    jump that leaves it is pushed; a failure there stays in every extension,
-    so the whole subtree goes.  A closable word then needs only the shape
-    rules, its wrap corner and the monotonicity of the two letters that
-    touch the wrap.  Pure-arc words are emitted with the canonical (+,-,+)
-    orientation only, so each disc appears exactly once.  The caps stop
-    every word at 5 letters (see `higher_product_report`).
+    The search walks the pattern trie `_PATTERNS` with the curve c of the
+    last letter.  A step keeps c; a jump of kind K runs over the gaps d at
+    which a point of kind K exists, while c + d <= l-2.  A pattern closes
+    at gap c when its wrap kind exists there.  Each letter's monotonicity
+    is checked when the jump that leaves it is pushed; a failure there
+    stays in every extension, so the whole subtree goes.  A closing word
+    then needs only the monotonicity of the two letters that touch the
+    wrap.  Each pair's points are read once per call.
+
+    Lemma (patterns).  Every rule but the existence of a corner point and
+    `_monotone` reads only the pieces and signs of a word and the order of
+    its curves: the caps, the three-segment cut, the steps of
+    `_NEXT_PIECE`, the sign laws and the corner kind of `_corner_kind`,
+    and `_shape`.  Along a word the curve stays on a step and rises on a
+    jump, so the order of curves is that of the number of jumps before
+    each letter.  `_shape` compares the curves of two consecutive arcs
+    only, and an arc steps to a segment, so two consecutive arcs are
+    always a jump and lie on different curves.  So the rules give the
+    same answer on symbolic letters whose curve is the number of jumps
+    before them, and `_PATTERNS`, built once from those, holds every
+    admitted word shape.  The caps stop every pattern at 6 letters.
 
     Lemma (translation).  Shifting every curve index by c maps the search
-    from curve 0 onto the search from curve c, cut at curve l-2: `_corner`
-    and `_monotone` read only the gap k - j (whether a point of a kind
-    exists, and its x from `_seg_pm_x` or `_seg_mp_x`) or compare curve
-    indices, whose order a shift keeps, and `maslov_degree` too reads only
-    the gap.  Curves never decrease along a word, so the words from curve c
-    are the curve-0 words whose last letter lies on a curve <= l-2-c,
-    shifted by c, in the same order.  So the search runs from curve 0 only,
-    and each word it returns stands for its orbit, its copies shifted by
-    c = 0 .. l-2-top, where top is the curve of its last letter.
+    from curve 0 onto the search from curve c, cut at curve l-2: whether a
+    point of a kind exists, and the x that `_monotone` reads from
+    `_seg_pm_x` or `_seg_mp_x`, depend only on the gap k - j; on arcs
+    `_monotone` compares curve indices, whose order a shift keeps; and
+    `maslov_degree` too reads only the gap.  So the gaps of a kind are
+    read once, from the pairs (0, d).  Curves never decrease along a
+    word, so the words from curve c are the curve-0 words whose last
+    letter lies on a curve <= l-2-c, shifted by c, in the same order.  So
+    the search runs from curve 0 only, and each word it returns stands for
+    its orbit, its copies shifted by c = 0 .. l-2-top, where top is the
+    curve of its last letter.
     """
+    top = w.l - 2
+    # points[c][d]: the points of the pair (c, c + d) by kind.
+    points = [[None] + [points_by_kind(w, c, c + d) for d in range(1, top + 1 - c)]
+              for c in range(top + 1)]
+    # kind -> the gaps, ascending, at which a point of that kind exists.
+    gaps = {kind: [d for d in range(1, top + 1) if kind in points[0][d]] for kind in PointKind}
     accepted = []
-
-    def may_extend(arcs, seg_count):
-        """Caps on a word that may still grow, given its arc positions: at
-        most three arcs, and with any segment at most two, adjacent."""
-        if len(arcs) > 3:
-            return False
-        if seg_count and len(arcs) > 1:
-            return len(arcs) == 2 and arcs[1] == arcs[0] + 1
-        return True
-
-    # Tables of this call.  Letters are interned, so the tables key them by
-    # id, which is cheaper than the dataclass hash.
     interned = {}  # (piece, curve, sign) -> the one Letter of this call
-    successor_table = {}  # id(letter) -> ((next letter, jump corner or None), ...)
-    # id(last) -> _corner(w, last, first, True) for the first letter of
-    # the subtree being searched; cleared when the first letter changes.
-    wraps = {}
 
-    def letter(piece, curve, sign):
-        found = interned.get((piece, curve, sign))
+    def letter(node, curve):
+        key = node.piece, curve, node.sign
+        found = interned.get(key)
         if found is None:
-            found = interned[piece, curve, sign] = Letter(piece, curve, sign)
+            found = interned[key] = Letter(*key)
         return found
 
-    def close(stack, corners, arcs):
-        first, last = stack[0], stack[-1]
-        if first.curve >= last.curve:
-            return
-        # An all-arc search word starts at C(+) and alternates, so it is
-        # the canonical triangle once its shape passes.
-        if _shape(stack, arcs) is not None:
-            return
-        found = wraps.get(id(last))
-        if found is None:
-            found = wraps[id(last)] = _corner(w, last, first, True)
-        wrap = found[0]
-        if wrap is None:
-            return
-        # Only the first and last letters touch the wrap corner; the search
-        # checked every other letter's monotonicity as it pushed the jump
-        # that leaves it.
-        if stack[1].curve != first.curve and not _monotone(first, wrap, corners[0]):
-            return
-        if stack[-2].curve != last.curve and not _monotone(last, corners[-1], wrap):
-            return
-        accepted.append(DiscWord(stack, corners + (wrap,)))
+    def walk(node, c, stack, corners):
+        """`corners` holds the jump corners of `stack`."""
+        _, _, by_jump, wrap, step, jump = node
+        if wrap is not None:
+            kind, first_by_jump = wrap
+            point = points[0][c].get(kind)
+            # Only the first and last letters touch the wrap corner; the
+            # walk checked every other letter's monotonicity as it pushed
+            # the jump that leaves it.
+            if (point is not None
+                    and (not first_by_jump or _monotone(stack[0], point, corners[0]))
+                    and (not by_jump or _monotone(stack[-1], corners[-1], point))):
+                accepted.append(DiscWord(stack, corners + (point,)))
+        if step is not None:
+            walk(step, c, stack + (letter(step, c),), corners)
+        if jump is not None:
+            kind, child = jump
+            last, row = stack[-1], points[c]
+            entered = corners[-1] if by_jump else None
+            for d in gaps[kind]:
+                if c + d > top:
+                    break
+                corner = row[d][kind]
+                if entered is None or _monotone(last, entered, corner):
+                    walk(child, c + d, stack + (letter(child, c + d),), corners + (corner,))
 
-    def successors(last):
-        found = successor_table.get(id(last))
-        if found is not None:
-            return found
-        out = []
-        nxt = _NEXT_PIECE[last.piece, last.sign]
-        if nxt is not None:
-            out.append((letter(nxt, last.curve, last.sign), None))
-        # A jump meets an arc from an arc, the other segment from a
-        # segment; _corner decides the sign and whether the point exists.
-        piece = ARC if last.piece == ARC else _OTHER_SEGMENT[last.piece]
-        for c2 in range(last.curve + 1, w.l - 1):
-            for sign in (1, -1):
-                cand = letter(piece, c2, sign)
-                corner = _corner(w, last, cand, False)[0]
-                if corner is not None:
-                    out.append((cand, corner))
-        found = successor_table[id(last)] = tuple(out)
-        return found
-
-    def dfs(stack, corners, arcs, seg_count, seg_run):
-        """`corners` holds the jump corners of `stack`, `arcs` the
-        positions of its arc letters."""
-        close(stack, corners, arcs)
-        depth = len(stack)
-        last = stack[-1]
-        # The corner `last` was entered at, if it was entered by a jump.
-        entered = corners[-1] if depth > 1 and stack[-2].curve != last.curve else None
-        for nxt, corner in successors(last):
-            if nxt.piece == ARC:
-                n_arcs, n_seg, n_run = arcs + (depth,), seg_count, 0
-            else:
-                n_arcs, n_seg, n_run = arcs, seg_count + 1, seg_run + 1
-                if n_run >= 3:
-                    continue
-            if not may_extend(n_arcs, n_seg):
-                continue
-            if corner is None:
-                dfs(stack + (nxt,), corners, n_arcs, n_seg, n_run)
-            elif entered is None or _monotone(last, entered, corner):
-                dfs(stack + (nxt,), corners + (corner,), n_arcs, n_seg, n_run)
-
-    for piece in _FLOW_ORDER:
-        is_arc = piece == ARC
-        for sign in (1,) if is_arc else (1, -1):
-            wraps.clear()
-            dfs((letter(piece, 0, sign),), (), (0,) if is_arc else (),
-                int(not is_arc), int(not is_arc))
-
+    for root in _PATTERNS:
+        walk(root, 0, (letter(root, 0),), ())
     return accepted
 
 
@@ -294,7 +334,8 @@ def higher_product_report(w, words):
     letters, so no accepted word has more; the search's caps and gap
     conditions set this bound.  The caps admit at most three arcs in an
     all-arc word and, once a segment occurs, at most two adjacent arcs
-    between runs of at most two segments: 6 letters at most.
+    between runs of at most two segments: 6 letters at most, the longest
+    path of `_PATTERNS`.
     A segment meets an arc only on its own curve, and a segment on another
     curve only by the jumps s-(+) s+(+), of gap at least a1, and
     s+(-) s-(-), of gap at least a0.  So a 6-letter word is

@@ -32,32 +32,63 @@ CONVENTIONS = {
 }
 
 
-class DigestTable(list):
+class DigestTable:
     """A digest table: the entries `((i, j, k), J0, J1, Jout, c)` of every
     triple i < j < k < n_objects, one per tail in the sorted list
     `tails[j - i, k - j]` of its gaps, so both digests come out sorted with
-    no sort of the whole table.  It keeps `n_objects` and its gap table,
-    empty tails dropped and read-only, from which `_json_text` formats it;
-    so the list refuses change in place, and a changed copy is a plain
-    `list(table)`.
+    no sort of the whole table.  It keeps only `n_objects` and its gap
+    table, read-only, without empty tails or gaps that fit no triple.
+    `_json_text` formats it from the gap table, and two tables are equal
+    when their gap tables are; against a list, it compares its entries.
+    Entries are made on demand, by iteration in sorted order, `len` and
+    indexing; a changed copy is a plain `list(table)`.
     """
 
+    __slots__ = ("n_objects", "tails")
+
     def __init__(self, n_objects, tails):
-        tails = {gaps: tuple(tail) for gaps, tail in tails.items() if tail}
-        self.n_objects, self.tails = n_objects, MappingProxyType(tails)
-        super().__init__([(triple, J0, J1, Jout, c)
-                          for i in range(n_objects)
-                          for j in range(i + 1, n_objects)
-                          for k in range(j + 1, n_objects)
-                          for triple in [(i, j, k)]
-                          for J0, J1, Jout, c in tails.get((j - i, k - j), ())])
+        self.n_objects = n_objects
+        self.tails = MappingProxyType({(g0, g1): tuple(tail) for (g0, g1), tail in tails.items()
+                                       if tail and 0 < g0 and 0 < g1 and g0 + g1 < n_objects})
 
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a DigestTable is formatted from its gap table and cannot change; "
-                        "change a copy made with list()")
+    def _by_triple(self):
+        """(triple, tail) for each triple i < j < k whose gaps have a tail, in order."""
+        n, tails = self.n_objects, self.tails
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    tail = tails.get((j - i, k - j))
+                    if tail:
+                        yield (i, j, k), tail
 
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
-    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+    def __iter__(self):
+        for triple, tail in self._by_triple():
+            for rest in tail:
+                yield (triple, *rest)
+
+    def __len__(self):
+        # Gaps (g0, g1) fit the n_objects - g0 - g1 triples (i, i + g0, i + g0 + g1).
+        return sum(len(tail) * (self.n_objects - g0 - g1)
+                   for (g0, g1), tail in self.tails.items())
+
+    def __getitem__(self, index):
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError("DigestTable index out of range")
+        index %= size
+        for triple, tail in self._by_triple():
+            if index < len(tail):
+                return (triple, *tail[index])
+            index -= len(tail)
+
+    def __eq__(self, other):
+        if type(other) is DigestTable:
+            # Equal nonempty gap tables make equal entries only for one size.
+            return self.tails == other.tails and (
+                self.n_objects == other.n_objects or not self.tails)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 def aside_digest(w, words):
@@ -232,8 +263,8 @@ class Certificate:
     weights: tuple
     l: int
     dim_table: dict        # "j,k" -> {"aside": {...}, "bside": {...}}
-    aside_digest: list
-    bside_digest: list
+    aside_digest: DigestTable  # a plain list once `corrupt` has changed it
+    bside_digest: DigestTable
     higher_products: dict
     resolution_check: dict
     conventions: dict
@@ -336,12 +367,13 @@ def hms_certificate(w, corrupt=None):
         failures.append("higher products do not vanish: "
                         + "; ".join(str(x) for x in hp.offenders[:3]))
 
-    res_ok = True
-    for k in objects:
-        for i in objects:
-            if verify_prop6_via_resolution(w, k, i).basis != dual[k - i].basis:
-                res_ok = False
-                failures.append(f"resolution oracle disagrees at (k={k}, i={i})")
+    # The oracle, like `dual`, depends only on the signed span k - i, so it
+    # is compared once per span and a disagreement listed at each (k, i).
+    res_agrees = {s: verify_prop6_via_resolution(w, max(s, 0), max(-s, 0)).basis == hom.basis
+                  for s, hom in dual.items()}
+    res_ok = all(res_agrees.values())
+    failures += [f"resolution oracle disagrees at (k={k}, i={i})"
+                 for k in objects for i in objects if not res_agrees[k - i]]
 
     return Certificate(
         weights=tuple(w.a),

@@ -285,19 +285,45 @@ class TestDigestEncoding:
         plain = {key: [list(t) for t in v] if key == "w" else list(v) for key, v in value.items()}
         assert verify._json_text(value) == json.dumps(plain, sort_keys=True, indent=2)
 
+    @given(st.integers(0, 7), gap_tables, st.integers(0, 7), gap_tables)
+    # One gap table, two sizes; and two empty tables of different sizes.
+    @example(4, {(1, 1): [((), (), (), 1)]}, 5, {(1, 1): [((), (), (), 1)]})
+    @example(3, {}, 6, {(4, 4): [((), (), (), 1)]})
+    # Equal by ==, as a list compares them: a True constant next to a 1.
+    @example(3, {(1, 1): [((0,), (), (0,), True)]}, 3, {(1, 1): [((0,), (), (0,), 1)]})
+    def test_table_acts_as_its_entries(self, n, tails, m, other_tails):
+        # The entries that the table makes on demand are those of the
+        # list of every triple's tail, and ==, len and indexing agree with
+        # that list.
+        table, other = verify.DigestTable(n, tails), verify.DigestTable(m, other_tails)
+        entries = [((i, j, k), J0, J1, Jout, c)
+                   for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+                   for J0, J1, Jout, c in tails.get((j - i, k - j), ())]
+        assert list(table) == entries and len(table) == len(entries)
+        assert [table[i] for i in range(-len(entries), len(entries))] == entries + entries
+        for index in (len(entries), -len(entries) - 1):
+            with pytest.raises(IndexError):
+                table[index]
+        assert table == entries and entries == table and not table != entries
+        assert table != entries + [((0, 1, 2), (), (), (), 1)]
+        assert table == verify.DigestTable(n, dict(reversed(tails.items())))
+        assert (table == other) == (entries == list(other)) == (not table != other)
+        assert (other == entries) == (list(other) == entries)
+
     def test_table_refuses_change(self):
         entry = ((0, 1, 2), (0,), (1,), (0, 1), 1)
         table = verify.DigestTable(3, {(1, 1): [entry[1:]], (2, 1): []})
         text = verify._json_text({"t": table})
-        changes = [lambda t: t.__setitem__(0, entry), lambda t: operator.delitem(t, 0),
+        # A table is no list: item changes and in-place operators raise
+        # TypeError, and it has no list method that changes a list.
+        changes = [lambda t: operator.setitem(t, 0, entry), lambda t: operator.delitem(t, 0),
                    lambda t: operator.iadd(t, [entry]), lambda t: operator.imul(t, 2),
-                   lambda t: t.append(entry), lambda t: t.extend([entry]),
-                   lambda t: t.insert(0, entry), lambda t: t.pop(), lambda t: t.remove(entry),
-                   lambda t: t.clear(), lambda t: t.sort(), lambda t: t.reverse(),
                    lambda t: operator.setitem(t.tails, (1, 1), ())]
         for change in changes:
             with pytest.raises(TypeError):
                 change(table)
+        for name in ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"):
+            assert not hasattr(table, name)
         assert table == [entry] and dict(table.tails) == {(1, 1): (entry[1:],)}
         assert verify._json_text({"t": table}) == text
         # A changed copy is a plain list, formatted through the generic path.
@@ -320,10 +346,11 @@ class TestDigestEncoding:
         cases = {**certificates_l12, (1, 19): certificates[(1, 19)], "corrupted": corrupted}
         for a, cert in cases.items():
             payload = dict(vars(cert))
-            assert cert.to_json() == json.dumps(payload, sort_keys=True, indent=2), a
+            assert cert.to_json() == json.dumps(payload, sort_keys=True, indent=2,
+                                                default=list), a
             del payload["timestamp"]
             assert cert.to_json(include_timestamp=False) == \
-                json.dumps(payload, sort_keys=True, indent=2), a
+                json.dumps(payload, sort_keys=True, indent=2, default=list), a
 
     def test_digests_match_recorded(self, certificates):
         with open(EXPECTED_SWEEP) as fh:

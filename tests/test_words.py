@@ -15,14 +15,17 @@ from wpmirror.aside.words import (
     ARC,
     SEG_MINUS,
     SEG_PLUS,
+    _PATTERNS,
     DiscWord,
     Letter,
     _corner,
+    _corner_kind,
     _monotone,
     _shape,
     enumerate_accepted_words,
     higher_product_report,
 )
+from wpmirror.aside import words
 from wpmirror.verify import aside_digest
 from wpmirror.weights import ExteriorBasisElement, Weights
 
@@ -470,6 +473,64 @@ class TestPrunedSearch:
             assert words == reference_search(w, max_len), a
 
 
+def pattern_paths():
+    """Every path of `_PATTERNS` from a root, as its tuple of nodes."""
+    stack = [(root,) for root in _PATTERNS]
+    while stack:
+        path = stack.pop()
+        yield path
+        node = path[-1]
+        stack += [path + (child,) for child in (node.step, node.jump and node.jump[1])
+                  if child is not None]
+
+
+class TestPatterns:
+    """The pattern trie that `enumerate_accepted_words` walks, built once
+    from the word rules on symbolic letters."""
+
+    def test_paths_end_by_six_letters(self):
+        # The caps bound of the lemma of `higher_product_report`.
+        paths = list(pattern_paths())
+        assert len(paths) == 37
+        assert max(len(path) for path in paths) == 6
+
+    def test_one_jump_sign_per_node(self):
+        # The sign laws of `_corner_kind` admit at most one jump sign, on
+        # the symbolic letters of each path, and the trie keeps that jump
+        # unless the caps stop it.
+        for path in pattern_paths():
+            curve, letters = 0, []
+            for node in path:
+                curve += node.by_jump
+                letters.append(Letter(node.piece, curve, node.sign))
+            last, node = letters[-1], path[-1]
+            piece = ARC if last.piece == ARC else _OTHER_SEGMENT[last.piece]
+            kinds = [(sign, _corner_kind(last, Letter(piece, curve + 1, sign), False)[0])
+                     for sign in (1, -1)]
+            admitted = [(sign, kind) for sign, kind in kinds if kind is not None]
+            assert len(admitted) <= 1, letters
+            if node.jump is not None:
+                kind, child = node.jump
+                assert admitted == [(child.sign, kind)] and child.piece == piece
+                assert child.by_jump
+
+    def test_enumeration_applies_no_rule_per_word(self, monkeypatch):
+        # The rules ran once, at import; a search only looks points up and
+        # checks `_monotone`.
+        calls = Counter()
+        for name in ("_corner", "_corner_kind", "_shape"):
+            real = getattr(words, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(words, name, counting)
+        found = [enumerate_accepted_words(Weights(a)) for a in pairs_up_to(12)]
+        assert sum(map(len, found)) > 1000
+        assert calls == Counter()
+
+
 class TestTranslation:
     """The translation lemma of `enumerate_accepted_words`: the search from
     curve 0 and its shifted copies find what a search from every first
@@ -482,6 +543,13 @@ class TestTranslation:
             words = enumerate_accepted_words(w)
             assert {word.letters[0].curve for word in words} <= {0}, a
             assert shifted_copies(w, words) == all_first_curves_search(w), a
+
+    @pytest.mark.parametrize("a", [(5, 31), (13, 27), (17, 19), (1, 39)])
+    def test_matches_all_first_curves_search_large(self, a):
+        # Pairs past the sweep, with a0 from 1 to about l / 2, so the
+        # SEG_PM gaps start low, in the middle and high.
+        w = Weights(a)
+        assert shifted_copies(w, enumerate_accepted_words(w)) == all_first_curves_search(w)
 
     def test_shifted_corners_are_the_shared_points(self):
         # Every corner, of a curve-0 word or of a shifted copy, is the
