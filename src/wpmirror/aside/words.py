@@ -9,11 +9,12 @@ between letters on different curves are the marked intersection points.
 The classification rules reject every word that cannot bound a disc:
 subscripts must be non-decreasing, letters on one curve must be traversed
 consecutively in one direction, three consecutive segment letters never
-occur, segment-only and single-half-circle words are impossible, and the
-corner positions along each letter must be monotone for the letter's
-direction (checked from exact coordinates).  The surviving words are the
-all-half-circle triangle and the five-letter triangles with one arc pair,
-which carry the product structure.
+occur, segment-only and single-half-circle words are impossible, and
+each corner point must exist.  The corner positions along each letter are
+then monotone for the letter's direction, by the monotonicity lemma of
+`enumerate_accepted_words`, so the search checks no corner order.  The
+surviving words are the all-half-circle triangle and the five-letter
+triangles with one arc pair, which carry the product structure.
 """
 
 from dataclasses import dataclass
@@ -128,65 +129,25 @@ def _corner_kind(prev, nxt, is_wrap):
     return kind, None
 
 
-def _corner(w, prev, nxt, is_wrap):
-    """The corner point where `prev` hands over to `nxt`: the kind of
-    `_corner_kind`, looked up between the two letters' curves.  Returns
-    (point, None), or (None, reason) when the two letters cannot meet."""
-    kind, reason = _corner_kind(prev, nxt, is_wrap)
-    if kind is None:
-        return None, reason
-    lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
-    point = points_by_kind(w, lower.curve, upper.curve).get(kind)
-    if point is None:
-        return None, "missing corner"
-    return point, None
-
-
-def _monotone(letter, corner_in, corner_out):
-    """Boundary monotonicity of a letter entered at `corner_in` and left at
-    `corner_out`, both on other curves: the letter must pass the two in the
-    direction of its sign; positions compared exactly.
-
-    Along the flow a half-circle meets its crossings with curves of
-    decreasing index (the crossing height is affine in the partner index),
-    s- meets increasing x and s+ decreasing x.  So a < b exactly when the
-    letter runs from `corner_in` to `corner_out` with the flow.  A letter
-    entered and left at one point has nothing to order.
-    """
-    if corner_in is corner_out:
-        return True
-    if letter.piece == ARC:
-        a = corner_out.j if corner_out.k == letter.curve else corner_out.k
-        b = corner_in.j if corner_in.k == letter.curve else corner_in.k
-    elif letter.piece == SEG_MINUS:
-        a, b = corner_in.x, corner_out.x
-    else:
-        a, b = corner_out.x, corner_in.x
-    return a != b and (a < b) == (letter.sign > 0)
-
-
 class _Pattern(NamedTuple):
     """A node of `_PATTERNS`: the last letter of a letter pattern, by its
     piece and sign, and what the word rules let follow it."""
 
     piece: str
     sign: int
-    by_jump: bool  # entered by a jump, at the pattern's last corner
-    wrap: object   # (kind, first letter left by a jump) of its wrap corner, or None
+    wrap: object   # the kind of its wrap corner, or None
     step: object   # the child pattern one step along the curve, or None
     jump: object   # (kind, child pattern) of its one jump, or None
 
 
-def _pattern(letters, arcs, seg_run, by_jump):
+def _pattern(letters, arcs, seg_run):
     """The node of `_PATTERNS` for `letters`, symbolic letters whose curve is
     the number of jumps before them; `arcs` are the positions of its arc
     letters and `seg_run` the number of segments that end it."""
     first, last = letters[0], letters[-1]
     wrap = None
     if first.curve < last.curve and _shape(letters, arcs) is None:
-        kind = _corner_kind(last, first, True)[0]
-        if kind is not None:
-            wrap = kind, letters[1].curve != first.curve
+        wrap = _corner_kind(last, first, True)[0]
 
     def child(nxt):
         """The pattern that `nxt` extends `letters` to, or None past the
@@ -201,7 +162,7 @@ def _pattern(letters, arcs, seg_run, by_jump):
         has_segment = len(n_arcs) <= len(letters)
         if has_segment and len(n_arcs) > 1 and n_arcs != (n_arcs[0], n_arcs[0] + 1):
             return None
-        return _pattern(letters + (nxt,), n_arcs, n_run, nxt.curve != last.curve)
+        return _pattern(letters + (nxt,), n_arcs, n_run)
 
     piece = _NEXT_PIECE[last.piece, last.sign]
     step = None if piece is None else child(Letter(piece, last.curve, last.sign))
@@ -217,7 +178,7 @@ def _pattern(letters, arcs, seg_run, by_jump):
             jumps.append((kind, found))
     # The sign laws leave one jump sign at most; a second fails here, at import.
     [jump] = jumps or [None]
-    return _Pattern(last.piece, last.sign, by_jump, wrap, step, jump)
+    return _Pattern(last.piece, last.sign, wrap, step, jump)
 
 
 # The letter patterns that the word rules admit, as a trie of roots, one
@@ -225,7 +186,7 @@ def _pattern(letters, arcs, seg_run, by_jump):
 # C(+) only, so each arc triangle appears once, in the canonical (+,-,+)
 # orientation.
 _PATTERNS = tuple(_pattern((Letter(piece, 0, sign),), (0,) if piece == ARC else (),
-                           int(piece != ARC), False)
+                           int(piece != ARC))
                   for piece in _FLOW_ORDER for sign in ((1,) if piece == ARC else (1, -1)))
 
 
@@ -236,14 +197,11 @@ def enumerate_accepted_words(w):
     The search walks the pattern trie `_PATTERNS` with the curve c of the
     last letter.  A step keeps c; a jump of kind K runs over the gaps d at
     which a point of kind K exists, while c + d <= l-2.  A pattern closes
-    at gap c when its wrap kind exists there.  Each letter's monotonicity
-    is checked when the jump that leaves it is pushed; a failure there
-    stays in every extension, so the whole subtree goes.  A closing word
-    then needs only the monotonicity of the two letters that touch the
-    wrap.  Each pair's points are read once per call.
+    at gap c when its wrap kind exists there.  Each pair's points are read
+    once per call.
 
-    Lemma (patterns).  Every rule but the existence of a corner point and
-    `_monotone` reads only the pieces and signs of a word and the order of
+    Lemma (patterns).  Every rule but the existence of a corner point
+    reads only the pieces and signs of a word and the order of
     its curves: the caps, the three-segment cut, the steps of
     `_NEXT_PIECE`, the sign laws and the corner kind of `_corner_kind`,
     and `_shape`.  Along a word the curve stays on a step and rises on a
@@ -255,13 +213,35 @@ def enumerate_accepted_words(w):
     before them, and `_PATTERNS`, built once from those, holds every
     admitted word shape.  The caps stop every pattern at 6 letters.
 
+    Lemma (monotonicity).  Each letter of a word the search returns passes
+    the corners it is entered and left at in the direction of its sign:
+    along the flow a half-circle meets its crossings with curves of
+    decreasing index, s- meets increasing x and s+ decreasing x.  So no
+    corner order is checked.  Write the curves as jump counts, with jump
+    gaps d1, d2 and c = d1 + d2 <= l-2.  `_PATTERNS` has exactly five
+    closing nodes, one under each root, and every letter but those named
+    here is entered or left by a step, so meets one corner at most:
+      C0(+) C1(-) C2(+): each arc meets the other two curves, of indices
+        0 < d1 < c, in the order of its sign;
+      s+0(+) C0(+) C1(-) s+1(-) s-2(-): the last letter needs
+        x_pm(d2) > x_pm(c);
+      s+0(-) s-1(-) C1(-) C2(+) s-2(+): the first letter needs
+        x_pm(d1) > x_pm(c);
+      s-0(+) s+1(+) C1(+) C2(-) s+2(-): the first letter needs
+        x_mp(d1) > x_mp(c);
+      s-0(-) C0(-) C1(+) s-1(+) s+2(+): the last letter needs
+        x_mp(d2) > x_mp(c).
+    Here x_pm(g) = (l-1-g)/(a1-a0+g), from `_seg_pm_x`, and
+    x_mp(g) = (l-1-g)/(g-a1+a0), from `_seg_mp_x`.  Each strictly
+    decreases on its existence range, g >= a0 and g >= a1 respectively, up
+    to l-2: its numerator is positive and falling, its denominator
+    positive and rising.  Since c > d1 and c > d2, every order holds.
+
     Lemma (translation).  Shifting every curve index by c maps the search
     from curve 0 onto the search from curve c, cut at curve l-2: whether a
-    point of a kind exists, and the x that `_monotone` reads from
-    `_seg_pm_x` or `_seg_mp_x`, depend only on the gap k - j; on arcs
-    `_monotone` compares curve indices, whose order a shift keeps; and
-    `maslov_degree` too reads only the gap.  So the gaps of a kind are
-    read once, from the pairs (0, d).  Curves never decrease along a
+    point of a kind exists, its x (`_seg_pm_x`, `_seg_mp_x`) and its
+    `maslov_degree` depend only on the gap k - j.  So the gaps of a kind
+    are read once, from the pairs (0, d).  Curves never decrease along a
     word, so the words from curve c are the curve-0 words whose last
     letter lies on a curve <= l-2-c, shifted by c, in the same order.  So
     the search runs from curve 0 only, and each word it returns stands for
@@ -286,29 +266,20 @@ def enumerate_accepted_words(w):
 
     def walk(node, c, stack, corners):
         """`corners` holds the jump corners of `stack`."""
-        _, _, by_jump, wrap, step, jump = node
+        _, _, wrap, step, jump = node
         if wrap is not None:
-            kind, first_by_jump = wrap
-            point = points[0][c].get(kind)
-            # Only the first and last letters touch the wrap corner; the
-            # walk checked every other letter's monotonicity as it pushed
-            # the jump that leaves it.
-            if (point is not None
-                    and (not first_by_jump or _monotone(stack[0], point, corners[0]))
-                    and (not by_jump or _monotone(stack[-1], corners[-1], point))):
+            point = points[0][c].get(wrap)
+            if point is not None:
                 accepted.append(DiscWord(stack, corners + (point,)))
         if step is not None:
             walk(step, c, stack + (letter(step, c),), corners)
         if jump is not None:
             kind, child = jump
-            last, row = stack[-1], points[c]
-            entered = corners[-1] if by_jump else None
+            row = points[c]
             for d in gaps[kind]:
                 if c + d > top:
                     break
-                corner = row[d][kind]
-                if entered is None or _monotone(last, entered, corner):
-                    walk(child, c + d, stack + (letter(child, c + d),), corners + (corner,))
+                walk(child, c + d, stack + (letter(child, c + d),), corners + (row[d][kind],))
 
     for root in _PATTERNS:
         walk(root, 0, (letter(root, 0),), ())

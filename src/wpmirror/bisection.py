@@ -579,10 +579,15 @@ def load_config(path):
     cfg["seed"] = raw.get("seed", DEFAULT_SEED)
     if type(cfg["seed"]) is not int:
         raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
+    tolerance = raw.get("tolerance", DEFAULT_TOLERANCE)
     try:
-        cfg["tolerance"] = float(raw.get("tolerance", DEFAULT_TOLERANCE))
-    except TypeError:
-        raise ValueError(f"tolerance must be a number, got {raw['tolerance']!r}")
+        if isinstance(tolerance, bool):
+            raise TypeError
+        cfg["tolerance"] = float(tolerance)
+    except (TypeError, ValueError):
+        raise ValueError(f"tolerance must be a number, got {tolerance!r}")
+    except OverflowError:
+        cfg["tolerance"] = float("inf")
     if not 0 < cfg["tolerance"] < float("inf"):
         raise ValueError(f"tolerance must be positive and finite, got {cfg['tolerance']}")
     schedule = raw.get("t_schedule", list(DEFAULT_T_SCHEDULE))

@@ -21,8 +21,9 @@ from .bside import compose_dual, dual_ext, verify_prop6_via_resolution
 from .weights import Weights
 
 # The payload's "max_word_len" field.  The search has no length bound (its
-# caps stop every word at 5 letters); the value is kept because every
-# recorded digest hashes it.
+# caps stop every pattern at 6 letters, and the length-bound lemma of
+# `higher_product_report` every accepted word at 5); the value is kept
+# because every recorded digest hashes it.
 MAX_WORD_LEN = 8
 
 CONVENTIONS = {

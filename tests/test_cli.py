@@ -453,6 +453,10 @@ class TestBisect:
         ({"t_schedule": 5}, "error: bad config: t_schedule must be"),
         ({"seed": [1]}, "error: bad config: seed must be"),
         ({"tolerance": "nan"}, "error: bad config: tolerance must be"),
+        ({"tolerance": True}, "error: bad config: tolerance must be a number, got True\n"),
+        ({"tolerance": "abc"}, "error: bad config: tolerance must be a number, got 'abc'\n"),
+        ({"tolerance": 10 ** 400},
+         "error: bad config: tolerance must be positive and finite, got inf\n"),
         ({"coefficients": {"0": 1, "1": 2, "2": 1}}, "error: the coefficients and the marked "
                                                      "points differ at -1"),
         ({"t_schedule": []}, "error: bad config: t_schedule must be a nonempty list, got []\n"),
@@ -465,7 +469,8 @@ class TestBisect:
         ({"coefficients": {"-1": 1, "0": 1, "1": 1, "2": "1e400"}},
          "error: bad config: the coefficient at 2 is outside float range: '1e400'\n"),
     ], ids=["A-int", "A0-empty", "point-nested", "point-float", "schedule-int", "seed-list",
-            "tolerance-nan", "coefficient-missing", "schedule-empty", "schedule-zero-denominator",
+            "tolerance-nan", "tolerance-bool", "tolerance-string", "tolerance-huge",
+            "coefficient-missing", "schedule-empty", "schedule-zero-denominator",
             "schedule-huge", "coefficient-zero-denominator", "coefficient-huge"])
     def test_bad_config_shape_invalid(self, capsys, tmp_path, change, message):
         path = tmp_path / "shape.json"

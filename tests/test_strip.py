@@ -123,6 +123,18 @@ class TestIntersections:
         with pytest.raises(ArithmeticError, match="outside"):
             intersections(Weights((2, 3)), 0, 3)
 
+    def test_crossing_x_decreases_in_gap(self):
+        # The premise of the monotonicity lemma of the word search: each
+        # segment crossing's x strictly decreases in the gap g = k - j over
+        # its existence range, a0 <= g (SEG_PM) or a1 <= g (SEG_MP), up to
+        # l - 2, on every pair with l <= 40.
+        for a0 in range(1, 40):
+            for a1 in range(a0, 41 - a0):
+                w = Weights((a0, a1))
+                for x_of, first in ((strip._seg_pm_x, a0), (strip._seg_mp_x, a1)):
+                    xs = [x_of(w, 0, g) for g in range(first, w.l - 1)]
+                    assert all(x > y for x, y in zip(xs, xs[1:])), (a0, a1, x_of)
+
 
 # Every pair a0 <= a1 with l = a0 + a1 <= 25.
 PAIRS_UP_TO_25 = [(a0, a1) for a0 in range(1, 25) for a1 in range(a0, 26 - a0)]

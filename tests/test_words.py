@@ -18,9 +18,7 @@ from wpmirror.aside.words import (
     _PATTERNS,
     DiscWord,
     Letter,
-    _corner,
     _corner_kind,
-    _monotone,
     _shape,
     enumerate_accepted_words,
     higher_product_report,
@@ -99,6 +97,45 @@ def canonical_triangle(letters):
     if signs == (-1, 1, -1):
         return tuple(Letter(x.piece, x.curve, -x.sign) for x in letters)
     return None
+
+
+def _corner(w, prev, nxt, is_wrap):
+    """The corner point where `prev` hands over to `nxt`: the kind of
+    `_corner_kind`, looked up between the two letters' curves.  Returns
+    (point, None), or (None, reason) when the two letters cannot meet."""
+    kind, reason = _corner_kind(prev, nxt, is_wrap)
+    if kind is None:
+        return None, reason
+    lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
+    point = points_by_kind(w, lower.curve, upper.curve).get(kind)
+    if point is None:
+        return None, "missing corner"
+    return point, None
+
+
+def _monotone(letter, corner_in, corner_out):
+    """Boundary monotonicity of a letter entered at `corner_in` and left at
+    `corner_out`, both on other curves: the letter must pass the two in the
+    direction of its sign; positions compared exactly.  The reference for
+    the monotonicity lemma of `enumerate_accepted_words`, which shows that
+    every word the search returns passes it.
+
+    Along the flow a half-circle meets its crossings with curves of
+    decreasing index (the crossing height is affine in the partner index),
+    s- meets increasing x and s+ decreasing x.  So a < b exactly when the
+    letter runs from `corner_in` to `corner_out` with the flow.  A letter
+    entered and left at one point has nothing to order.
+    """
+    if corner_in is corner_out:
+        return True
+    if letter.piece == ARC:
+        a = corner_out.j if corner_out.k == letter.curve else corner_out.k
+        b = corner_in.j if corner_in.k == letter.curve else corner_in.k
+    elif letter.piece == SEG_MINUS:
+        a, b = corner_in.x, corner_out.x
+    else:
+        a, b = corner_out.x, corner_in.x
+    return a != b and (a < b) == (letter.sign > 0)
 
 
 def word_rules(w, letters):
@@ -385,6 +422,16 @@ class TestEnumeration:
             for word in shifted_copies(w, words):
                 assert word_rules(w, word.letters) == (word.corners, None)
                 assert len(word.corners) == 3
+        # The monotonicity lemma of `enumerate_accepted_words`: the search
+        # checks no corner order, and the rules, which do, accept every
+        # curve-0 word with its corners, on every pair with l <= 40.
+        count = 0
+        for a in pairs_up_to(40):
+            w = Weights(a)
+            for word in enumerate_accepted_words(w):
+                assert word_rules(w, word.letters) == (word.corners, None), (a, word)
+                count += 1
+        assert count == 324520
 
     def test_equal_letters_are_one_object(self):
         seen = {}
@@ -484,6 +531,17 @@ def pattern_paths():
                   if child is not None]
 
 
+def path_letters(path):
+    """The symbolic letters of a path of `_PATTERNS`: each letter's curve is
+    the number of jumps before it, read from whether each node is its
+    parent's jump child."""
+    curve, letters = 0, [Letter(path[0].piece, 0, path[0].sign)]
+    for parent, node in zip(path, path[1:]):
+        curve += parent.step is not node
+        letters.append(Letter(node.piece, curve, node.sign))
+    return letters
+
+
 class TestPatterns:
     """The pattern trie that `enumerate_accepted_words` walks, built once
     from the word rules on symbolic letters."""
@@ -494,31 +552,38 @@ class TestPatterns:
         assert len(paths) == 37
         assert max(len(path) for path in paths) == 6
 
+    def test_five_closing_nodes(self):
+        # The premise of the monotonicity lemma of `enumerate_accepted_words`.
+        closing = {str(DiscWord(tuple(path_letters(path)))): path[-1].wrap
+                   for path in pattern_paths() if path[-1].wrap is not None}
+        assert closing == {
+            "C0(+) C1(-) C2(+)": PointKind.ARC,
+            "s0+(+) C0(+) C1(-) s1+(-) s2-(-)": PointKind.SEG_PM,
+            "s0+(-) s1-(-) C1(-) C2(+) s2-(+)": PointKind.SEG_PM,
+            "s0-(+) s1+(+) C1(+) C2(-) s2+(-)": PointKind.SEG_MP,
+            "s0-(-) C0(-) C1(+) s1-(+) s2+(+)": PointKind.SEG_MP,
+        }
+
     def test_one_jump_sign_per_node(self):
         # The sign laws of `_corner_kind` admit at most one jump sign, on
         # the symbolic letters of each path, and the trie keeps that jump
         # unless the caps stop it.
         for path in pattern_paths():
-            curve, letters = 0, []
-            for node in path:
-                curve += node.by_jump
-                letters.append(Letter(node.piece, curve, node.sign))
+            letters = path_letters(path)
             last, node = letters[-1], path[-1]
             piece = ARC if last.piece == ARC else _OTHER_SEGMENT[last.piece]
-            kinds = [(sign, _corner_kind(last, Letter(piece, curve + 1, sign), False)[0])
+            kinds = [(sign, _corner_kind(last, Letter(piece, last.curve + 1, sign), False)[0])
                      for sign in (1, -1)]
             admitted = [(sign, kind) for sign, kind in kinds if kind is not None]
             assert len(admitted) <= 1, letters
             if node.jump is not None:
                 kind, child = node.jump
                 assert admitted == [(child.sign, kind)] and child.piece == piece
-                assert child.by_jump
 
     def test_enumeration_applies_no_rule_per_word(self, monkeypatch):
-        # The rules ran once, at import; a search only looks points up and
-        # checks `_monotone`.
+        # The rules ran once, at import; a search only looks points up.
         calls = Counter()
-        for name in ("_corner", "_corner_kind", "_shape"):
+        for name in ("_corner_kind", "_shape", "_seg_jump_ok"):
             real = getattr(words, name)
 
             def counting(*args, name=name, real=real):
