@@ -4,14 +4,23 @@ exterior algebra, projective resolutions as summand bookkeeping, and the
 generation certificate for the exceptional range [0, l-2].
 """
 
+import operator
 from dataclasses import dataclass, field
 
 from .weights import monomial_basis
 
 
 def _check_object_index(w, idx, name="index"):
+    """The object index idx as an int: an integer type other than bool is
+    taken, anything else is refused by name, as is an index outside
+    [0, l - 2]."""
+    if type(idx) is not int:
+        if isinstance(idx, bool) or not hasattr(idx, "__index__"):
+            raise ValueError(f"{name}={idx!r} is not an integer object index")
+        idx = operator.index(idx)
     if not 0 <= idx <= w.l - 2:
         raise ValueError(f"{name}={idx} outside the object range [0, {w.l - 2}]")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,8 @@ def ext_pushforward(w, j, k):
     the space vanishes for k < j (semi-orthogonality).  The basis depends
     only on the gap k - j and is built once per gap and `Weights` object.
     """
-    _check_object_index(w, j, "source")
-    _check_object_index(w, k, "target")
+    j = _check_object_index(w, j, "source")
+    k = _check_object_index(w, k, "target")
     table = w._tables["ext"]
     basis = table.get(k - j)
     if basis is None:  # empty for k < j: no monomial has a negative degree
@@ -57,8 +66,8 @@ def dual_ext(w, k, i):
     weight a_J <= k - i, placed in cohomological degree |J|.  The basis
     depends only on the span k - i and is built once per span and
     `Weights` object, from the shared entries of `w.exterior_basis`."""
-    _check_object_index(w, k, "source")
-    _check_object_index(w, i, "target")
+    k = _check_object_index(w, k, "source")
+    i = _check_object_index(w, i, "target")
     table = w._tables["dual"]
     basis = table.get(k - i)
     if basis is None:
@@ -157,7 +166,7 @@ def resolution_summands(w, k):
     Summands whose projective index would be negative are pruned (the
     P_i = 0 for i < 0 convention).
     """
-    _check_object_index(w, k)
+    k = _check_object_index(w, k)
     out = []
     for j in range(w.n + 1):
         for J, weight in w.subsets:
@@ -183,8 +192,8 @@ def verify_prop6_via_resolution(w, k, i):
     is checked at i = 0 for every subset as each span's basis is built,
     once per span and `Weights` object, and a subset that breaks it raises.
     """
-    _check_object_index(w, k)
-    _check_object_index(w, i)
+    k = _check_object_index(w, k)
+    i = _check_object_index(w, i)
     table = w._tables["oracle"]
     basis = table.get(k - i)
     if basis is None:

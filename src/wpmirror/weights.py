@@ -49,14 +49,16 @@ class Weights:
     @cached_property
     def _tables(self):
         """The facts that depend on these weights alone, one table per
-        owner, each entry built once and freed with the object: "monomials"
-        (degree -> the monomials of `monomial_basis`), "ext" (gap k - j ->
-        the basis of `bside.ext_pushforward`), "dual" (span k - i -> the
+        owner, each entry built once and freed with the object: "suffixes"
+        ((s, degree) -> the exponent tuples of a_s..a_n for s >= 1, the
+        suffix table that `monomial_basis` builds on), "monomials" (degree
+        -> the monomials of `monomial_basis`), "ext" (gap k - j -> the
+        basis of `bside.ext_pushforward`), "dual" (span k - i -> the
         basis of `bside.dual_ext`), "oracle" (span k - i -> the basis of
         `bside.verify_prop6_via_resolution`, by its own criterion) and
         "points" (curve pair (j, k) -> the lookup of
         `aside.strip.points_by_kind`)."""
-        return {"monomials": {}, "ext": {}, "dual": {}, "oracle": {}, "points": {}}
+        return {"suffixes": {}, "monomials": {}, "ext": {}, "dual": {}, "oracle": {}, "points": {}}
 
     def __repr__(self):
         return f"Weights{self.a}"
@@ -72,6 +74,13 @@ class Monomial:
         object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative")
+
+    @classmethod
+    def _trusted(cls, exponents):
+        """A monomial of a tuple of nonnegative ints, taken as it is."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exponents)
+        return m
 
 
 @dataclass(frozen=True)
@@ -131,30 +140,45 @@ def graded_dim(w, k):
     return counts[k]
 
 
+def _suffix(w, s, d):
+    """The exponent tuples of a_s..a_n, s >= 1, in degree d: the suffix
+    table's entry, built once per (suffix, degree) and `Weights` object."""
+    table = w._tables["suffixes"]
+    out = table.get((s, d))
+    if out is None:
+        out = table[s, d] = _exponents(w, s, d)
+    return out
+
+
+def _exponents(w, s, d):
+    """The exponent tuples of a_s..a_n in degree d, largest e_s first.
+
+    Each is an exponent e of a_s, from d // a_s down to 0, joined to a
+    tuple of a_{s+1}..a_n in degree d - e * a_s from the suffix table; the
+    last weight alone has one tuple when a_n divides d.  Every exponent is
+    a nonnegative int.
+    """
+    a = w.a[s]
+    if s == w.n:
+        return ((d // a,),) if d % a == 0 else ()
+    return tuple((e,) + tail for e in range(d // a, -1, -1)
+                 for tail in _suffix(w, s + 1, d - e * a))
+
+
 def monomial_basis(w, k):
     """All monomials of weighted degree k, in the fixed lexicographic order.
 
     The order (largest leading exponent first) is the basis order used in
     every downstream table and certificate.  The monomials of a degree are
-    built once per `Weights` object; each call returns a new list of them.
+    built once per `Weights` object, from its suffix table and without
+    re-validation; each call returns a new list of them.
     """
     if k < 0:
         return []
     table = w._tables["monomials"]
     basis = table.get(k)
     if basis is None:
-        out = []
-
-        def rec(i, remaining, prefix):
-            if i == w.n:
-                if remaining % w.a[i] == 0:
-                    out.append(Monomial(prefix + (remaining // w.a[i],)))
-                return
-            for e in range(remaining // w.a[i], -1, -1):
-                rec(i + 1, remaining - e * w.a[i], prefix + (e,))
-
-        rec(0, k, ())
-        basis = table[k] = tuple(out)
+        basis = table[k] = tuple(map(Monomial._trusted, _exponents(w, 0, k)))
     return list(basis)
 
 

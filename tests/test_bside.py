@@ -1,8 +1,10 @@
 """Tests for the derived-category side: quiver Ext spaces, the dual
 exterior algebra, resolutions, and the generation certificate."""
 
+import enum
 import itertools
 
+import numpy as np
 import pytest
 
 from perfbench.workloads import BSIDE_L, bside_hash, bside_pass, bside_vectors, load
@@ -59,6 +61,72 @@ class TestExtPushforward:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ext_pushforward(Weights((2, 3)), 0, 4)
+
+
+def table_keys_are_ints(w):
+    """Every key of every `Weights._tables` table is an int or a tuple of
+    ints."""
+    keys = [key for table in w._tables.values() for key in table]
+    return all(type(x) is int for key in keys
+               for x in (key if type(key) is tuple else (key,)))
+
+
+class TestObjectIndices:
+    """Each hom space checks its two object indices: an integer other than
+    a bool is taken as an int, any other index is refused by name, and an
+    int outside [0, l - 2] keeps the range message."""
+
+    HOMS = [(ext_pushforward, ("source", "target")), (dual_ext, ("source", "target")),
+            (verify_prop6_via_resolution, ("index", "index"))]
+
+    @pytest.mark.parametrize("hom,names", HOMS)
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "a", None])
+    def test_non_int_refused_by_name(self, hom, names, bad):
+        w = Weights((2, 3))
+        for args, name in (((bad, 0), names[0]), ((0, bad), names[1]), ((bad, bad), names[0])):
+            with pytest.raises(ValueError, match=f"^{name}={bad!r} is not an integer"):
+                hom(w, *args)
+        bside_pass(w)
+        assert all(w._tables[name] for name in ("suffixes", "monomials", "ext", "dual", "oracle"))
+        assert table_keys_are_ints(w)
+
+    def test_resolution_summands_refuses_non_int(self):
+        w = Weights((2, 3))
+        for bad in (1.5, 2.0, True, "a"):
+            with pytest.raises(ValueError, match=f"^index={bad!r} is not an integer"):
+                resolution_summands(w, bad)
+
+    @pytest.mark.parametrize("hom,names", HOMS)
+    def test_out_of_range_messages(self, hom, names):
+        w = Weights((2, 3))
+        source, target = names
+        cases = [((-1, 0), f"{source}=-1 outside the object range [0, 3]"),
+                 ((4, 0), f"{source}=4 outside the object range [0, 3]"),
+                 ((0, -1), f"{target}=-1 outside the object range [0, 3]"),
+                 ((0, 4), f"{target}=4 outside the object range [0, 3]"),
+                 ((9, "a"), f"{source}=9 outside the object range [0, 3]"),
+                 ((0.5, 9), f"{source}=0.5 is not an integer object index")]
+        for args, message in cases:
+            with pytest.raises(ValueError) as caught:
+                hom(w, *args)
+            assert str(caught.value) == message, args
+        with pytest.raises(ValueError, match=r"^index=4 outside the object range \[0, 3\]$"):
+            resolution_summands(w, 4)
+
+    @pytest.mark.parametrize("hom,names", HOMS)
+    def test_integer_types_taken_as_int(self, hom, names):
+        class Index(enum.IntEnum):
+            ONE = 1
+            THREE = 3
+
+        w = Weights((2, 3))
+        for k, i in ((np.int64(3), np.int64(1)), (Index.THREE, Index.ONE), (3, np.int8(1))):
+            got = hom(w, k, i)
+            assert got == hom(w, 3, 1)
+            assert type(got.source) is int and type(got.target) is int
+        assert resolution_summands(w, np.int64(2)) == resolution_summands(w, 2)
+        assert resolution_summands(w, Index.THREE) == resolution_summands(w, 3)
+        assert table_keys_are_ints(w)
 
 
 class TestDualExt:

@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
+from perfbench.workloads import BSIDE_L, bside_vectors
 from wpmirror import weights
 from wpmirror.weights import (
     ExteriorBasisElement,
     LatticePolytope,
+    Monomial,
     Weights,
     graded_dim,
     monomial_basis,
@@ -26,6 +28,25 @@ def brute_graded_dim(w, k):
         if sum(a * e for a, e in zip(w.a, exps)) == k:
             count += 1
     return count
+
+
+def monomial_basis_reference(w, k):
+    """Reference builder: a recursion over the weights that builds every
+    suffix anew for each degree, with the validating `Monomial(...)`."""
+    if k < 0:
+        return []
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == w.n:
+            if remaining % w.a[i] == 0:
+                out.append(Monomial(prefix + (remaining // w.a[i],)))
+            return
+        for e in range(remaining // w.a[i], -1, -1):
+            rec(i + 1, remaining - e * w.a[i], prefix + (e,))
+
+    rec(0, k, ())
+    return out
 
 
 class TestWeights:
@@ -84,25 +105,67 @@ class TestMonomialBasis:
         assert all(sum(a * e for a, e in zip(w.a, m.exponents)) == k for m in basis)
         assert len(set(basis)) == len(basis)
 
-    def test_built_once_per_degree(self, monkeypatch):
-        built = []
-        real = weights.Monomial
+    @pytest.mark.parametrize(
+        "a", bside_vectors(BSIDE_L) + [(3, 1, 4, 1, 5), (1, 1, 1, 1, 1, 1), (7,), (2, 3)])
+    def test_matches_reference(self, a):
+        w = Weights(a)
+        for k in range(w.l):
+            basis = monomial_basis(w, k)
+            assert [m.exponents for m in basis] \
+                == [m.exponents for m in monomial_basis_reference(w, k)], (a, k)
+            # Built without validation, so pin what validation would check.
+            assert all(type(e) is int and e >= 0 for m in basis for e in m.exponents), (a, k)
 
-        def counting_monomial(exponents):
+    def test_built_once_per_degree(self, monkeypatch):
+        # Each monomial comes from the trusted constructor, so counting its
+        # calls counts the monomials built.
+        built = []
+        real = weights.Monomial._trusted
+
+        def counting_trusted(exponents):
             built.append(exponents)
             return real(exponents)
 
-        monkeypatch.setattr(weights, "Monomial", counting_monomial)
+        monkeypatch.setattr(weights.Monomial, "_trusted", staticmethod(counting_trusted))
         w = Weights((1, 2, 3))
         basis = monomial_basis(w, 7)
         count = len(built)
         assert count == graded_dim(w, 7)
         basis.append(None)  # each caller gets a list of its own
-        assert monomial_basis(w, 7) == basis[:-1]
+        again = monomial_basis(w, 7)
+        assert again == basis[:-1]
         assert len(built) == count
+        assert all(x is y for x, y in zip(again, basis))
         # A new object builds its own basis.
-        assert monomial_basis(Weights((1, 2, 3)), 7) == basis[:-1]
+        fresh = monomial_basis(Weights((1, 2, 3)), 7)
+        assert fresh == again
+        assert not any(x is y for x, y in zip(fresh, again))
         assert len(built) == 2 * count
+
+    def test_suffix_table_built_once(self, monkeypatch):
+        # Each degree's tuples are joined once, and every suffix row below
+        # it (s >= 1) is built on its first call only, however many
+        # degrees reach it; the whole ring's rows are not kept.
+        built = []
+        real = weights._exponents
+
+        def counting_exponents(w, s, d):
+            built.append((s, d))
+            return real(w, s, d)
+
+        monkeypatch.setattr(weights, "_exponents", counting_exponents)
+        w = Weights((1, 1, 1, 1, 1, 1))
+        for k in range(w.l):
+            monomial_basis(w, k)
+        suffixes = {(s, d) for s in range(1, 6) for d in range(w.l)}
+        assert len(built) == len(set(built))
+        assert set(built) == {(0, d) for d in range(w.l)} | suffixes
+        assert set(w._tables["suffixes"]) == suffixes
+
+    def test_public_constructor_still_validates(self):
+        assert Monomial((2.0, 1)).exponents == (2, 1)
+        with pytest.raises(ValueError):
+            Monomial((1, -1))
 
     def test_leading_exponent_descending(self):
         w = Weights((1, 1))
