@@ -101,6 +101,11 @@ def _seg_mp_x(w, j, k):
     return Fraction((k - j) - (w.l - 1), (j - k) + w.l - 2 * w.a[0])
 
 
+def _require_pair(w, j, k):
+    if not 0 <= j < k <= w.l - 2:
+        raise ValueError(f"need 0 <= j < k <= l-2, got j={j}, k={k}")
+
+
 def intersections(w, j, k):
     """All intersection points of curves j < k, one period representative each.
 
@@ -108,8 +113,7 @@ def intersections(w, j, k):
     when the index gap admits them (a0 <= k-j, resp. a1 <= k-j).
     """
     _require_strip_weights(w)
-    if not 0 <= j < k <= w.l - 2:
-        raise ValueError(f"need 0 <= j < k <= l-2, got j={j}, k={k}")
+    _require_pair(w, j, k)
     # The shared labels; for two weights the subsets are (), (0,), (1,), (0, 1).
     (_, e_empty), (_, e_0), (_, e_1) = w.exterior_basis[:3]
     points = [IntersectionPoint(j, k, PointKind.ARC, None, None, e_empty)]
@@ -126,15 +130,18 @@ def intersections(w, j, k):
     return points
 
 
-def points_by_kind(w, j, k):
-    """The intersection points of curves j < k keyed by their kind: the
-    pair's one set of point objects, built once per pair and `Weights`
-    object and shared by `hom_space` and the word search."""
+def gap_points(w, d):
+    """The row of gap d, from one `intersections(w, 0, d)` per `Weights`
+    object: the points by kind and the `hom_space` basis, which serve every
+    pair (j, j + d) by the translation lemma of `enumerate_accepted_words`."""
     table = w._tables["points"]
-    found = table.get((j, k))
-    if found is None:
-        found = table[j, k] = {p.kind: p for p in intersections(w, j, k)}
-    return found
+    row = table.get(d)
+    if row is None:
+        points = intersections(w, 0, d)
+        basis = sorted(((maslov_degree(w, p), p.label) for p in points),
+                       key=lambda t: (t[0], t[1].subset))
+        row = table[d] = ({p.kind: p for p in points}, tuple(basis))
+    return row
 
 
 # Every angle of the Maslov pipeline is a multiple of pi / D with
@@ -201,6 +208,5 @@ def hom_space(w, j, k):
         return BigradedHom(j, k, ((0, w.exterior_basis[0][1]),))
     if j > k:
         return BigradedHom(j, k, ())
-    basis = [(maslov_degree(w, p), p.label) for p in points_by_kind(w, j, k).values()]
-    basis.sort(key=lambda t: (t[0], t[1].subset))
-    return BigradedHom(j, k, tuple(basis))
+    _require_pair(w, j, k)
+    return BigradedHom(j, k, gap_points(w, k - j)[1])

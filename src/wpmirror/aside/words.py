@@ -20,7 +20,7 @@ triangles with one arc pair, which carry the product structure.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .strip import PointKind, points_by_kind
+from .strip import PointKind, gap_points
 
 SEG_PLUS = "s+"
 ARC = "C"
@@ -60,7 +60,7 @@ class Letter:
 @dataclass(frozen=True)
 class DiscWord:
     letters: tuple
-    corners: tuple = ()
+    corners: tuple = ()  # each the point of its gap d (j = 0, k = d), not on the word's curves
 
     def __str__(self):
         return " ".join(str(x) for x in self.letters)
@@ -197,8 +197,8 @@ def enumerate_accepted_words(w):
     The search walks the pattern trie `_PATTERNS` with the curve c of the
     last letter.  A step keeps c; a jump of kind K runs over the gaps d at
     which a point of kind K exists, while c + d <= l-2.  A pattern closes
-    at gap c when its wrap kind exists there.  Each pair's points are read
-    once per call.
+    at gap c when its wrap kind exists there.  Every corner of gap d is
+    the point of the pair (0, d), read once per call from `gap_points`.
 
     Lemma (patterns).  Every rule but the existence of a corner point
     reads only the pieces and signs of a word and the order of
@@ -240,8 +240,8 @@ def enumerate_accepted_words(w):
     Lemma (translation).  Shifting every curve index by c maps the search
     from curve 0 onto the search from curve c, cut at curve l-2: whether a
     point of a kind exists, its x (`_seg_pm_x`, `_seg_mp_x`) and its
-    `maslov_degree` depend only on the gap k - j.  So the gaps of a kind
-    are read once, from the pairs (0, d).  Curves never decrease along a
+    `maslov_degree` depend only on the gap k - j.  So each gap's points
+    are read once, from the pair (0, d).  Curves never decrease along a
     word, so the words from curve c are the curve-0 words whose last
     letter lies on a curve <= l-2-c, shifted by c, in the same order.  So
     the search runs from curve 0 only, and each word it returns stands for
@@ -249,40 +249,34 @@ def enumerate_accepted_words(w):
     curve of its last letter.
     """
     top = w.l - 2
-    # points[c][d]: the points of the pair (c, c + d) by kind.
-    points = [[None] + [points_by_kind(w, c, c + d) for d in range(1, top + 1 - c)]
-              for c in range(top + 1)]
+    # points[d]: the points of gap d by kind, the corner of every jump of gap d.
+    points = [None] + [gap_points(w, d)[0] for d in range(1, top + 1)]
     # kind -> the gaps, ascending, at which a point of that kind exists.
-    gaps = {kind: [d for d in range(1, top + 1) if kind in points[0][d]] for kind in PointKind}
+    gaps = {kind: [d for d in range(1, top + 1) if kind in points[d]] for kind in PointKind}
     accepted = []
-    interned = {}  # (piece, curve, sign) -> the one Letter of this call
-
-    def letter(node, curve):
-        key = node.piece, curve, node.sign
-        found = interned.get(key)
-        if found is None:
-            found = interned[key] = Letter(*key)
-        return found
+    # (piece, sign) -> the one Letter of this call on each curve 0..l-2.
+    letters = {(piece, sign): [Letter(piece, c, sign) for c in range(top + 1)]
+               for piece in _FLOW_ORDER for sign in (1, -1)}
 
     def walk(node, c, stack, corners):
         """`corners` holds the jump corners of `stack`."""
         _, _, wrap, step, jump = node
         if wrap is not None:
-            point = points[0][c].get(wrap)
+            point = points[c].get(wrap)
             if point is not None:
                 accepted.append(DiscWord(stack, corners + (point,)))
         if step is not None:
-            walk(step, c, stack + (letter(step, c),), corners)
+            walk(step, c, stack + (letters[step.piece, step.sign][c],), corners)
         if jump is not None:
             kind, child = jump
-            row = points[c]
+            row = letters[child.piece, child.sign]
             for d in gaps[kind]:
                 if c + d > top:
                     break
-                walk(child, c + d, stack + (letter(child, c + d),), corners + (row[d][kind],))
+                walk(child, c + d, stack + (row[c + d],), corners + (points[d][kind],))
 
     for root in _PATTERNS:
-        walk(root, 0, (letter(root, 0),), ())
+        walk(root, 0, (letters[root.piece, root.sign][0],), ())
     return accepted
 
 

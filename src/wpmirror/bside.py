@@ -71,7 +71,7 @@ def dual_ext(w, k, i):
     table = w._tables["dual"]
     basis = table.get(k - i)
     if basis is None:
-        basis = table[k - i] = tuple(
+        basis = table[k - i] = () if k < i else tuple(
             e for (_, weight), e in zip(w.subsets, w.exterior_basis) if weight <= k - i)
     return BigradedHom(k, i, basis)
 
@@ -187,10 +187,12 @@ def verify_prop6_via_resolution(w, k, i):
     The differential restricted to these summands vanishes, so the result
     must agree with dual_ext(w, k, i).
 
-    The lower bound depends on the span k - i alone.  The upper bound is
-    |J| - a_J <= i, which every weight >= 1 makes hold for each i >= 0; it
-    is checked at i = 0 for every subset as each span's basis is built,
-    once per span and `Weights` object, and a subset that breaks it raises.
+    The lower bound depends on the span k - i alone; no subset meets it
+    for k < i, so a negative span's basis is empty, with no scan.  The
+    upper bound is |J| - a_J <= i, which every weight >= 1 makes hold for
+    each i >= 0; it is checked at i = 0 for every subset as each other
+    span's basis is built, once per span and `Weights` object, and a
+    subset that breaks it raises.
     """
     k = _check_object_index(w, k)
     i = _check_object_index(w, i)
@@ -198,7 +200,7 @@ def verify_prop6_via_resolution(w, k, i):
     basis = table.get(k - i)
     if basis is None:
         basis = []
-        for (J, weight), e in zip(w.subsets, w.exterior_basis):
+        for (J, weight), e in zip(w.subsets, w.exterior_basis) if k >= i else ():
             j = k - i + len(J) - weight
             if j > k - i:
                 raise ArithmeticError(

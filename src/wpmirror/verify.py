@@ -100,7 +100,8 @@ def aside_digest(w, words):
 
     Each word stands for its orbit (`enumerate_accepted_words`), whose
     copies reach every triple with its gaps (g0, g1) with the same labels,
-    so a triangle gives its gap pair one tail (J0, J1, Jout, 1).  Entries
+    so a triangle gives one tail (J0, J1, Jout, 1) to the gaps of its two
+    jump corners, each the point of its gap (`gap_points`).  Entries
     on both sides have one form, `((i, j, k), J0, J1, Jout, c)` with int
     tuples, from construction to the encoded certificate.
     """
@@ -109,7 +110,7 @@ def aside_digest(w, words):
         if len(word.corners) != 3:
             continue
         p0, p1, out = word.corners
-        tails.setdefault((p0.k - p0.j, p1.k - p0.k), []).append(
+        tails.setdefault((p0.k - p0.j, p1.k - p1.j), []).append(
             (p0.label.subset, p1.label.subset, out.label.subset, 1))
     for tail in tails.values():
         tail.sort()
@@ -158,9 +159,11 @@ def bside_digest(w):
 
 
 def _json_text(value):
-    """The text of `json.dumps(value, sort_keys=True, indent=2)` for values
-    made of dicts with str keys, lists, `DigestTable`s, tuples, str, int,
-    bool and None; any other type raises TypeError.
+    """Yield the text of `json.dumps(value, sort_keys=True, indent=2)` for
+    values made of dicts with str keys, lists, `DigestTable`s, tuples, str,
+    int, bool and None (any other type raises TypeError), in chunks: one
+    per key and per value of a dict `value`, and for a digest table one per
+    first index i of its triples and one for its closing bracket.
 
     The C encoder of `json` ignores `indent`, so `json.dumps` would run its
     pure-Python encoder here, at about three times the cost.  Instead each
@@ -175,7 +178,7 @@ def _json_text(value):
     where equality does not; version 2 writes no back-references, so equal
     values of one type give equal bytes.
     """
-    texts = {}  # (formatter, level, marshal bytes of the key) -> its text
+    texts = {}  # (formatter, level, marshal bytes of the key) -> its text or chunks
 
     def memo(o, key, level, fmt):
         if not level:  # the whole value, met once
@@ -202,7 +205,7 @@ def _json_text(value):
         if t is dict:
             return memo(o, o, level, mapping)
         if t is DigestTable:
-            return memo(o, (o.n_objects, sorted(o.tails.items())), level, table)
+            return "".join(chunks(o, level))
         if o is None:
             return "null"
         if o is True:
@@ -210,6 +213,11 @@ def _json_text(value):
         if o is False:
             return "false"
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    def chunks(o, level):  # a digest table's chunks, or the whole text of o
+        if type(o) is DigestTable:
+            return memo(o, (o.n_objects, sorted(o.tails.items())), level, table)
+        return (encode(o, level),)
 
     def sequence(o, level):
         if not o:
@@ -220,43 +228,51 @@ def _json_text(value):
                 + newline[:-2] + "]")
 
     def mapping(o, level):
-        if not o:
-            return "{}"
+        return "".join(items(o, level))
+
+    def items(o, level):
         newline = "\n" + "  " * (level + 1)
-        # encode_basestring_ascii raises TypeError on a key that is not a str.
-        return ("{" + newline
-                + ("," + newline).join([encode_basestring_ascii(k) + ": " + encode(v, level + 1)
-                                        for k, v in sorted(o.items())])
-                + newline[:-2] + "}")
+        lead = "{" + newline
+        for k, v in sorted(o.items()):
+            # encode_basestring_ascii raises TypeError on a key that is not a str.
+            yield lead + encode_basestring_ascii(k) + ": "
+            yield from chunks(v, level + 1)
+            lead = "," + newline
+        yield newline[:-2] + "}" if o else "{}"
 
     def after_triple(tail, level):  # an entry's text from the "," after its triple
         return "," + sequence(tail, level)[1:]
 
     def table(o, level):
         if not o:
-            return "[]"
+            return ["[]"]
         newline = "\n" + "  " * (level + 1)
         sep = "," + newline
-        # An entry's text up to the end of its triple, whose ints come from range().
+        # An entry's text up to the end of its triple (i, j, k): i's start, then ends[j][k].
         inner = "," + newline + "    "
-        head_of = ("[" + newline + "  [" + newline + "    {}" + inner + "{}" + inner + "{}"
-                   + newline + "  ]").format
+        n = o.n_objects
+        ends = [[f"{j}{inner}{k}{newline}  ]" for k in range(n)] for j in range(n)]
         by_tail = {}  # id of a tail of the gap table -> the texts of its entries after the triple
         for tail in o.tails.values():
             if id(tail) not in by_tail:
                 by_tail[id(tail)] = [memo(x, x, level + 1, after_triple) for x in tail]
         rests_of = {gaps: by_tail[id(tail)] for gaps, tail in o.tails.items()}
-        chunks = []
-        for i in range(o.n_objects):
-            for j in range(i + 1, o.n_objects):
-                for k in range(j + 1, o.n_objects):
+        out, lead = [], "[" + newline
+        for i in range(n):
+            start = f"[{newline}  [{newline}    {i}{inner}"
+            row = []
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
                     rests = rests_of.get((j - i, k - j))
                     if rests:
-                        head = head_of(i, j, k)
-                        chunks.append(head + (sep + head).join(rests))
-        return "[" + newline + sep.join(chunks) + newline[:-2] + "]"
+                        head = start + ends[j][k]
+                        row.append(head + (sep + head).join(rests))
+            if row:
+                out.append(lead + sep.join(row))
+                lead = sep
+        return out + [newline[:-2] + "]"]
 
-    return encode(value, 0)
+    yield from items(value, 0) if type(value) is dict else chunks(value, 0)
 
 
 @dataclass
@@ -274,17 +290,19 @@ class Certificate:
     timestamp: str
     tool_version: str = __version__
 
+    def _json_chunks(self, timestamp):
+        return _json_text({k: v for k, v in vars(self).items() if timestamp or k != "timestamp"})
+
     def to_json(self, include_timestamp=True):
         """The JSON text of every field, without the timestamp on request."""
-        payload = dict(vars(self))
-        if not include_timestamp:
-            del payload["timestamp"]
-        return _json_text(payload)
+        return "".join(self._json_chunks(include_timestamp))
 
     def digest(self):
-        """Content hash, excluding the timestamp."""
-        return hashlib.sha256(
-            self.to_json(include_timestamp=False).encode()).hexdigest()
+        """Content hash of `to_json(include_timestamp=False)`, chunk by chunk."""
+        h = hashlib.sha256()
+        for chunk in self._json_chunks(False):
+            h.update(chunk.encode())
+        return h.hexdigest()
 
 
 def _digest_mismatch(dig_a, dig_b):
@@ -317,7 +335,7 @@ def hms_certificate(w, corrupt=None):
     # Both sides depend only on the gap k - j (the translation lemma of
     # `enumerate_accepted_words`), so each basis is built once per gap, the
     # dual one once per signed span.  The dimension table and the word
-    # search read each pair's intersections from the one table on `w`.
+    # search read each gap's intersections from the one row on `w`.
     dual = {s: dual_ext(w, max(s, 0), max(-s, 0)) for s in range(2 - w.l, w.l - 1)}
 
     by_gap = []  # gap -> (dim_table entry, A-side dims, B-side dims, labels agree)

@@ -56,8 +56,8 @@ class Weights:
         basis of `bside.ext_pushforward`), "dual" (span k - i -> the
         basis of `bside.dual_ext`), "oracle" (span k - i -> the basis of
         `bside.verify_prop6_via_resolution`, by its own criterion) and
-        "points" (curve pair (j, k) -> the lookup of
-        `aside.strip.points_by_kind`)."""
+        "points" (gap d -> the row of `aside.strip.gap_points`: the points
+        of the pair (0, d) by kind and the `hom_space` basis of gap d)."""
         return {"suffixes": {}, "monomials": {}, "ext": {}, "dual": {}, "oracle": {}, "points": {}}
 
     def __repr__(self):

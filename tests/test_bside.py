@@ -370,6 +370,24 @@ class TestResolution:
         with pytest.raises(ArithmeticError, match=r"subset \(0,\) of weight 0"):
             verify_prop6_via_resolution(w, 2, 0)
 
+    def test_negative_spans_are_empty_without_a_scan(self):
+        # For k < i no subset has a_J <= k - i, and none reaches P_i in the
+        # resolution of the simple at k: both bases are empty on every
+        # negative span of the benchmark's bside-multi vectors.
+        for a in bside_vectors(BSIDE_L):
+            w = Weights(a)
+            for k in range(w.l - 1):
+                for i in range(k + 1, w.l - 1):
+                    assert dual_ext(w, k, i).basis == () \
+                        == verify_prop6_via_resolution(w, k, i).basis, (a, k, i)
+        # Neither reads the subsets for a negative span: with them gone,
+        # any scan would raise.
+        w = Weights((2, 3, 4))
+        w.__dict__["subsets"] = w.__dict__["exterior_basis"] = None
+        for i in range(1, w.l - 1):
+            assert dual_ext(w, 0, i).basis == () == verify_prop6_via_resolution(w, 0, i).basis
+        assert w._tables["dual"] == w._tables["oracle"] == {-i: () for i in range(1, w.l - 1)}
+
     @pytest.mark.parametrize("a", [(2, 3), (1, 4), (1, 2, 3), (2, 2, 5), (1, 1)])
     def test_oracle_agrees_with_dual_ext(self, a):
         w = Weights(a)

@@ -178,9 +178,39 @@ class TestHomSpace:
 
     def test_depends_on_gap_only(self):
         # The translation lemma: the basis from curve j to curve k, degrees
-        # and labels, is the basis from curve 0 to curve k - j.
+        # and labels, is the basis from curve 0 to curve k - j, and it is
+        # the one that the points of the pair (j, k) itself give.
         for a in [(a0, a1) for a0 in range(1, 12) for a1 in range(a0, 13 - a0)]:
             w = Weights(a)
             for j in range(w.l - 1):
                 for k in range(j, w.l - 1):
-                    assert hom_space(w, j, k).basis == hom_space(w, 0, k - j).basis, (a, j, k)
+                    basis = hom_space(w, j, k).basis
+                    assert basis == hom_space(w, 0, k - j).basis, (a, j, k)
+                    if k > j:  # intersections refuses j == k
+                        own = sorted(((maslov_degree(w, p), p.label) for p in intersections(w, j, k)),
+                                     key=lambda t: (t[0], t[1].subset))
+                        assert basis == tuple(own), (a, j, k)
+
+    def test_points_depend_on_gap_only(self):
+        # The translation lemma, point by point, against the per-pair
+        # builder: kind, x, period shift, label and Maslov degree of the
+        # points of (j, k) are those of (0, k - j), on every pair with l <= 25.
+        def facts(w, j, k):
+            return [(p.kind, p.x, p.d, p.label, maslov_degree(w, p))
+                    for p in intersections(w, j, k)]
+
+        count = 0
+        for a in [(a0, a1) for a0 in range(1, 25) for a1 in range(a0, 26 - a0)]:
+            w = Weights(a)
+            for j in range(w.l - 1):
+                for k in range(j + 1, w.l - 1):
+                    assert facts(w, j, k) == facts(w, 0, k - j), (a, j, k)
+                    count += 1
+        assert count == 21814
+
+    def test_pair_outside_the_curves_refused(self):
+        w = Weights((2, 3))
+        for j, k in [(-1, 1), (2, 4), (0, 4)]:
+            with pytest.raises(ValueError, match="need 0 <= j < k <= l-2"):
+                hom_space(w, j, k)
+        assert w._tables["points"] == {}

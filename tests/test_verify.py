@@ -1,6 +1,7 @@
 """Tests for the cross-verification certificates and the sweep."""
 
 import gc
+import hashlib
 import json
 import operator
 import weakref
@@ -69,7 +70,7 @@ class TestCertificate:
 
 class TestOncePerCertificate:
     @pytest.mark.parametrize("a", [(1, 4), (2, 3), (3, 5)])
-    def test_one_enumeration_and_one_corner_build_per_pair(self, monkeypatch, a):
+    def test_one_enumeration_and_one_point_build_per_gap(self, monkeypatch, a):
         enumerations = []
         built = Counter()
         real_enumerate = words.enumerate_accepted_words
@@ -84,15 +85,16 @@ class TestOncePerCertificate:
             return real_intersections(w, j, k)
 
         monkeypatch.setattr(verify, "enumerate_accepted_words", counting_enumerate)
-        # `points_by_kind` builds each pair's points for the dimension
-        # table and the word search alike.
+        # `gap_points` builds each gap's points for the dimension table and
+        # the word search alike.
         monkeypatch.setattr(strip, "intersections", counting_intersections)
         cert = hms_certificate(Weights(a))
         assert cert.passed
         assert len(enumerations) == 1
-        # Exactly one build per pair j < k for the whole certificate.
+        # Exactly one build per gap 1..l-2, from the pair (0, gap), for the
+        # whole certificate.
         l = sum(a)
-        assert built == Counter({(j, k): 1 for j in range(l - 1) for k in range(j + 1, l - 1)})
+        assert built == Counter({(0, gap): 1 for gap in range(1, l - 1)})
 
     def test_weights_collected_with_its_tables(self):
         # The tables live on the object alone: once the caller drops a
@@ -102,7 +104,7 @@ class TestOncePerCertificate:
         assert verify_prop6_via_resolution(w, 5, 0).basis is w._tables["oracle"][5]
         kept = [w, monomial_basis(w, 7)[0], ext_pushforward(w, 0, 5).basis[-1][1],
                 dual_ext(w, 5, 0).basis[-1][1], w._tables["oracle"][5][-1][1],
-                strip.points_by_kind(w, 0, 5)[strip.PointKind.SEG_MP]]
+                strip.gap_points(w, 5)[0][strip.PointKind.SEG_MP]]
         assert all(w._tables.values())
         refs = [weakref.ref(x) for x in kept]
         del w, kept
@@ -239,6 +241,11 @@ gap_tables = st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 6)), ta
                              max_size=8)
 
 
+def text_of(value):
+    """The whole text of the encoder's chunks."""
+    return "".join(verify._json_text(value))
+
+
 class TestDigestEncoding:
     @given(json_values)
     # True == 1 and False == 0, so equal tuples may need different text.
@@ -261,7 +268,7 @@ class TestDigestEncoding:
               [((0, 1, 2), (0,), (), (), True)], ((0, 1, 2), (0,), (), (), True),
               {"e": ((0, 1, 2), (0,), (), (), 1)}, ((0, 1, 2), (0,), ()), ((0, 1, 2),)])
     def test_matches_json_dumps(self, value):
-        assert verify._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert text_of(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @given(st.integers(0, 7), gap_tables, st.none() | st.tuples(st.integers(0, 7), gap_tables))
     # Equal by == but not in text: a True constant next to a 1.
@@ -283,7 +290,12 @@ class TestDigestEncoding:
         if other is not None:
             value["v"] = verify.DigestTable(*other)
         plain = {key: [list(t) for t in v] if key == "w" else list(v) for key, v in value.items()}
-        assert verify._json_text(value) == json.dumps(plain, sort_keys=True, indent=2)
+        assert text_of(value) == json.dumps(plain, sort_keys=True, indent=2)
+        # A table comes in one chunk per first index of its triples and one
+        # for its closing bracket.
+        firsts = {triple[0] for triple, *_ in table}
+        chunks = list(verify._json_text(table))
+        assert len(chunks) == len(firsts) + 1 if firsts else chunks == ["[]"]
 
     @given(st.integers(0, 7), gap_tables, st.integers(0, 7), gap_tables)
     # One gap table, two sizes; and two empty tables of different sizes.
@@ -313,7 +325,7 @@ class TestDigestEncoding:
     def test_table_refuses_change(self):
         entry = ((0, 1, 2), (0,), (1,), (0, 1), 1)
         table = verify.DigestTable(3, {(1, 1): [entry[1:]], (2, 1): []})
-        text = verify._json_text({"t": table})
+        text = text_of({"t": table})
         # A table is no list: item changes and in-place operators raise
         # TypeError, and it has no list method that changes a list.
         changes = [lambda t: operator.setitem(t, 0, entry), lambda t: operator.delitem(t, 0),
@@ -325,18 +337,18 @@ class TestDigestEncoding:
         for name in ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"):
             assert not hasattr(table, name)
         assert table == [entry] and dict(table.tails) == {(1, 1): (entry[1:],)}
-        assert verify._json_text({"t": table}) == text
+        assert text_of({"t": table}) == text
         # A changed copy is a plain list, formatted through the generic path.
         changed = list(table)
         changed[0] = entry[:4] + (2,)
-        assert verify._json_text({"t": changed}) == json.dumps({"t": changed}, sort_keys=True,
+        assert text_of({"t": changed}) == json.dumps({"t": changed}, sort_keys=True,
                                                                indent=2)
 
     @pytest.mark.parametrize("value", [1.0, (1, 2.5), {1: "a"}, {"a": {2}}, [object()],
                                        (1, object())])
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError):
-            verify._json_text(value)
+            text_of(value)
 
     def test_to_json_matches_json_dumps(self, certificates, certificates_l12):
         # (1, 19) is the largest sweep-2w pair; the corrupted copy fails,
@@ -351,6 +363,21 @@ class TestDigestEncoding:
             del payload["timestamp"]
             assert cert.to_json(include_timestamp=False) == \
                 json.dumps(payload, sort_keys=True, indent=2, default=list), a
+
+    def test_digest_hashes_the_text(self, certificates, certificates_l12):
+        # The digest feeds the encoder's chunks to one hash; it is the hash
+        # of the whole text, on passing certificates, on each side's
+        # corrupted one (a plain list beside a table) and at l = 2, whose
+        # tables are empty.
+        corrupted = [hms_certificate(Weights((1, 19)), corrupt=(side, 7))
+                     for side in ("aside", "bside")]
+        assert not any(cert.passed for cert in corrupted)
+        empty = hms_certificate(Weights((1, 1)))
+        assert empty.aside_digest == empty.bside_digest == []
+        cases = [*certificates_l12.values(), certificates[(1, 19)], *corrupted, empty]
+        for cert in cases:
+            text = cert.to_json(include_timestamp=False)
+            assert cert.digest() == hashlib.sha256(text.encode()).hexdigest(), cert.weights
 
     def test_digests_match_recorded(self, certificates):
         with open(EXPECTED_SWEEP) as fh:

@@ -3,11 +3,13 @@ higher products."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
 import pytest
 
-from wpmirror.aside.strip import IntersectionPoint, PointKind, points_by_kind
+from wpmirror.aside.strip import (IntersectionPoint, PointKind, gap_points, intersections,
+                                  maslov_degree)
 from wpmirror.aside.words import (
     _FLOW_ORDER,
     _NEXT_PIECE,
@@ -99,6 +101,33 @@ def canonical_triangle(letters):
     return None
 
 
+@lru_cache(maxsize=1 << 12)
+def pair_points(w, j, k):
+    """The points of the curve pair j < k keyed by kind, each with its
+    Maslov degree, from their own `intersections(w, j, k)`: the per-pair
+    reference for the gap points that the search reads."""
+    return {p.kind: (p, maslov_degree(w, p)) for p in intersections(w, j, k)}
+
+
+def corner_facts(w, corners):
+    """What each corner records: its kind, gap, x, period shift, label and
+    Maslov degree.  A corner of the search is the point of its gap, so it
+    agrees with the per-pair point it stands for in these, not in its
+    curves.  `maslov_degree` reads a point's curves and kind alone, so its
+    value is read from `pair_points`."""
+    return [(p.kind, p.k - p.j, p.x, p.d, p.label, pair_points(w, p.j, p.k)[p.kind][1])
+            for p in corners]
+
+
+def assert_rules_accept(w, word):
+    """`word_rules` accepts the letters of `word`, with corners whose facts
+    are those of the word's corners."""
+    corners, reason = word_rules(w, word.letters)
+    assert reason is None, (w, word, reason)
+    assert (word.letters, corner_facts(w, corners)) \
+        == (word.letters, corner_facts(w, word.corners)), (w, word)
+
+
 def _corner(w, prev, nxt, is_wrap):
     """The corner point where `prev` hands over to `nxt`: the kind of
     `_corner_kind`, looked up between the two letters' curves.  Returns
@@ -107,10 +136,10 @@ def _corner(w, prev, nxt, is_wrap):
     if kind is None:
         return None, reason
     lower, upper = (nxt, prev) if is_wrap else (prev, nxt)
-    point = points_by_kind(w, lower.curve, upper.curve).get(kind)
-    if point is None:
+    found = pair_points(w, lower.curve, upper.curve).get(kind)
+    if found is None:
         return None, "missing corner"
-    return point, None
+    return found[0], None
 
 
 def _monotone(letter, corner_in, corner_out):
@@ -284,13 +313,21 @@ def all_first_curves_search(w):
     return accepted
 
 
+def corner_pairs(letters):
+    """The curve pair (lower, upper) of each corner of a word: its jumps,
+    in order, then its wrap."""
+    curves = [x.curve for x in letters]
+    return [(a, b) for a, b in zip(curves, curves[1:]) if a != b] + [(curves[0], curves[-1])]
+
+
 def shifted_copies(w, words):
     """Every accepted word on the curves 0..l-2, from the curve-0 words of
     one enumeration, in the order the search emitted them before each word
     stood for its translation orbit: row c holds each word's copy shifted
     by c, or nothing past its top curve, and the rows run in order of c.
     The copies take the letters of `words` where they exist, one `Letter`
-    per (piece, curve, sign) otherwise, and the corners of `points_by_kind`.
+    per (piece, curve, sign) otherwise, and as corners the points of
+    `pair_points` between the copy's own curves.
     """
     interned = {(x.piece, x.curve, x.sign): x for word in words for x in word.letters}
 
@@ -300,22 +337,18 @@ def shifted_copies(w, words):
             found = interned[piece, curve, sign] = Letter(piece, curve, sign)
         return found
 
-    # Each letter and corner of a curve-0 word, by id, with its copies
-    # shifted by c = 0, 1, ... while they stay on the curves 0..l-2.
-    chains = {}
-    for x in {id(x): x for word in words for x in word.letters + word.corners}.values():
-        if isinstance(x, Letter):
-            shifts = range(w.l - 1 - x.curve)
-            chains[id(x)] = [letter(x.piece, x.curve + c, x.sign) for c in shifts]
-        else:
-            chains[id(x)] = [points_by_kind(w, x.j + c, x.k + c)[x.kind]
-                             for c in range(w.l - 1 - x.k)]
-    # A word's last letter and its wrap corner lie on its top curve, so
-    # zip stops at the last shift that keeps the word on the curves.
-    copies = [zip(zip(*[chains[id(x)] for x in word.letters]),
-                  zip(*[chains[id(p)] for p in word.corners]))
-              for word in words]
-    return [DiscWord(*copy) for row in zip_longest(*copies) for copy in row if copy]
+    # Each letter and corner of a curve-0 word with its copies shifted by
+    # c = 0, 1, ... while they stay on the curves 0..l-2.
+    def copies(word):
+        letters = [[letter(x.piece, x.curve + c, x.sign) for c in range(w.l - 1 - x.curve)]
+                   for x in word.letters]
+        corners = [[pair_points(w, j + c, k + c)[p.kind][0] for c in range(w.l - 1 - k)]
+                   for p, (j, k) in zip(word.corners, corner_pairs(word.letters))]
+        # A word's last letter and its wrap corner lie on its top curve, so
+        # zip stops at the last shift that keeps the word on the curves.
+        return zip(zip(*letters), zip(*corners))
+
+    return [DiscWord(*copy) for row in zip_longest(*map(copies, words)) for copy in row if copy]
 
 
 def aside_digest_reference(words):
@@ -424,12 +457,13 @@ class TestEnumeration:
                 assert len(word.corners) == 3
         # The monotonicity lemma of `enumerate_accepted_words`: the search
         # checks no corner order, and the rules, which do, accept every
-        # curve-0 word with its corners, on every pair with l <= 40.
+        # curve-0 word with corners that agree with its own, on every pair
+        # with l <= 40.
         count = 0
         for a in pairs_up_to(40):
             w = Weights(a)
             for word in enumerate_accepted_words(w):
-                assert word_rules(w, word.letters) == (word.corners, None), (a, word)
+                assert_rules_accept(w, word)
                 count += 1
         assert count == 324520
 
@@ -617,16 +651,23 @@ class TestTranslation:
         assert shifted_copies(w, enumerate_accepted_words(w)) == all_first_curves_search(w)
 
     def test_shifted_corners_are_the_shared_points(self):
-        # Every corner, of a curve-0 word or of a shifted copy, is the
-        # object of the point table of `w`.
+        # Every corner of a curve-0 word is the object of the gap row of
+        # `w`, and each corner of a shifted copy, the point between the
+        # copy's own curves, records what the word's corner records.
         w = Weights((2, 5))
         words = enumerate_accepted_words(w)
         copies = shifted_copies(w, words)
         assert {word.letters[0].curve for word in words} == {0}
         assert {word.letters[0].curve for word in copies} == set(range(w.l - 3))
-        for word in words + copies:
+        for word in words:
             for p in word.corners:
-                assert points_by_kind(w, p.j, p.k)[p.kind] is p
+                assert p.j == 0 and gap_points(w, p.k)[0][p.kind] is p
+        by_letters = {word.letters: word for word in words}
+        for copy in copies:
+            c = copy.letters[0].curve
+            word = by_letters[tuple(Letter(x.piece, x.curve - c, x.sign) for x in copy.letters)]
+            assert corner_facts(w, copy.corners) == corner_facts(w, word.corners)
+            assert [(p.j, p.k) for p in copy.corners] == corner_pairs(copy.letters)
 
 
 class TestOrbitForm:
