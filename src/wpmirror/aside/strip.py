@@ -202,11 +202,12 @@ def maslov_degree(w, p):
 
 def hom_space(w, j, k):
     """The morphism space from curve j to curve k: labeled intersection
-    points graded by Maslov degree; identity for j = k, zero for j > k."""
+    points graded by Maslov degree; identity for j = k, zero for j > k.
+    Both indices must name curves, 0 <= j, k <= l-2, for every pair."""
     _require_strip_weights(w)
-    if j == k:
-        return BigradedHom(j, k, ((0, w.exterior_basis[0][1]),))
-    if j > k:
-        return BigradedHom(j, k, ())
-    _require_pair(w, j, k)
-    return BigradedHom(j, k, gap_points(w, k - j)[1])
+    if j < k:
+        _require_pair(w, j, k)
+        return BigradedHom._trusted(j, k, gap_points(w, k - j)[1])
+    if not 0 <= k <= j <= w.l - 2:
+        raise ValueError(f"need 0 <= k <= j <= l-2, got j={j}, k={k}")
+    return BigradedHom._trusted(j, k, ((0, w.exterior_basis[0][1]),) if j == k else ())

@@ -23,7 +23,19 @@ def _check_object_index(w, idx, name="index"):
     return idx
 
 
-@dataclass(frozen=True)
+def _check_object_indices(w, first, second, first_name, second_name):
+    """The two object indices of a hom space as ints, in one call: two ints
+    in [0, l - 2] pass at once; anything else goes to `_check_object_index`,
+    the first index before the second, so each refusal and its message is
+    that of the checks one by one."""
+    top = w.l - 2
+    if type(first) is int and type(second) is int and 0 <= first <= top and 0 <= second <= top:
+        return first, second
+    return (_check_object_index(w, first, first_name),
+            _check_object_index(w, second, second_name))
+
+
+@dataclass(frozen=True, slots=True)
 class BigradedHom:
     """A hom space with a (cohomological degree, label)-graded basis.
 
@@ -43,6 +55,24 @@ class BigradedHom:
             dims[deg] = dims.get(deg, 0) + 1
         return dims
 
+    @staticmethod
+    def _trusted(source, target, basis):
+        """A hom space of checked int indices and a basis tuple, its three
+        slots set directly: about half the cost of the frozen `__init__`
+        that the public constructor keeps.  A staticmethod, as a
+        classmethod would cost a bound method per call."""
+        hom = _new_object(BigradedHom)
+        _set_source(hom, source)
+        _set_target(hom, target)
+        _set_basis(hom, basis)
+        return hom
+
+
+_new_object = object.__new__
+_set_source = BigradedHom.source.__set__
+_set_target = BigradedHom.target.__set__
+_set_basis = BigradedHom.basis.__set__
+
 
 def ext_pushforward(w, j, k):
     """Ext of the pushed-forward twisting sheaves O(j) -> O(k).
@@ -51,14 +81,13 @@ def ext_pushforward(w, j, k):
     the space vanishes for k < j (semi-orthogonality).  The basis depends
     only on the gap k - j and is built once per gap and `Weights` object.
     """
-    j = _check_object_index(w, j, "source")
-    k = _check_object_index(w, k, "target")
+    j, k = _check_object_indices(w, j, k, "source", "target")
     table = w._tables["ext"]
     basis = table.get(k - j)
     if basis is None:  # empty for k < j: no monomial has a negative degree
         basis = table[k - j] = (tuple((0, m) for m in monomial_basis(w, k - j))
                                 + tuple((1, m) for m in monomial_basis(w, k - j - 1)))
-    return BigradedHom(j, k, basis)
+    return BigradedHom._trusted(j, k, basis)
 
 
 def dual_ext(w, k, i):
@@ -66,20 +95,13 @@ def dual_ext(w, k, i):
     weight a_J <= k - i, placed in cohomological degree |J|.  The basis
     depends only on the span k - i and is built once per span and
     `Weights` object, from the shared entries of `w.exterior_basis`."""
-    k = _check_object_index(w, k, "source")
-    i = _check_object_index(w, i, "target")
+    k, i = _check_object_indices(w, k, i, "source", "target")
     table = w._tables["dual"]
     basis = table.get(k - i)
     if basis is None:
         basis = table[k - i] = () if k < i else tuple(
             e for (_, weight), e in zip(w.subsets, w.exterior_basis) if weight <= k - i)
-    return BigradedHom(k, i, basis)
-
-
-def _merge_sign(left, right):
-    """Sign of merging two disjoint sorted index tuples by concatenation."""
-    inversions = sum(1 for x in left for y in right if x > y)
-    return -1 if inversions % 2 else 1
+    return BigradedHom._trusted(k, i, basis)
 
 
 def compose_dual(w, span, ju, jv):
@@ -87,14 +109,21 @@ def compose_dual(w, span, ju, jv):
     as the truncated wedge e_ju ^ e_jv: (merged subset, sign), or None.
 
     Zero when the subsets overlap or the merged weight exceeds the
-    truncation bound k - i; the sign is the parity of merge inversions.
+    truncation bound k - i; the sign is the parity of merge inversions,
+    the pairs x in ju, y in jv with x > y, read in the same pass over the
+    pairs as the overlap.
     """
-    if set(ju) & set(jv):
-        return None
+    sign = 1
+    for x in ju:
+        for y in jv:
+            if x == y:
+                return None
+            if x > y:
+                sign = -sign
     merged = tuple(sorted(ju + jv))
-    if sum(w.a[x] for x in merged) > span:
+    if sum(map(w.a.__getitem__, merged)) > span:
         return None
-    return merged, _merge_sign(ju, jv)
+    return merged, sign
 
 
 def cm_sequence(w, m):
@@ -131,20 +160,21 @@ def generation_certificate(w):
     sum_{j in J} c_{m-1,j} must lie in [0, l-2]; at the final step m = l
     every summand stays within [0, l-1] and the unique top summand (the
     full subset) hits l-1 exactly.  Consecutive c-vectors must differ by a
-    standard basis vector.
+    standard basis vector.  Each c_m is computed once, and serves as the
+    current vector of step m and the previous one of step m + 1.
     """
     report = GenerationReport()
     l = w.l
-    if cm_sequence(w, 0) != (0,) * (w.n + 1):
+    prev = cm_sequence(w, 0)
+    if prev != (0,) * (w.n + 1):
         report.violations.append("c_0 is not the zero vector")
     for m in range(1, l + 1):
-        prev = cm_sequence(w, m - 1)
         cur = cm_sequence(w, m)
         diff = tuple(a - b for a, b in zip(cur, prev))
         if sorted(diff) != [0] * w.n + [1]:
             report.violations.append(f"step {m}: c_m - c_(m-1) = {diff} not a basis vector")
         for J, _ in w.subsets:
-            degree = sum(prev[j] for j in J)
+            degree = sum(map(prev.__getitem__, J))
             if m < l:
                 ok = 0 <= degree <= l - 2
             elif len(J) <= w.n:
@@ -154,6 +184,7 @@ def generation_certificate(w):
             report.rows.append((m, J, degree, ok))
             if not ok:
                 report.violations.append(f"step {m}, J={J}: summand degree {degree}")
+        prev = cur
     return report
 
 
@@ -194,8 +225,7 @@ def verify_prop6_via_resolution(w, k, i):
     span's basis is built, once per span and `Weights` object, and a
     subset that breaks it raises.
     """
-    k = _check_object_index(w, k)
-    i = _check_object_index(w, i)
+    k, i = _check_object_indices(w, k, i, "index", "index")
     table = w._tables["oracle"]
     basis = table.get(k - i)
     if basis is None:
@@ -209,4 +239,4 @@ def verify_prop6_via_resolution(w, k, i):
             if j >= len(J):
                 basis.append(e)
         basis = table[k - i] = tuple(basis)
-    return BigradedHom(k, i, basis)
+    return BigradedHom._trusted(k, i, basis)

@@ -132,7 +132,8 @@ def bside_digest(w):
     tail is the sublist of those whose subsets fit its gaps, so every tail
     comes out sorted.  That sublist is fixed by the largest least gaps
     e0 <= gap0 and e1 <= gap1 that some product has, so it is built once
-    per (e0, e1) and shared by the gap pairs with those floors.
+    per (e0, e1) and shared by the gap pairs with those floors; the
+    products are filtered by e0 once, and each e1 filters that list.
     """
     n_objects = w.l - 1
     least_gap = {}  # subset -> the least gap >= 1 whose dual_ext basis holds it
@@ -149,8 +150,12 @@ def bside_digest(w):
     products.sort()
     firsts = {g0 for _, g0, _ in products}, {g1 for _, _, g1 in products}
     # (e0, e1) -> the products whose least gaps fit it; these are the floors of gap pair (e0, e1)
-    built = {(e0, e1): tuple([p for p, g0, g1 in products if g0 <= e0 and g1 <= e1])
-             for e0 in firsts[0] for e1 in firsts[1] if e0 + e1 < n_objects}
+    built = {}
+    for e0 in firsts[0]:
+        fit0 = [(p, g1) for p, g0, g1 in products if g0 <= e0]
+        for e1 in firsts[1]:
+            if e0 + e1 < n_objects:
+                built[e0, e1] = tuple([p for p, g1 in fit0 if g1 <= e1])
     floor0, floor1 = ([max([e for e in es if e <= gap], default=0) for gap in range(n_objects)]
                       for es in firsts)
     tails = {(gap0, gap1): built.get((floor0[gap0], floor1[gap1]), ())

@@ -43,8 +43,10 @@ class Weights:
     @cached_property
     def exterior_basis(self):
         """The dual basis entry (|J|, e_J) of each subset J, in the order of
-        `subsets`: one e_J per subset, shared by every dual Ext space."""
-        return tuple((len(J), ExteriorBasisElement(J)) for J, _ in self.subsets)
+        `subsets`: one e_J per subset, shared by every dual Ext space.  A
+        subset from `combinations` is sorted and repeats no index, so e_J
+        is made without re-validation."""
+        return tuple((len(J), ExteriorBasisElement._trusted(J)) for J, _ in self.subsets)
 
     @cached_property
     def _tables(self):
@@ -94,6 +96,13 @@ class ExteriorBasisElement:
         if len(set(subset)) != len(subset):
             raise ValueError("repeated index in exterior subset")
         object.__setattr__(self, "subset", subset)
+
+    @classmethod
+    def _trusted(cls, subset):
+        """e_J of a sorted tuple of distinct ints, taken as it is."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "subset", subset)
+        return e
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the derived-category side: quiver Ext spaces, the dual
 exterior algebra, resolutions, and the generation certificate."""
 
+import dataclasses
 import enum
 import itertools
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from perfbench.workloads import BSIDE_L, bside_hash, bside_pass, bside_vectors, load
-from wpmirror import weights
+from wpmirror import bside, weights
 from wpmirror.aside import strip
 from wpmirror.bside import (
+    BigradedHom,
     cm_sequence,
     compose_dual,
     dual_ext,
@@ -19,7 +21,7 @@ from wpmirror.bside import (
     resolution_summands,
     verify_prop6_via_resolution,
 )
-from wpmirror.weights import Weights, graded_dim, monomial_basis
+from wpmirror.weights import ExteriorBasisElement, Weights, graded_dim, monomial_basis
 
 THREE_AND_FOUR_WEIGHTS_L10 = [
     a for n in (3, 4)
@@ -191,6 +193,52 @@ class TestSharedTables:
         assert len(monomial_basis(w, 6)) == graded_dim(w, 6)
 
 
+class TestFastConstructors:
+    """The producers build each hom space through `BigradedHom._trusted`,
+    and the dual basis through `ExteriorBasisElement._trusted`; what they
+    make is what the public constructors make."""
+
+    @staticmethod
+    def every_hom(w):
+        objects = range(w.l - 1)
+        producers = [ext_pushforward, dual_ext, verify_prop6_via_resolution]
+        if w.n == 1:
+            producers.append(strip.hom_space)
+        return [hom(w, j, k) for hom in producers for j in objects for k in objects]
+
+    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (2, 3, 4, 1)])
+    def test_same_as_public_constructor(self, a):
+        homs = self.every_hom(Weights(a))
+        assert len(homs) == (4 if len(a) == 2 else 3) * (sum(a) - 1) ** 2
+        for h in homs:
+            public = BigradedHom(h.source, h.target, h.basis)
+            assert type(h) is BigradedHom
+            assert h == public and hash(h) == hash(public) and repr(h) == repr(public)
+            assert h.dims_by_degree == public.dims_by_degree
+
+    def test_frozen_slotted_and_replaceable(self):
+        h = dual_ext(Weights((2, 3, 4, 1)), 5, 1)
+        assert not hasattr(h, "__dict__")
+        for name, value in (("source", 0), ("target", 0), ("basis", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, value)
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            h.extra = 1
+        shorter = dataclasses.replace(h, basis=h.basis[:-1])
+        assert shorter == BigradedHom(5, 1, h.basis[:-1]) and shorter != h
+        assert dataclasses.replace(h) == h
+
+    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (2, 3, 4, 1), (1,) * 6])
+    def test_exterior_labels_same_as_public_constructor(self, a):
+        w = Weights(a)
+        assert len(w.exterior_basis) == 2 ** len(a)
+        for (J, _), (size, e) in zip(w.subsets, w.exterior_basis):
+            public = ExteriorBasisElement(J)
+            assert size == len(J)
+            assert e == public and hash(e) == hash(public) and repr(e) == repr(public)
+            assert type(e.subset) is tuple
+
+
 class TestComposeDual:
     # compose_dual(w, span, ju, jv) is e_ju after e_jv over span = k - i.
     def test_unit_composition(self):
@@ -237,6 +285,39 @@ class TestComposeDual:
         assert comp(comp(z, y), x) == comp(z, comp(y, x)) == (4, 0, (0, 1, 2), -1)
 
 
+def compose_dual_reference(w, span, ju, jv):
+    """Reference for compose_dual: the wedge e_ju ^ e_jv as the word ju + jv
+    sorted by adjacent swaps, each swap flipping the sign; zero on a
+    repeated index or a weight past the span."""
+    word = list(ju + jv)
+    if len(set(word)) < len(word) or sum(w.a[x] for x in word) > span:
+        return None
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for p in range(end):
+            if word[p] > word[p + 1]:
+                word[p], word[p + 1] = word[p + 1], word[p]
+                sign = -sign
+    return tuple(word), sign
+
+
+@pytest.mark.parametrize("a", [(1, 2, 3), (2, 3, 4, 1), (1,) * 6])
+def test_compose_dual_matches_reference_on_every_pair_and_span(a):
+    # Every ordered subset pair at every span in [0, l - 2], sign included.
+    w = Weights(a)
+    subsets = [J for J, _ in w.subsets]
+    signs = set()
+    for span in range(w.l - 1):
+        for ju in subsets:
+            for jv in subsets:
+                got = compose_dual(w, span, ju, jv)
+                assert got == compose_dual_reference(w, span, ju, jv), (span, ju, jv)
+                if got is not None:
+                    assert type(got[0]) is tuple
+                    signs.add(got[1])
+    assert signs == {1, -1}
+
+
 class TestCmSequence:
     def test_greedy_fill(self):
         w = Weights((2, 3))
@@ -251,6 +332,44 @@ class TestCmSequence:
             cm_sequence(Weights((2, 3)), 6)
 
 
+def generation_certificate_reference(w):
+    """Reference for generation_certificate: its loop before each c_m was
+    computed once, taking c_(m-1) and c_m afresh at every step and each
+    summand degree from a generator.  It reads `bside.cm_sequence` at call
+    time, so a patch of that name reaches both."""
+    report = bside.GenerationReport()
+    l = w.l
+    if bside.cm_sequence(w, 0) != (0,) * (w.n + 1):
+        report.violations.append("c_0 is not the zero vector")
+    for m in range(1, l + 1):
+        prev = bside.cm_sequence(w, m - 1)
+        cur = bside.cm_sequence(w, m)
+        diff = tuple(a - b for a, b in zip(cur, prev))
+        if sorted(diff) != [0] * w.n + [1]:
+            report.violations.append(f"step {m}: c_m - c_(m-1) = {diff} not a basis vector")
+        for J, _ in w.subsets:
+            degree = sum(prev[j] for j in J)
+            if m < l:
+                ok = 0 <= degree <= l - 2
+            elif len(J) <= w.n:
+                ok = 0 <= degree <= l - 1
+            else:
+                ok = degree == l - 1
+            report.rows.append((m, J, degree, ok))
+            if not ok:
+                report.violations.append(f"step {m}, J={J}: summand degree {degree}")
+    return report
+
+
+GENERATION_VECTORS = bside_vectors(BSIDE_L) + [(1,), (7,), (1,) * 6]
+
+
+def assert_same_report(got, want, a):
+    assert got.rows == want.rows, a
+    assert got.violations == want.violations, a
+    assert got.passed == want.passed, a
+
+
 class TestGenerationCertificate:
     @pytest.mark.parametrize("a", [(1, 1), (2, 3), (1, 2, 3), (1, 1, 2, 3)])
     def test_passes(self, a):
@@ -262,6 +381,49 @@ class TestGenerationCertificate:
         top = [row for row in report.rows
                if row[0] == w.l and len(row[1]) == w.n + 1]
         assert len(top) == 1 and top[0][2] == w.l - 1
+
+    def test_matches_reference(self):
+        # The benchmark's bside-multi vectors, one weight and six.
+        assert len(GENERATION_VECTORS) == 226
+        for a in GENERATION_VECTORS:
+            w = Weights(a)
+            report = generation_certificate(w)
+            assert report.passed
+            assert_same_report(report, generation_certificate_reference(w), a)
+
+    @pytest.mark.parametrize("a", [(2, 3), (1, 2, 3), (2, 3, 4, 1), (1,), (7,), (1,) * 6])
+    def test_broken_steps_match_reference(self, monkeypatch, a):
+        # c_0 and one middle c_m (c_0 again for l = 1) pushed one step too
+        # far along coordinate 0: the zero check and the basis-vector steps
+        # next to them fail, with any summand degree pushed out of range,
+        # in the reference's order.
+        real = bside.cm_sequence
+        w = Weights(a)
+        middle = w.l // 2
+
+        def broken(w, m):
+            c = real(w, m)
+            return (c[0] + 1,) + c[1:] if m in (0, middle) else c
+
+        monkeypatch.setattr(bside, "cm_sequence", broken)
+        report = generation_certificate(w)
+        assert report.violations[0] == "c_0 is not the zero vector"
+        assert any(v.endswith("not a basis vector") for v in report.violations)
+        assert not report.passed
+        assert_same_report(report, generation_certificate_reference(w), a)
+
+    def test_each_c_m_computed_once(self, monkeypatch):
+        real = bside.cm_sequence
+        seen = []
+
+        def counting(w, m):
+            seen.append(m)
+            return real(w, m)
+
+        monkeypatch.setattr(bside, "cm_sequence", counting)
+        w = Weights((2, 3, 4, 1))
+        assert generation_certificate(w).passed
+        assert seen == list(range(w.l + 1))
 
 
 def full_resolution_by_projective(w, k):
@@ -325,16 +487,25 @@ class TestResolution:
         # Across every (k, i) of dual_ext and of the oracle on one Weights,
         # and for two weights every pair of the strip model's intersections
         # and hom_space, each e_J is built at most once, and all of them
-        # hand out those objects.
+        # hand out those objects.  A build is counted on either path: the
+        # public constructor (its __post_init__) and the trusted one.
         built = []
-        real_element = weights.ExteriorBasisElement
+        element = weights.ExteriorBasisElement
+        real_trusted = element._trusted.__func__
+        real_post_init = element.__post_init__
 
-        def counting_element(subset):
+        def counting_trusted(cls, subset):
             built.append(subset)
-            return real_element(subset)
+            return real_trusted(cls, subset)
 
-        monkeypatch.setattr(weights, "ExteriorBasisElement", counting_element)
-        monkeypatch.setattr(strip, "ExteriorBasisElement", counting_element)
+        def counting_post_init(self):
+            real_post_init(self)
+            built.append(self.subset)
+
+        monkeypatch.setattr(element, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(element, "__post_init__", counting_post_init)
+        assert element((1, 0)).subset == (0, 1) and built.pop() == (0, 1)
+        assert element._trusted((0, 1)).subset == (0, 1) and built.pop() == (0, 1)
         w = Weights(a)
         shared = {id(lab) for _, lab in w.exterior_basis}
         for k in range(w.l - 1):

@@ -214,3 +214,22 @@ class TestHomSpace:
             with pytest.raises(ValueError, match="need 0 <= j < k <= l-2"):
                 hom_space(w, j, k)
         assert w._tables["points"] == {}
+
+    def test_index_outside_the_curves_refused_for_every_pair(self):
+        # j >= k is checked as well: a diagonal pair past the curves has no
+        # identity, and a pair below zero no zero space.
+        w = Weights((2, 3))
+        for j, k in [(100, 100), (9, -4), (4, 4), (-1, -1), (4, 0), (3, -1)]:
+            with pytest.raises(ValueError, match=rf"^need 0 <= k <= j <= l-2, got j={j}, k={k}$"):
+                hom_space(w, j, k)
+        assert w._tables["points"] == {}
+
+    def test_in_range_pairs_keep_their_answers(self):
+        w = Weights((2, 3))
+        e_empty = w.exterior_basis[0][1]
+        for j in range(w.l - 1):
+            hom = hom_space(w, j, j)
+            assert (hom.source, hom.target, hom.basis) == (j, j, ((0, e_empty),))
+            for k in range(j):
+                hom = hom_space(w, j, k)
+                assert (hom.source, hom.target, hom.basis) == (j, k, ())
