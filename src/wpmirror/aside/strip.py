@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..bside import BigradedHom
-from ..weights import ExteriorBasisElement
+from ..weights import ExteriorBasisElement, as_index
 
 
 def _require_strip_weights(w):
@@ -113,6 +113,7 @@ def intersections(w, j, k):
     when the index gap admits them (a0 <= k-j, resp. a1 <= k-j).
     """
     _require_strip_weights(w)
+    j, k = as_index(j, "j"), as_index(k, "k")
     _require_pair(w, j, k)
     # The shared labels; for two weights the subsets are (), (0,), (1,), (0, 1).
     (_, e_empty), (_, e_0), (_, e_1) = w.exterior_basis[:3]
@@ -205,6 +206,7 @@ def hom_space(w, j, k):
     points graded by Maslov degree; identity for j = k, zero for j > k.
     Both indices must name curves, 0 <= j, k <= l-2, for every pair."""
     _require_strip_weights(w)
+    j, k = as_index(j, "j"), as_index(k, "k")  # only ints key the point table
     if j < k:
         _require_pair(w, j, k)
         return BigradedHom._trusted(j, k, gap_points(w, k - j)[1])

@@ -4,20 +4,16 @@ exterior algebra, projective resolutions as summand bookkeeping, and the
 generation certificate for the exceptional range [0, l-2].
 """
 
-import operator
 from dataclasses import dataclass, field
 
-from .weights import monomial_basis
+from .weights import as_index, monomial_basis
 
 
 def _check_object_index(w, idx, name="index"):
     """The object index idx as an int: an integer type other than bool is
     taken, anything else is refused by name, as is an index outside
     [0, l - 2]."""
-    if type(idx) is not int:
-        if isinstance(idx, bool) or not hasattr(idx, "__index__"):
-            raise ValueError(f"{name}={idx!r} is not an integer object index")
-        idx = operator.index(idx)
+    idx = as_index(idx, name)
     if not 0 <= idx <= w.l - 2:
         raise ValueError(f"{name}={idx} outside the object range [0, {w.l - 2}]")
     return idx

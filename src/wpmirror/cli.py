@@ -8,10 +8,8 @@ exit 2.
 """
 
 import argparse
-import json
 import math
 import sys
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from . import __version__
@@ -21,22 +19,8 @@ from .bside import (dual_ext, ext_pushforward, generation_certificate,
                     resolution_summands)
 from .bisection import (bisection_from_config, coherence_weights, load_config,
                         track_splitting, validate_bisection)
-from .verify import hms_certificate, sweep
+from .verify import hms_certificate, json_chunks, sweep
 from .weights import Weights
-
-
-def _encode(obj):
-    """Recursive JSON encoding: rationals as {num, den} strings, complex as
-    {re, im} doubles, everything else structural."""
-    if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(x) for x in obj]
-    return obj
 
 
 _CSV_NEEDS_TABLE = "--format csv writes tables only; use --format json for this output"
@@ -46,11 +30,14 @@ _CSV_TABLES = {("bside", "ext"), ("bside", "dual"), ("aside", "homs"), ("bisect"
 
 def _emit(payload, fmt):
     """Write one command's output: text as it is, a table as csv, anything
-    else as JSON."""
-    if not isinstance(payload, str):
-        payload = (_to_csv(payload) if fmt == "csv"
-                   else json.dumps(_encode(payload), indent=2, sort_keys=True) + "\n")
-    sys.stdout.write(payload)
+    else as JSON, chunk by chunk from the encoder of the certificates."""
+    if isinstance(payload, str):
+        sys.stdout.write(payload)
+    elif fmt == "csv":
+        sys.stdout.write(_to_csv(payload))
+    else:
+        sys.stdout.writelines(json_chunks(payload))
+        sys.stdout.write("\n")
 
 
 def _to_csv(payload):
@@ -165,13 +152,7 @@ def _cmd_aside(args):
         qs = [complex(re, im)]
     else:
         qs = [c.value for c in critical_data(w)]
-    out = []
-    for q in qs:
-        rep = h_poly_roots(w, q)
-        out.append({"q": rep.q, "roots": list(rep.roots),
-                    "min_separation": rep.min_separation,
-                    "near_double_root": rep.near_double_root})
-    return {"reports": out}, True
+    return {"reports": [vars(h_poly_roots(w, q)) for q in qs]}, True
 
 
 def _cmd_verify(args):
@@ -189,7 +170,7 @@ def _cmd_verify(args):
     if w.a[0] > w.a[1]:
         raise ValueError("verification needs a0 <= a1")
     cert = hms_certificate(w)
-    return cert.to_json() + "\n", cert.passed
+    return vars(cert), cert.passed  # every check has run before the first byte
 
 
 def _cmd_bisect(args):
@@ -214,19 +195,9 @@ def _cmd_bisect(args):
         seed=cfg["seed"],
         tolerance=cfg["tolerance"],
     )
-    return {
-        "ok": rep.ok,
-        "m": rep.m,
-        "r": rep.r,
-        "seed": cfg["seed"],
-        "targets_cell0": rep.targets_cell0,
-        "targets_cell1": rep.targets_cell1,
-        "steps": [{"t": s["t"], "values": s["values"],
-                   "values_rebased": s["values_rebased"],
-                   "err_cell0": s["err_cell0"], "err_cell1": s["err_cell1"]}
-                  for s in rep.steps],
-        "violations": rep.violations,
-    }, rep.ok
+    # The report's fields and the seed; a step without its matchings.
+    steps = [{k: v for k, v in s.items() if not k.startswith("match_")} for s in rep.steps]
+    return {**vars(rep), "seed": cfg["seed"], "steps": steps}, rep.ok
 
 
 def build_parser():

@@ -12,6 +12,7 @@ import hashlib
 import marshal
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
@@ -39,7 +40,7 @@ class DigestTable:
     `tails[j - i, k - j]` of its gaps, so both digests come out sorted with
     no sort of the whole table.  It keeps only `n_objects` and its gap
     table, read-only, without empty tails or gaps that fit no triple.
-    `_json_text` formats it from the gap table, and two tables are equal
+    `json_chunks` formats it from the gap table, and two tables are equal
     when their gap tables are; against a list, it compares its entries.
     Entries are made on demand, by iteration in sorted order, `len` and
     indexing; a changed copy is a plain `list(table)`.
@@ -163,12 +164,14 @@ def bside_digest(w):
     return DigestTable(n_objects, tails)
 
 
-def _json_text(value):
+def json_chunks(value):
     """Yield the text of `json.dumps(value, sort_keys=True, indent=2)` for
     values made of dicts with str keys, lists, `DigestTable`s, tuples, str,
-    int, bool and None (any other type raises TypeError), in chunks: one
-    per key and per value of a dict `value`, and for a digest table one per
-    first index i of its triples and one for its closing bracket.
+    int, bool, None and float, a Fraction as {"den": str, "num": str} and a
+    complex as {"im": float, "re": float} (any other type raises TypeError),
+    in chunks: one per key and per value of a dict `value`, and for a digest
+    table one per first index i of its triples and one for its closing
+    bracket.  Every command writes its JSON from these chunks.
 
     The C encoder of `json` ignores `indent`, so `json.dumps` would run its
     pure-Python encoder here, at about three times the cost.  Instead each
@@ -217,6 +220,14 @@ def _json_text(value):
             return "true"
         if o is False:
             return "false"
+        # The types of the other commands, tested after every certificate type.
+        if isinstance(o, float):
+            text = float.__repr__(o)
+            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+        if isinstance(o, Fraction):
+            return encode({"den": str(o.denominator), "num": str(o.numerator)}, level)
+        if isinstance(o, complex):
+            return encode({"im": o.imag, "re": o.real}, level)
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
     def chunks(o, level):  # a digest table's chunks, or the whole text of o
@@ -296,7 +307,7 @@ class Certificate:
     tool_version: str = __version__
 
     def _json_chunks(self, timestamp):
-        return _json_text({k: v for k, v in vars(self).items() if timestamp or k != "timestamp"})
+        return json_chunks({k: v for k, v in vars(self).items() if timestamp or k != "timestamp"})
 
     def to_json(self, include_timestamp=True):
         """The JSON text of every field, without the timestamp on request."""

@@ -5,10 +5,22 @@ Everything here is exact: arbitrary-precision integers and `fractions.Fraction`
 only, no floating point, so that downstream certificates are bit-stable.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+
+
+def as_index(x, name, kind="an integer object index"):
+    """x as an int: an int as it is, any other integer type but bool
+    through `operator.index`; anything else, a bool, float, str or None
+    among them, is refused by name, "<name>=<x!r> is not <kind>"."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise ValueError(f"{name}={x!r} is not {kind}")
+    return operator.index(x)
 
 
 @dataclass(frozen=True)
@@ -18,7 +30,7 @@ class Weights:
     a: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        object.__setattr__(self, "a", tuple(as_index(x, "weight", "an integer") for x in self.a))
         if len(self.a) == 0:
             raise ValueError("weights must be non-empty")
         if any(x < 1 for x in self.a):

@@ -8,15 +8,19 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import wpmirror
 from wpmirror import cli
 from wpmirror.cli import run
-from wpmirror.verify import hms_certificate
+from wpmirror.verify import hms_certificate, json_chunks
 from wpmirror.weights import Weights, graded_dim
 
 
@@ -521,6 +525,93 @@ class TestCsv:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: --format csv writes tables only; use --format json for this output\n")
+
+
+def _encode_reference(obj):
+    """The CLI's encoding before every command wrote through
+    `verify.json_chunks`, for `json.dumps`: rationals as {num, den}
+    strings, complex as {re, im} doubles, everything else structural."""
+    if isinstance(obj, Fraction):
+        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        return {str(k): _encode_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_reference(x) for x in obj]
+    return obj
+
+
+def reference_text(payload):
+    """The stdlib text of a payload; a digest table is written as its list."""
+    return json.dumps(_encode_reference(payload), indent=2, sort_keys=True, default=list)
+
+
+BISECT_CONFIGS = {"readme": README_CONFIG, "out-of-order": OUT_OF_ORDER_CONFIG,
+                  "plain": {"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2], "seed": 42}}
+# Every command and action that writes JSON, on inputs of each shape.
+JSON_INVOCATIONS = (
+    [["bside", action, "--weights", w] for w in ("2,3", "1", "7", "2,3,4,1", "1,2,3")
+     for action in ("ext", "dual", "resolve", "certify-generation")]
+    + [["aside", action, "--weights", w] for w in ("2,3", "1,1", "3,4", "1,5")
+       for action in ("homs", "points", "critical", "hq")]
+    + [["aside", "hq", "--weights", "2,3", f"--q={q}"] for q in ("1e308,1e308", "1.0,1.0", "-0.0,0")]
+    + [["bisect", action, "--config", name] for name in BISECT_CONFIGS
+       for action in ("validate", "weights", "track")]
+    + [["verify", "--sweep-l", l] for l in ("2", "5", "8")]
+    + [["verify", "--weights", w] for w in ("1,1", "2,3", "1,4")]
+)
+
+cli_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.fractions()
+    | st.complex_numbers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30,
+)
+
+
+class TestOneEncoder:
+    @pytest.mark.parametrize("argv", JSON_INVOCATIONS, ids=" ".join)
+    def test_stdout_is_the_reference_text(self, capsys, monkeypatch, tmp_path, argv):
+        # Each command writes the chunks of `json_chunks`, then a newline:
+        # the bytes that `json.dumps` made of the reference encoding.
+        code = 0
+        if argv[0] == "bisect":
+            code = int(argv[1] == "track" and argv[-1] == "out-of-order")
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(BISECT_CONFIGS[argv[-1]]))
+            argv = argv[:-1] + [str(path)]
+        payloads = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda payload, fmt: (payloads.append(payload),
+                                                                emit(payload, fmt)))
+        assert run(argv) == code
+        [payload] = payloads
+        assert capsys.readouterr().out == reference_text(payload) + "\n"
+
+    @given(cli_values)
+    @example([np.float64(0.1), np.complex128(complex(-0.0, float("nan"))), Fraction(-3, 6),
+              {"a": Fraction(1, 3), "b": [Fraction(1, 3), complex(1, 2), (1.0, 1, True)]}])
+    def test_types_of_every_command(self, value):
+        assert "".join(json_chunks(value)) == reference_text(value)
+
+    def test_failed_certificate_written_whole(self, capsys, monkeypatch):
+        # The verdict is known before the first byte: a failed check exits
+        # 1 and still writes the whole certificate, which says it failed.
+        made = []
+
+        def corrupted(w):
+            made.append(hms_certificate(w, corrupt=("bside", 0)))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "hms_certificate", corrupted)
+        assert run(["verify", "--weights", "2,3"]) == 1
+        out = capsys.readouterr().out
+        cert = json.loads(out)
+        assert cert["passed"] is False and cert["failures"]
+        assert cert["aside_digest"] != cert["bside_digest"]
+        assert out == made[0].to_json() + "\n" == reference_text(vars(made[0])) + "\n"
 
 
 class TestVersion:

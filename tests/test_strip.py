@@ -2,8 +2,11 @@
 points (against an independent line-arrangement oracle), and Maslov
 degrees."""
 
+import re
+from enum import IntEnum
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wpmirror.aside import strip
@@ -233,3 +236,30 @@ class TestHomSpace:
             for k in range(j):
                 hom = hom_space(w, j, k)
                 assert (hom.source, hom.target, hom.basis) == (j, k, ())
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, 1.5, True, False, "1", None])
+    def test_non_int_index_refused_by_name(self, bad):
+        # As on the derived side: a bool, float, str or None is no curve
+        # index, whatever it compares to, and never keys the point table.
+        w = Weights((2, 3))
+        for call in (hom_space, intersections):
+            for args, name in (((bad, 2), "j"), ((0, bad), "k"), ((bad, bad), "j")):
+                message = f"^{name}={re.escape(repr(bad))} is not an integer object index$"
+                with pytest.raises(ValueError, match=message):
+                    call(w, *args)
+        assert w._tables["points"] == {}
+
+    def test_integer_types_taken_as_ints(self):
+        class Index(IntEnum):
+            ZERO = 0
+            THREE = 3
+
+        w = Weights((2, 3))
+        for j, k in [(np.int64(0), np.int64(3)), (Index.ZERO, Index.THREE), (0, np.int8(3))]:
+            hom = hom_space(w, j, k)
+            assert (type(hom.source), type(hom.target)) == (int, int)
+            assert hom == hom_space(w, 0, 3)
+            assert [(p.j, p.k) for p in intersections(w, j, k)] == [(0, 3)] * 3
+            assert type(hom_space(w, k, j).source) is int
+        assert list(w._tables["points"]) == [3]
+        assert type(next(iter(w._tables["points"]))) is int

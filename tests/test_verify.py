@@ -226,7 +226,7 @@ def certificates_l12(certificates):
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(st.text(), inner)),
     max_leaves=40,
@@ -243,7 +243,7 @@ gap_tables = st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 6)), ta
 
 def text_of(value):
     """The whole text of the encoder's chunks."""
-    return "".join(verify._json_text(value))
+    return "".join(verify.json_chunks(value))
 
 
 class TestDigestEncoding:
@@ -254,6 +254,10 @@ class TestDigestEncoding:
     @example({"b": [(0,), [(False,)]], "a": [(False,), [(0,)]]})
     @example({"\u00e9": "\x00\x1f\u2028\ud800 \U0001f600", "\x7f": ["\t\n"]})
     @example({"z": [], "y": (), "x": {}, "w": [[], (), {}]})
+    # json's text of the floats that float.__repr__ writes otherwise, and
+    # floats equal by == to another value of different text.
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e308, 5e-324, 1e16])
+    @example([[0.0], [-0.0], [0], [False], (1.0,), (1,), (True,), {"a": 1.0}, {"a": 1}])
     # A digest entry is formatted as its triple and a shared tail, and equal
     # lists and dicts once per level; each example below needs two of those
     # pieces that are equal by == to have different text.
@@ -294,7 +298,7 @@ class TestDigestEncoding:
         # A table comes in one chunk per first index of its triples and one
         # for its closing bracket.
         firsts = {triple[0] for triple, *_ in table}
-        chunks = list(verify._json_text(table))
+        chunks = list(verify.json_chunks(table))
         assert len(chunks) == len(firsts) + 1 if firsts else chunks == ["[]"]
 
     @given(st.integers(0, 7), gap_tables, st.integers(0, 7), gap_tables)
@@ -344,11 +348,17 @@ class TestDigestEncoding:
         assert text_of({"t": changed}) == json.dumps({"t": changed}, sort_keys=True,
                                                                indent=2)
 
-    @pytest.mark.parametrize("value", [1.0, (1, 2.5), {1: "a"}, {"a": {2}}, [object()],
-                                       (1, object())])
+    # The ids are those the cases had next to the two float cases of
+    # `test_floats_encoded`, which were refused until floats were encoded.
+    @pytest.mark.parametrize("value", [{1: "a"}, {"a": {2}}, [object()], (1, object())],
+                             ids=["value2", "value3", "value4", "value5"])
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError):
             text_of(value)
+
+    @pytest.mark.parametrize("value", [1.0, (1, 2.5)])
+    def test_floats_encoded(self, value):
+        assert text_of(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_to_json_matches_json_dumps(self, certificates, certificates_l12):
         # (1, 19) is the largest sweep-2w pair; the corrupted copy fails,

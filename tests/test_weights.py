@@ -1,11 +1,15 @@
 """Tests for the exact graded-ring and polytope utilities."""
 
 import itertools
+import re
+from enum import IntEnum
 
+import numpy as np
 import pytest
 
 from perfbench.workloads import BSIDE_L, bside_vectors
 from wpmirror import weights
+from wpmirror.verify import hms_certificate
 from wpmirror.weights import (
     ExteriorBasisElement,
     LatticePolytope,
@@ -61,6 +65,20 @@ class TestWeights:
             Weights((1, 0))
         with pytest.raises(ValueError):
             Weights((1, -2))
+        # A weight of a non-integer type is refused by name, never truncated.
+        for a, bad in [((1.5, 2.7), 1.5), ("12", "1"), ((True, 2), True), ((2, 3.0), 3.0),
+                       ((2, None), None), ((2, False), False)]:
+            with pytest.raises(ValueError, match=f"^weight={re.escape(repr(bad))} is not an integer$"):
+                Weights(a)
+        with pytest.raises(ValueError, match="^weight=2.9 is not an integer$"):
+            hms_certificate((2.9, 3.2))
+
+    def test_integer_types_taken_as_ints(self):
+        class Weight(IntEnum):
+            TWO = 2
+
+        w = Weights((np.int64(1), Weight.TWO, np.uint8(3)))
+        assert w == Weights((1, 2, 3)) and [type(x) for x in w.a] == [int, int, int]
 
 
 class TestSubsets:
