@@ -1,7 +1,7 @@
 """Marked polytopes, bisections, coherence weights, and the numeric
 critical-value splitting of deformed potentials.
 
-Geometry stays in dimensions one and two with exact integer/rational
+Geometry stays in dimensions one and two with exact integer
 predicates.  The deformation machinery perturbs a Laurent polynomial by
 integral weights, tracks its critical values along a decreasing parameter
 schedule, and verifies that they split into the critical values of the two
@@ -17,19 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .weights import LatticePolytope, as_2d, convex_hull_2d, cross, normalized_volume
+from .weights import (LatticePolytope, as_2d, as_point, convex_hull_2d, cross,
+                      normalized_volume)
 
 # The defaults of a tracking run, read by `track_splitting` and `load_config`.
 DEFAULT_T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
 DEFAULT_SEED = 42
 DEFAULT_TOLERANCE = 1e-4
-
-
-def _pt(p):
-    """Normalize a point to a 1- or 2-tuple of ints."""
-    if isinstance(p, int):
-        return (p,)
-    return tuple(int(x) for x in p)
 
 
 def _show(p):
@@ -81,7 +75,7 @@ class MarkedPolytope:
     A: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "A", tuple(_pt(p) for p in self.A))
+        object.__setattr__(self, "A", tuple(as_point(p) for p in self.A))
 
     def violations(self):
         out = []
@@ -111,51 +105,27 @@ class ValidationReport:
 
 
 def _meet(c0, c1):
-    """The exact intersection of two cells, as its vertices: for two cells
-    on one line the overlap of their ends, otherwise the
-    Sutherland–Hodgman clip of one hull by the other, a polygon's if either
-    is one, with rational vertices.  Only points of both cells are kept, so
-    the meet is one set in either order."""
-    subject, clip = _hull(c0.Q), _hull(c1.Q)
-    if len(convex_hull_2d(subject + clip)) <= 2:
+    """The exact intersection of two cells as its ends in coordinate order,
+    or None when their interiors meet.
+
+    Take two convex lattice cells whose interiors do not meet.  The line of
+    some edge of one of them weakly separates them.  Each cell meets that
+    line in one of its faces, so their intersection is a point or a
+    segment, and its ends are vertices of the cells, which are lattice
+    points.  So the meet is None when no edge line of either hull leaves
+    the other hull weakly on its outer side, and otherwise the vertices of
+    either hull that lie in both cells.  Cells on one line meet in the
+    overlap of their ends; a point's one edge is degenerate, so a point
+    meets a cell in itself or in nothing."""
+    h0, h1 = _hull(c0.Q), _hull(c1.Q)
+    if len(convex_hull_2d(h0 + h1)) <= 2:
         # Along one line the coordinate order is the order of the points.
-        lo, hi = max(subject[0], clip[0]), min(subject[-1], clip[-1])
+        lo, hi = max(h0[0], h1[0]), min(h0[-1], h1[-1])
         return [] if lo > hi else sorted({lo, hi})
-    if len(clip) < 3:
-        # A segment or a point would clip by its whole line.
-        subject, clip = clip, subject
-    for a, b in _edges(clip):
-        if not subject:
-            break
-        out = []
-        prev = subject[-1]
-        for cur in subject:
-            side_prev = cross(a, b, prev)
-            side_cur = cross(a, b, cur)
-            if side_cur >= 0:
-                if side_prev < 0:
-                    out.append(_line_intersect(a, b, prev, cur))
-                out.append(cur)
-            elif side_prev >= 0:
-                out.append(_line_intersect(a, b, prev, cur))
-            prev = cur
-        # Deduplicate consecutive repeats
-        subject = []
-        for p in out:
-            if not subject or subject[-1] != p:
-                subject.append(p)
-        if len(subject) > 1 and subject[0] == subject[-1]:
-            subject.pop()
-    return [p for p in subject if _contains(c0.Q, p) and _contains(c1.Q, p)]
-
-
-def _line_intersect(a, b, p, q):
-    """Intersection of line ab with segment pq, exact."""
-    d1 = (b[0] - a[0], b[1] - a[1])
-    d2 = (q[0] - p[0], q[1] - p[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    t = Fraction((p[0] - a[0]) * d2[1] - (p[1] - a[1]) * d2[0], denom)
-    return (a[0] + t * d1[0], a[1] + t * d1[1])
+    if not any(all(cross(a, b, v) <= 0 for v in other)
+               for hull, other in ((h0, h1), (h1, h0)) for a, b in _edges(hull)):
+        return None
+    return sorted({v for v in h0 + h1 if _contains(c0.Q, v) and _contains(c1.Q, v)})
 
 
 def validate_subdivision(cells, parent):
@@ -186,12 +156,12 @@ def validate_subdivision(cells, parent):
 
     for (i, ci), (j, cj) in itertools.combinations(enumerate(cells), 2):
         shared = _meet(ci, cj)
-        if shared and _rank(convex_hull_2d(shared)) == dim:
-            if dim == 2:
-                fail(f"cells {i},{j} overlap with positive area")
-            else:
-                ends = tuple(_show(v[:parent.Q.ambient_dim]) for v in shared)
-                fail(f"cells {i},{j} overlap on a full interval {ends}")
+        if shared is None:
+            fail(f"cells {i},{j} overlap with positive area")
+            continue
+        if _rank(shared) == dim:
+            ends = tuple(_show(v[:parent.Q.ambient_dim]) for v in shared)
+            fail(f"cells {i},{j} overlap on a full interval {ends}")
             continue
         if shared and not _is_common_face(ci, cj, shared):
             fail(f"cells {i},{j} intersection is not a common face")
@@ -212,8 +182,6 @@ def _is_common_face(ci, cj, inter):
         return [frozenset([v]) for v in hull] + [frozenset(e) for e in _edges(hull)]
 
     key = frozenset(inter)
-    if len(key) > 2:
-        return False
     return key in faces(ci) and key in faces(cj)
 
 
@@ -256,11 +224,10 @@ def _wall(b):
         else:
             grad = (0, 1)
     else:
-        lattice = [p for p in wall if p[0].denominator == 1 and p[1].denominator == 1]
-        if len(set(wall)) < 2 or len(lattice) < 2:
-            raise ValueError("shared wall is not spanned by lattice points")
+        if wall is None or len(wall) < 2:
+            raise ValueError("cells do not share a wall edge")
         p, q = wall[0], wall[-1]
-        dx, dy = int(q[0] - p[0]), int(q[1] - p[1])
+        dx, dy = q[0] - p[0], q[1] - p[1]
         g = gcd(dx, dy)
         grad = (dy // g, -dx // g)
     const = -(grad[0] * p[0] + grad[1] * p[1])
@@ -269,7 +236,6 @@ def _wall(b):
     if (grad[0] * sum(v[0] for v in hull1) + grad[1] * sum(v[1] for v in hull1)
             + const * len(hull1) > 0):
         grad, const = (-grad[0], -grad[1]), -const
-    const = int(const)
     return {p: const + sum(g * x for g, x in zip(grad, as_2d(p)))
             for p in b.cell0.A + b.cell1.A}
 
@@ -331,7 +297,7 @@ def seeded_coefficients(A, seed, tolerance, a0, a1):
     restrictions to the cells' points a0 and a1 have nearly colliding or
     nearly zero critical values (within 10x the matching tolerance)."""
     rng = random.Random(seed)
-    points = [_pt(p) for p in A]
+    points = [as_point(p) for p in A]
     for _ in range(200):
         cand = {p: Fraction(rng.choice([x for x in range(-3, 4) if x != 0]))
                 for p in points}
@@ -450,7 +416,7 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
                                      a0=b.cell0.A, a1=b.cell1.A)
     # Sorted by point, so the deformed potential is summed in one order
     # whatever the order of the given map.
-    coeffs = dict(sorted({_pt(k): Fraction(v) for k, v in coeffs.items()}.items()))
+    coeffs = dict(sorted({as_point(k): Fraction(v) for k, v in coeffs.items()}.items()))
     stray = sorted(set(a_all) ^ set(coeffs))
     if stray:
         raise ValueError(f"the coefficients and the marked points differ at {_show(stray[0])}")

@@ -9,6 +9,7 @@ either side flips it to fail.
 """
 
 import hashlib
+import itertools
 import marshal
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,8 +43,8 @@ class DigestTable:
     table, read-only, without empty tails or gaps that fit no triple.
     `json_chunks` formats it from the gap table, and two tables are equal
     when their gap tables are; against a list, it compares its entries.
-    Entries are made on demand, by iteration in sorted order, `len` and
-    indexing; a changed copy is a plain `list(table)`.
+    Entries are made on demand, by iteration in sorted order, and `len`
+    counts them; a changed copy is a plain `list(table)`.
     """
 
     __slots__ = ("n_objects", "tails")
@@ -53,35 +54,21 @@ class DigestTable:
         self.tails = MappingProxyType({(g0, g1): tuple(tail) for (g0, g1), tail in tails.items()
                                        if tail and 0 < g0 and 0 < g1 and g0 + g1 < n_objects})
 
-    def _by_triple(self):
-        """(triple, tail) for each triple i < j < k whose gaps have a tail, in order."""
+    def __iter__(self):
         n, tails = self.n_objects, self.tails
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     tail = tails.get((j - i, k - j))
                     if tail:
-                        yield (i, j, k), tail
-
-    def __iter__(self):
-        for triple, tail in self._by_triple():
-            for rest in tail:
-                yield (triple, *rest)
+                        triple = (i, j, k)  # one tuple shared by the triple's entries
+                        for rest in tail:
+                            yield (triple, *rest)
 
     def __len__(self):
         # Gaps (g0, g1) fit the n_objects - g0 - g1 triples (i, i + g0, i + g0 + g1).
         return sum(len(tail) * (self.n_objects - g0 - g1)
                    for (g0, g1), tail in self.tails.items())
-
-    def __getitem__(self, index):
-        size = len(self)
-        if not -size <= index < size:
-            raise IndexError("DigestTable index out of range")
-        index %= size
-        for triple, tail in self._by_triple():
-            if index < len(tail):
-                return (triple, *tail[index])
-            index -= len(tail)
 
     def __eq__(self, other):
         if type(other) is DigestTable:
@@ -325,12 +312,9 @@ def _digest_mismatch(dig_a, dig_b):
     """The failure reason for two sorted digests that differ: the first
     entry, in sorted order, whose constant differs, read as absent on a
     side that lacks it."""
-    at = next((p for p, (x, y) in enumerate(zip(dig_a, dig_b)) if x != y),
-              min(len(dig_a), len(dig_b)))
-    here = [d[at] for d in (dig_a, dig_b) if at < len(d)]
-    key = min(e[:4] for e in here)
-    aside_c, bside_c = (d[at][4] if at < len(d) and d[at][:4] == key else "absent"
-                        for d in (dig_a, dig_b))
+    pair = next(p for p in itertools.zip_longest(dig_a, dig_b) if p[0] != p[1])
+    key = min(e[:4] for e in pair if e is not None)
+    aside_c, bside_c = (e[4] if e is not None and e[:4] == key else "absent" for e in pair)
     triple, J0, J1, Jout = key
     return (f"composition digests differ at triple {triple}: J0 {J0} J1 {J1} Jout {Jout}, "
             f"aside {aside_c}, bside {bside_c}")

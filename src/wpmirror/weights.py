@@ -1,5 +1,6 @@
-"""Weighted graded-ring arithmetic, the weighted exterior algebra, and
-small lattice-polytope utilities shared by all other modules.
+"""Weighted graded-ring arithmetic, the weighted exterior algebra, the
+one integer check of every index, weight and coordinate, and the small
+lattice-polytope utilities that `bisection` reads.
 
 Everything here is exact: arbitrary-precision integers and `fractions.Fraction`
 only, no floating point, so that downstream certificates are bit-stable.
@@ -21,6 +22,14 @@ def as_index(x, name, kind="an integer object index"):
     if isinstance(x, bool) or not hasattr(x, "__index__"):
         raise ValueError(f"{name}={x!r} is not {kind}")
     return operator.index(x)
+
+
+def as_point(p):
+    """A point, a tuple or list of coordinates or one coordinate alone, as
+    a tuple of ints; a coordinate that is not an integer is refused by
+    name."""
+    coords = p if isinstance(p, (tuple, list)) else (p,)
+    return tuple(as_index(x, "coordinate", "an integer") for x in coords)
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,8 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents",
+                           tuple(as_index(e, "exponent", "an integer") for e in self.exponents))
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative")
 
@@ -104,7 +114,7 @@ class ExteriorBasisElement:
     subset: tuple
 
     def __post_init__(self):
-        subset = tuple(sorted(int(i) for i in self.subset))
+        subset = tuple(sorted(as_index(i, "subset index", "an integer") for i in self.subset))
         if len(set(subset)) != len(subset):
             raise ValueError("repeated index in exterior subset")
         object.__setattr__(self, "subset", subset)
@@ -128,12 +138,7 @@ class LatticePolytope:
     vertices: tuple
 
     def __post_init__(self):
-        verts = []
-        for v in self.vertices:
-            if isinstance(v, (int,)):
-                verts.append((int(v),))
-            else:
-                verts.append(tuple(int(x) for x in v))
+        verts = [as_point(v) for v in self.vertices]
         if not verts:
             raise ValueError("empty vertex list")
         dims = {len(v) for v in verts}

@@ -215,6 +215,6 @@ def test_criterion_11_mutation_sensitivity():
         assert not cert.passed, (side, idx)
         # The failure names the triple of the bumped entry.
         digest = getattr(clean, side + "_digest")
-        triple = digest[idx % len(digest)][0]
+        triple = list(digest)[idx % len(digest)][0]
         assert any(f.startswith(f"composition digests differ at triple {triple}:")
                    for f in cert.failures), (side, idx, cert.failures)

@@ -4,6 +4,7 @@ potentials, critical-value tracking, and tracking configs."""
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from wpmirror.bisection import (
     validate_bisection,
     validate_subdivision,
 )
-from wpmirror.weights import LatticePolytope, convex_hull_2d
+from wpmirror.weights import LatticePolytope, convex_hull_2d, cross
 
 
 def interval(points):
@@ -104,6 +105,13 @@ class TestValidation:
         mp = MarkedPolytope(LatticePolytope((0, 3)), ((0,),))
         assert mp.violations()
 
+    @pytest.mark.parametrize("points, bad", [(((0.5,), (3,)), 0.5), (((True, 1.5),), True),
+                                             ((0, 3.0), 3.0)])
+    def test_non_integer_marked_point_refused(self, points, bad):
+        # Never truncated: (0.5,) was marked as (0,), and (True, 1.5) as (1, 1).
+        with pytest.raises(ValueError, match=f"^coordinate={re.escape(repr(bad))} is not an integer$"):
+            MarkedPolytope(LatticePolytope((0, 3)), points)
+
 
 # A triangle and a segment off it: clipping the triangle by the segment's
 # whole line once gave the chord (-1,-1)-(1,1) as their wall.
@@ -124,12 +132,69 @@ MEET_CELLS = {
 }
 
 
+def meet_reference(c0, c1):
+    """The intersection of two cells by the Sutherland–Hodgman clip of one
+    hull by the other, a polygon's if either is one, with rational
+    vertices; only points of both cells are kept.  The reference that the
+    lattice-vertex meet is tested against."""
+    subject, clip = bisection._hull(c0.Q), bisection._hull(c1.Q)
+    if len(convex_hull_2d(subject + clip)) <= 2:
+        lo, hi = max(subject[0], clip[0]), min(subject[-1], clip[-1])
+        return [] if lo > hi else sorted({lo, hi})
+    if len(clip) < 3:
+        # A segment or a point would clip by its whole line.
+        subject, clip = clip, subject
+
+    def line_intersect(a, b, p, q):
+        d1 = (b[0] - a[0], b[1] - a[1])
+        d2 = (q[0] - p[0], q[1] - p[1])
+        t = Fraction((p[0] - a[0]) * d2[1] - (p[1] - a[1]) * d2[0],
+                     d1[0] * d2[1] - d1[1] * d2[0])
+        return (a[0] + t * d1[0], a[1] + t * d1[1])
+
+    for a, b in bisection._edges(clip):
+        if not subject:
+            break
+        out = []
+        prev = subject[-1]
+        for cur in subject:
+            side_prev, side_cur = cross(a, b, prev), cross(a, b, cur)
+            if side_cur >= 0:
+                if side_prev < 0:
+                    out.append(line_intersect(a, b, prev, cur))
+                out.append(cur)
+            elif side_prev >= 0:
+                out.append(line_intersect(a, b, prev, cur))
+            prev = cur
+        subject = [p for i, p in enumerate(out) if i == 0 or out[i - 1] != p]
+        if len(subject) > 1 and subject[0] == subject[-1]:
+            subject.pop()
+    return [p for p in subject
+            if bisection._contains(c0.Q, p) and bisection._contains(c1.Q, p)]
+
+
+def meet_hull(c0, c1):
+    shared = _meet(c0, c1)
+    return None if shared is None else convex_hull_2d(shared)
+
+
+def random_cell(rng):
+    """A point, a segment or a polygon with vertices in [-3, 3]^2, as its
+    rank and the cell."""
+    rank = rng.randrange(3)
+    while True:
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3))
+               for _ in range(rank + 1 if rank < 2 else rng.randint(3, 5))]
+        if bisection._rank(convex_hull_2d(pts)) == rank:
+            return rank, MarkedPolytope(LatticePolytope(tuple(pts)), tuple(pts))
+
+
 class TestMeet:
     @pytest.mark.parametrize("a", MEET_CELLS)
     @pytest.mark.parametrize("b", MEET_CELLS)
     def test_order_free(self, a, b):
-        ab, ba = _meet(MEET_CELLS[a], MEET_CELLS[b]), _meet(MEET_CELLS[b], MEET_CELLS[a])
-        assert convex_hull_2d(ab) == convex_hull_2d(ba), (ab, ba)
+        ab = meet_hull(MEET_CELLS[a], MEET_CELLS[b])
+        assert ab == meet_hull(MEET_CELLS[b], MEET_CELLS[a]), ab
 
     @pytest.mark.parametrize("a, b, expected", [
         ("far-triangle", "far-segment", []),
@@ -138,10 +203,35 @@ class TestMeet:
         ("cell0", "cell1", [(0, 1), (1, 0)]),
         ("diagonal", "antidiagonal", [(1, 1)]),
         ("far-segment", "antidiagonal", []),
-        ("axis-interval", "diagonal", [(0, 0)]),
+        # The segments cross and the triangles overlap: their interiors
+        # meet.  Explicit ids keep the `expectedN` form a None would lose.
+        pytest.param("axis-interval", "diagonal", None, id="axis-interval-diagonal-expected6"),
+        pytest.param("cell0", "inner-triangle", None, id="cell0-inner-triangle-expected7"),
     ])
     def test_meet(self, a, b, expected):
-        assert convex_hull_2d(_meet(MEET_CELLS[a], MEET_CELLS[b])) == expected
+        assert meet_hull(MEET_CELLS[a], MEET_CELLS[b]) == expected
+
+    def test_matches_the_clip(self):
+        # Two polygons meet in None exactly when the clip has positive
+        # area; any other meet that is not None spans the clip's hull, with
+        # int vertices, in either order.  A segment or a point that crosses
+        # another cell ("crossing") meets it in None.
+        rng = random.Random(29)
+        seen = dict.fromkeys(("overlap", "crossing", "empty", "touching"), 0)
+        for _ in range(12_000):
+            (rank0, c0), (rank1, c1) = random_cell(rng), random_cell(rng)
+            shared, reference = _meet(c0, c1), convex_hull_2d(meet_reference(c0, c1))
+            assert shared == _meet(c1, c0), (c0, c1)
+            if rank0 == rank1 == 2:
+                assert (shared is None) == (len(reference) >= 3), (c0, c1, reference)
+            if shared is None:
+                assert reference, (c0, c1)
+                seen["overlap" if len(reference) >= 3 else "crossing"] += 1
+                continue
+            assert all(type(x) is int for p in shared for x in p), shared
+            assert convex_hull_2d(shared) == reference, (c0, c1, shared, reference)
+            seen["touching" if shared else "empty"] += 1
+        assert min(seen.values()) > 500, seen
 
     def test_disjoint_cells_have_no_weight(self):
         with pytest.raises(ValueError):

@@ -181,9 +181,16 @@ class TestMonomialBasis:
         assert set(w._tables["suffixes"]) == suffixes
 
     def test_public_constructor_still_validates(self):
-        assert Monomial((2.0, 1)).exponents == (2, 1)
+        m = Monomial((np.int64(2), 1))
+        assert m.exponents == (2, 1) and [type(e) for e in m.exponents] == [int, int]
         with pytest.raises(ValueError):
             Monomial((1, -1))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None])
+    def test_non_integer_exponent_refused(self, bad):
+        # Never truncated: Monomial((1.5, 2)) was Monomial((1, 2)).
+        with pytest.raises(ValueError, match=f"^exponent={re.escape(repr(bad))} is not an integer$"):
+            Monomial((bad, 2))
 
     def test_leading_exponent_descending(self):
         w = Weights((1, 1))
@@ -221,6 +228,13 @@ class TestExteriorBasis:
         with pytest.raises(ValueError):
             ExteriorBasisElement((0, 0))
 
+    @pytest.mark.parametrize("bad", [0.7, True, "1", None])
+    def test_non_integer_index_refused(self, bad):
+        # Never truncated: ExteriorBasisElement((0.7, True)) had subset (0, 1).
+        with pytest.raises(ValueError,
+                           match=f"^subset index={re.escape(repr(bad))} is not an integer$"):
+            ExteriorBasisElement((2, bad))
+
 
 class TestNormalizedVolume:
     def test_interval(self):
@@ -248,3 +262,10 @@ class TestNormalizedVolume:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             LatticePolytope(((0, 0, 0), (1, 1, 1)))
+
+    @pytest.mark.parametrize("vertices, bad", [(((0.5, 1.9), (2, 3)), 0.5), ((True, 3), True),
+                                               ((0, 3.0), 3.0), (((0, 0), (1, "1")), "1")])
+    def test_non_integer_vertex_refused(self, vertices, bad):
+        # Never truncated: ((0.5, 1.9), (2, 3)) had vertices ((0, 1), (2, 3)).
+        with pytest.raises(ValueError, match=f"^coordinate={re.escape(repr(bad))} is not an integer$"):
+            LatticePolytope(vertices)
