@@ -10,7 +10,6 @@ either side flips it to fail.
 
 import hashlib
 import itertools
-import marshal
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -91,7 +90,8 @@ def aside_digest(w, words):
     so a triangle gives one tail (J0, J1, Jout, 1) to the gaps of its two
     jump corners, each the point of its gap (`gap_points`).  Entries
     on both sides have one form, `((i, j, k), J0, J1, Jout, c)` with int
-    tuples, from construction to the encoded certificate.
+    tuples, from construction to the encoded certificate.  Equal tails are
+    one tuple, as in `bside_digest`, so `json_chunks` formats each once.
     """
     tails = {}  # (j - i, k - j) -> sorted (subset0, subset1, subset, 1)
     for word in words:
@@ -100,8 +100,10 @@ def aside_digest(w, words):
         p0, p1, out = word.corners
         tails.setdefault((p0.k - p0.j, p1.k - p1.j), []).append(
             (p0.label.subset, p1.label.subset, out.label.subset, 1))
-    for tail in tails.values():
-        tail.sort()
+    shared = {}  # a sorted tail -> its one tuple
+    for gaps, tail in tails.items():
+        tail = tuple(sorted(tail))
+        tails[gaps] = shared.setdefault(tail, tail)
     return DigestTable(w.l - 1, tails)
 
 
@@ -162,30 +164,26 @@ def json_chunks(value):
 
     The C encoder of `json` ignores `indent`, so `json.dumps` would run its
     pure-Python encoder here, at about three times the cost.  Instead each
-    list and dict is formatted once per indent level, in a table that lives
-    for one call, so the dimension-table entry that one gap shares is
-    formatted once.  A `DigestTable` is formatted from its gap table: each
-    distinct tail `(J0, J1, Jout, c)` once per level, each triple's head
-    once, and the entries of a triple in one join of its head with the
-    texts of its gaps' tails.  Two tables with equal gap tables, the two
-    digests of a passing certificate, are formatted once.  The memo is
-    keyed by marshal bytes, which tell True from 1 and a tuple from a list
-    where equality does not; version 2 writes no back-references, so equal
-    values of one type give equal bytes.
+    list, dict and digest table is formatted once per indent level, in a
+    table that lives for one call and is keyed by the object's id: text is
+    shared only by one object met again, never by equal values, so `True`
+    and `1` cannot share it.  Each entry holds its object, so no id is
+    reused within the call by a temporary, such as the dict of a Fraction.
+    The builders share what is equal: the dimension-table entries of one
+    gap, a digest table's equal tails and a passing certificate's two
+    tables are each one object.  A `DigestTable` is formatted from its gap
+    table: each tail once, each triple's head once, and the entries of a
+    triple in one join of its head with the texts of its gaps' tails.
     """
-    texts = {}  # (formatter, level, marshal bytes of the key) -> its text or chunks
+    texts = {}  # (id, level) of a list, dict or digest table -> (it, its text or chunks)
 
-    def memo(o, key, level, fmt):
+    def memo(o, level, fmt):
         if not level:  # the whole value, met once
             return fmt(o, level)
-        try:
-            key = fmt, level, marshal.dumps(key, 2)
-        except ValueError:  # a type marshal cannot write; encode rejects it
-            return fmt(o, level)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = fmt(o, level)
-        return text
+        held = texts.get((id(o), level))
+        if held is None:
+            held = texts[id(o), level] = o, fmt(o, level)
+        return held[1]
 
     def encode(o, level):
         t = type(o)
@@ -196,9 +194,9 @@ def json_chunks(value):
         if t is str:
             return encode_basestring_ascii(o)
         if t is list:
-            return memo(o, o, level, sequence)
+            return memo(o, level, sequence)
         if t is dict:
-            return memo(o, o, level, mapping)
+            return memo(o, level, mapping)
         if t is DigestTable:
             return "".join(chunks(o, level))
         if o is None:
@@ -219,7 +217,7 @@ def json_chunks(value):
 
     def chunks(o, level):  # a digest table's chunks, or the whole text of o
         if type(o) is DigestTable:
-            return memo(o, (o.n_objects, sorted(o.tails.items())), level, table)
+            return memo(o, level, table)
         return (encode(o, level),)
 
     def sequence(o, level):
@@ -243,9 +241,6 @@ def json_chunks(value):
             lead = "," + newline
         yield newline[:-2] + "}" if o else "{}"
 
-    def after_triple(tail, level):  # an entry's text from the "," after its triple
-        return "," + sequence(tail, level)[1:]
-
     def table(o, level):
         if not o:
             return ["[]"]
@@ -258,7 +253,7 @@ def json_chunks(value):
         by_tail = {}  # id of a tail of the gap table -> the texts of its entries after the triple
         for tail in o.tails.values():
             if id(tail) not in by_tail:
-                by_tail[id(tail)] = [memo(x, x, level + 1, after_triple) for x in tail]
+                by_tail[id(tail)] = ["," + sequence(x, level + 1)[1:] for x in tail]
         rests_of = {gaps: by_tail[id(tail)] for gaps, tail in o.tails.items()}
         out, lead = [], "[" + newline
         for i in range(n):
@@ -325,6 +320,11 @@ def hms_certificate(w, corrupt=None):
 
     `corrupt` is the mutation-testing hook: ("aside"|"bside", index) bumps
     one structure constant of the chosen digest before comparison.
+
+    The certificate shares what is equal, for `json_chunks`, which shares
+    text by identity: every pair of one gap holds that gap's one
+    dimension-table entry, and a passing certificate holds one digest
+    table in both digest fields.
     """
     if not isinstance(w, Weights):
         w = Weights(w)
@@ -375,6 +375,8 @@ def hms_certificate(w, corrupt=None):
             dig_b = target
     if dig_a != dig_b:
         failures.append(_digest_mismatch(dig_a, dig_b))
+    else:
+        dig_b = dig_a  # one table in both fields, formatted once
 
     higher = {
         "ok": hp.ok,

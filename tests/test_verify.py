@@ -400,6 +400,29 @@ class TestDigestEncoding:
             assert bside_digest(Weights(a)) == cert.bside_digest, a
 
 
+class TestSharedPieces:
+    """The encoder shares text only between identical objects, so the
+    builders make equal pieces of a certificate one object."""
+
+    def test_passing_certificate_holds_one_table(self, certificates):
+        for a, cert in certificates.items():
+            assert cert.passed and cert.aside_digest is cert.bside_digest, a
+        for side in ("aside", "bside"):
+            cert = hms_certificate(Weights((2, 3)), corrupt=(side, 0))
+            assert not cert.passed and cert.aside_digest is not cert.bside_digest, side
+
+    def test_one_tuple_per_distinct_tail(self):
+        # Every pair with l <= 40; `test_matches_reference_bside_multi`
+        # checks the B-side tables of the bside-multi vectors.
+        pairs = [(a0, a1) for a0 in range(1, 21) for a1 in range(a0, 41 - a0)]
+        assert len(pairs) == 400
+        for a in pairs:
+            w = Weights(a)
+            for digest in aside_digest(w, words.enumerate_accepted_words(w)), bside_digest(w):
+                tails = digest.tails.values()
+                assert len({id(t) for t in tails}) == len(set(tails)), a
+
+
 class TestMutation:
     @pytest.mark.parametrize("side", ["aside", "bside"])
     def test_single_constant_flip_fails(self, side):
