@@ -20,10 +20,11 @@ from math import gcd
 from .weights import (LatticePolytope, as_2d, as_point, convex_hull_2d, cross,
                       normalized_volume)
 
-# The defaults of a tracking run, read by `track_splitting` and `load_config`.
-DEFAULT_T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+# The fixed schedule and matching tolerance of every tracking run, and the
+# seed of its coefficient draw when a config names none.
+T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+TOLERANCE = 1e-4
 DEFAULT_SEED = 42
-DEFAULT_TOLERANCE = 1e-4
 
 
 def _show(p):
@@ -291,11 +292,11 @@ def critical_values_univariate(coeffs):
     return [f(complex(z)) for z in roots]
 
 
-def seeded_coefficients(A, seed, tolerance, a0, a1):
+def seeded_coefficients(A, seed, a0, a1):
     """Small nonzero integer coefficients on the points A from a seeded
     generator, rejecting configurations whose potential or whose
     restrictions to the cells' points a0 and a1 have nearly colliding or
-    nearly zero critical values (within 10x the matching tolerance)."""
+    nearly zero critical values (within 10x TOLERANCE)."""
     rng = random.Random(seed)
     points = [as_point(p) for p in A]
     for _ in range(200):
@@ -312,10 +313,10 @@ def seeded_coefficients(A, seed, tolerance, a0, a1):
                 ok = False
                 break
             for i, u in enumerate(vals):
-                if abs(u) < 10 * tolerance:
+                if abs(u) < 10 * TOLERANCE:
                     ok = False
                 for v in vals[i + 1:]:
-                    if abs(u - v) < 10 * tolerance:
+                    if abs(u - v) < 10 * TOLERANCE:
                         ok = False
         if ok:
             return cand
@@ -390,30 +391,23 @@ class SplittingReport:
     violations: list = field(default_factory=list)
 
 
-def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_SEED,
-                    tolerance=DEFAULT_TOLERANCE):
+def track_splitting(b, coeffs=None, seed=DEFAULT_SEED):
     """Numerically verify the critical-value splitting of a 1D bisection.
 
-    Along a decreasing schedule the deformed potential's critical values
-    split: m of them approach the critical values of the restriction to the
-    origin cell, and under the re-based weight the remaining r - m approach
-    those of the other cell, all nonzero.  A schedule value too small for
-    the deformed critical values to be evaluated in floats raises
-    ValueError.
+    Along T_SCHEDULE the deformed potential's critical values split: m of
+    them approach the critical values of the restriction to the origin
+    cell, and under the re-based weight the remaining r - m approach those
+    of the other cell, all nonzero, each within TOLERANCE.  Coefficients so
+    far apart that the deformed critical values cannot be evaluated in
+    floats raise ValueError.
     """
     import numpy as np  # on first use: the exact commands never load numpy
-
-    t_schedule = [Fraction(t) for t in t_schedule]
-    if not t_schedule or any(t <= 0 for t in t_schedule) or any(
-            a <= b for a, b in zip(t_schedule, t_schedule[1:])):
-        raise ValueError("schedule must be nonempty, strictly decreasing and positive")
 
     a_all = sorted(set(b.cell0.A) | set(b.cell1.A))
     if any(len(p) != 1 for p in a_all):
         raise ValueError("critical-value tracking is 1D only")
     if coeffs is None:
-        coeffs = seeded_coefficients(a_all, seed, tolerance,
-                                     a0=b.cell0.A, a1=b.cell1.A)
+        coeffs = seeded_coefficients(a_all, seed, a0=b.cell0.A, a1=b.cell1.A)
     # Sorted by point, so the deformed potential is summed in one order
     # whatever the order of the given map.
     coeffs = dict(sorted({as_point(k): Fraction(v) for k, v in coeffs.items()}.items()))
@@ -431,7 +425,7 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
     m = len(targets0)
 
     violations = []
-    if any(abs(v) < tolerance for v in targets1):
+    if any(abs(v) < TOLERANCE for v in targets1):
         violations.append("restriction to the second cell has a zero critical value")
 
     def values_at(weight, t):
@@ -442,12 +436,9 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
         except (ArithmeticError, np.linalg.LinAlgError):
             vals = None
         if vals is None or not all(cmath.isfinite(v) for v in vals):
-            # A small t scales the coefficients by t^(-psi) past float range;
-            # a refinement point falls on the schedule value just above it.
-            named = min(s for s in t_schedule if s >= t)
-            raise ValueError(
-                f"t_schedule value {float(named):g} is too small: the deformed "
-                f"critical values at t = {float(t):g} cannot be evaluated in floats")
+            # A small t scales the coefficients by t^(-psi) past float range.
+            raise ValueError(f"the deformed critical values at t = {float(t):g} "
+                             "cannot be evaluated in floats")
         return vals
 
     r = None
@@ -469,7 +460,7 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
                 "match_cell0": match0, "match_cell1": match1,
                 "err_cell0": err0, "err_cell1": err1}
 
-    steps = [s for s in map(sample, t_schedule) if s is not None]
+    steps = [s for s in map(sample, T_SCHEDULE) if s is not None]
     if not steps:
         violations.append("no schedule step could be evaluated")
     else:
@@ -477,7 +468,7 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
         # t = 0 are recovered by polynomial extrapolation; two refinement
         # points below the schedule sharpen the limit estimate without
         # changing the tracked schedule itself.
-        refined = [sample(t_schedule[-1] / 10), sample(t_schedule[-1] / 100)]
+        refined = [sample(T_SCHEDULE[-1] / 10), sample(T_SCHEDULE[-1] / 100)]
         samples = steps + [s for s in refined if s is not None]
         ts = [float(s["t"]) for s in samples]
         for key, targets in (("cell0", targets0), ("cell1", targets1)):
@@ -486,12 +477,12 @@ def track_splitting(b, coeffs=None, t_schedule=DEFAULT_T_SCHEDULE, seed=DEFAULT_
                       [s[f"match_{key}"][ti]] for s in samples]
                 limit = _extrapolate_to_zero(ts, vs)
                 err = abs(limit - target)
-                if err > tolerance:
+                if err > TOLERANCE:
                     violations.append(
                         f"{key} critical value {target:.6g} not reached: "
                         f"extrapolated error {err:.3g}")
-        if len(steps) > 1 and (steps[-1]["err_cell0"] > steps[0]["err_cell0"] + tolerance
-                               or steps[-1]["err_cell1"] > steps[0]["err_cell1"] + tolerance):
+        if len(steps) > 1 and (steps[-1]["err_cell0"] > steps[0]["err_cell0"] + TOLERANCE
+                               or steps[-1]["err_cell1"] > steps[0]["err_cell1"] + TOLERANCE):
             violations.append("matching error not decreasing along the schedule")
     return SplittingReport(
         ok=not violations,
@@ -528,13 +519,16 @@ def _config_number(value, what):
 
 
 def load_config(path):
-    """Read a tracking-experiment config: marked points, the two cells,
-    coefficients or a seed, the schedule, and the tolerance.  A value of
-    the wrong shape raises ValueError."""
+    """Read a tracking-experiment config: the marked points A, the two
+    cells A0 and A1, and optionally a seed or coefficients.  Any other key,
+    or a value of the wrong shape, raises ValueError."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("the config must be a JSON object")
+    for key in raw:
+        if key not in ("A", "A0", "A1", "seed", "coefficients"):
+            raise ValueError(f"unknown config key {key!r}")
     cfg = {}
     for key in ("A", "A0", "A1"):
         if key not in raw:
@@ -545,21 +539,6 @@ def load_config(path):
     cfg["seed"] = raw.get("seed", DEFAULT_SEED)
     if type(cfg["seed"]) is not int:
         raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
-    tolerance = raw.get("tolerance", DEFAULT_TOLERANCE)
-    try:
-        if isinstance(tolerance, bool):
-            raise TypeError
-        cfg["tolerance"] = float(tolerance)
-    except (TypeError, ValueError):
-        raise ValueError(f"tolerance must be a number, got {tolerance!r}")
-    except OverflowError:
-        cfg["tolerance"] = float("inf")
-    if not 0 < cfg["tolerance"] < float("inf"):
-        raise ValueError(f"tolerance must be positive and finite, got {cfg['tolerance']}")
-    schedule = raw.get("t_schedule", list(DEFAULT_T_SCHEDULE))
-    if not isinstance(schedule, list) or not schedule:
-        raise ValueError(f"t_schedule must be a nonempty list, got {schedule!r}")
-    cfg["t_schedule"] = [_config_number(t, "a t_schedule entry") for t in schedule]
     if "coefficients" in raw:
         if not isinstance(raw["coefficients"], dict):
             raise ValueError("coefficients must be a JSON object")

@@ -207,12 +207,13 @@ def resolution_summands(w, k):
 
 def verify_prop6_via_resolution(w, k, i):
     """Independent oracle for the Ext space from the simple at k to the
-    simple at i, read off the resolution of the simple at k.
+    simple at i, by a position rule rather than from the summands that
+    `resolution_summands` lists (the two disagree, e.g. for weights (1, 3)
+    at k = 2, i = 0).
 
-    Subset J reaches P_i at exactly one position, j = k - i + |J| - a_J,
-    and counts when the resolution has its summand there: |J| <= j <= k.
-    The differential restricted to these summands vanishes, so the result
-    must agree with dual_ext(w, k, i).
+    Subset J is placed at the one position j = k - i + |J| - a_J that
+    would give P_i, and counts when |J| <= j <= k.  The result must agree
+    with dual_ext(w, k, i).
 
     The lower bound depends on the span k - i alone; no subset meets it
     for k < i, so a negative span's basis is empty, with no scan.  The

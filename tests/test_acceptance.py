@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from wpmirror import bisection
 from wpmirror.aside import (
     critical_data,
     h_poly_roots,
@@ -186,7 +187,8 @@ def test_criterion_09_bisection_splitting():
     eta, tau = coherence_weights(b)
     assert [eta[p,] for p in (-1, 0, 1, 2)] == [0, 0, 0, -1]
     assert [tau[p,] for p in (-1, 0, 1, 2)] == [-2, -1, 0, 0]
-    report = track_splitting(b, seed=42, tolerance=TOL_SPLIT)
+    assert bisection.TOLERANCE == TOL_SPLIT
+    report = track_splitting(b, seed=42)
     assert report.ok, report.violations
     assert report.r == 3 and report.m == 2
     assert len(report.targets_cell1) == 1

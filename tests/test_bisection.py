@@ -420,17 +420,9 @@ class TestTracking:
         assert report.ok, report.violations
         assert (report.m, report.r) == (7, 12)
 
-    def test_constant_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            track_splitting(B1D, t_schedule=[Fraction(1, 10), Fraction(1, 10)])
-        with pytest.raises(ValueError):
-            track_splitting(B1D, t_schedule=[Fraction(1, 10), Fraction(-1, 100)])
-        with pytest.raises(ValueError):
-            track_splitting(B1D, t_schedule=[])
-
     def test_generic_coefficients_are_small_nonzero(self):
-        coeffs = seeded_coefficients([(-1,), (0,), (1,), (2,)], seed=7, tolerance=1e-4,
-                                     a0=B1D.cell0.A, a1=B1D.cell1.A)
+        coeffs = seeded_coefficients([(-1,), (0,), (1,), (2,)], seed=7, a0=B1D.cell0.A,
+                                     a1=B1D.cell1.A)
         for v in coeffs.values():
             assert v != 0 and abs(v) <= 3
 
@@ -443,15 +435,11 @@ class TestConfig:
             "A0": [-1, 0, 1],
             "A1": [1, 2],
             "seed": 3,
-            "tolerance": 1e-4,
-            "t_schedule": ["1/10", "1/100", "1/1000"],
         }))
         cfg = load_config(str(cfg_path))
         b, parent = bisection_from_config(cfg)
         assert validate_bisection(b, parent).passed
-        report = track_splitting(b, seed=cfg["seed"],
-                                 t_schedule=cfg["t_schedule"],
-                                 tolerance=cfg["tolerance"])
+        report = track_splitting(b, seed=cfg["seed"])
         assert report.ok, report.violations
 
     def test_missing_key(self, tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import wpmirror
-from wpmirror import cli
+from wpmirror import bisection, cli
 from wpmirror.cli import run
 from wpmirror.verify import hms_certificate, json_chunks
 from wpmirror.weights import Weights, graded_dim
@@ -236,8 +236,7 @@ def assert_matches(actual, expected, path="out"):
 # coefficients out of point order; on the second cell the restriction
 # z - 2 z^2 + z^3 = z (1 - z)^2 has the critical value 0, so the run
 # reports a violation and exits 1.
-README_CONFIG = {"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2], "seed": 42,
-                 "tolerance": 1e-4, "t_schedule": ["1/10", "1/100", "1/1000"]}
+README_CONFIG = {"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2], "seed": 42}
 OUT_OF_ORDER_CONFIG = {"A": [-1, 0, 1, 2, 3], "A0": [-1, 0, 1], "A1": [1, 2, 3],
                        "coefficients": {"3": 1, "-1": 1, "2": -2, "0": 1, "1": 1}}
 README_WEIGHTS = {"eta": {"-1": 0, "0": 0, "1": 0, "2": -1},
@@ -416,66 +415,51 @@ class TestBisect:
         assert run(["bisect", "validate", "--config", str(path)]) == 1
         capsys.readouterr()
 
-    def test_undrawable_track_config_invalid(self, capsys, tmp_path):
-        # No seeded coefficient vector keeps the critical values 10x the
-        # tolerance apart, so the run cannot start.
+    def test_undrawable_track_config_invalid(self, capsys, monkeypatch, tmp_path):
+        # With a tolerance this wide no seeded coefficient vector keeps the
+        # critical values 10x the tolerance apart, so the run cannot start.
+        monkeypatch.setattr(bisection, "TOLERANCE", 1000)
         path = tmp_path / "undrawable.json"
         path.write_text(json.dumps({
             "A": [[-1], [0], [1], [2]], "A0": [[-1], [0], [1]], "A1": [[1], [2]],
-            "tolerance": 1000,
         }))
         assert run(["bisect", "track", "--config", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("schedule", [["1/10", "1e-200", "1e-300"],
-                                          ["1/10", "1/100", "1e-40"]],
-                             ids=["overflow", "underflow"])
-    def test_tiny_schedule_invalid(self, capsys, tmp_path, schedule):
-        # Coefficients scaled by t^(-psi) leave float range at these t.
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
-                                    "seed": 42, "t_schedule": schedule}))
-        assert run(["bisect", "track", "--config", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: t_schedule value ")
-        assert "Traceback" not in captured.err
-
-    def test_small_schedule_tracks(self, capsys, tmp_path):
-        path = tmp_path / "small.json"
-        path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
-                                    "seed": 42, "t_schedule": ["1/10", "1/100", "1e-20"]}))
-        assert run(["bisect", "track", "--config", str(path)]) == 0
-        assert out_json(capsys)["ok"] is True
+        assert captured.err == "error: could not draw a generic coefficient vector\n"
 
     @pytest.mark.parametrize("change, message", [
         ({"A": 5}, "error: bad config: A must be"),
         ({"A0": []}, "error: bad config: A0 must be"),
         ({"A": [[[1]]]}, "error: bad config: a point must be"),
         ({"A1": [1.5, 2]}, "error: bad config: a point must be"),
-        ({"t_schedule": 5}, "error: bad config: t_schedule must be"),
         ({"seed": [1]}, "error: bad config: seed must be"),
-        ({"tolerance": "nan"}, "error: bad config: tolerance must be"),
-        ({"tolerance": True}, "error: bad config: tolerance must be a number, got True\n"),
-        ({"tolerance": "abc"}, "error: bad config: tolerance must be a number, got 'abc'\n"),
-        ({"tolerance": 10 ** 400},
-         "error: bad config: tolerance must be positive and finite, got inf\n"),
         ({"coefficients": {"0": 1, "1": 2, "2": 1}}, "error: the coefficients and the marked "
                                                      "points differ at -1"),
-        ({"t_schedule": []}, "error: bad config: t_schedule must be a nonempty list, got []\n"),
-        ({"t_schedule": ["1/10", "1/0"]},
-         "error: bad config: a t_schedule entry is not a number: '1/0'\n"),
-        ({"t_schedule": ["1e400", "1/10"]},
-         "error: bad config: a t_schedule entry is outside float range: '1e400'\n"),
         ({"coefficients": {"-1": 1, "0": "1/0", "1": 1, "2": 1}},
          "error: bad config: the coefficient at 0 is not a number: '1/0'\n"),
         ({"coefficients": {"-1": 1, "0": 1, "1": 1, "2": "1e400"}},
          "error: bad config: the coefficient at 2 is outside float range: '1e400'\n"),
-    ], ids=["A-int", "A0-empty", "point-nested", "point-float", "schedule-int", "seed-list",
-            "tolerance-nan", "tolerance-bool", "tolerance-string", "tolerance-huge",
-            "coefficient-missing", "schedule-empty", "schedule-zero-denominator",
-            "schedule-huge", "coefficient-zero-denominator", "coefficient-huge"])
+        # The far point 100 scales its coefficient by t^(-psi) past float
+        # range at the second schedule value, t = 1/100.
+        ({"A": [-1, 0, 1, 100], "A1": [1, 100]},
+         "error: the deformed critical values at t = 0.01 cannot be evaluated in floats\n"),
+        # Read as a seeded draw, the misspelled map would pass where its
+        # coefficients fail.
+        ({key.replace("coefficients", "coefficents"): value
+          for key, value in OUT_OF_ORDER_CONFIG.items()},
+         "error: bad config: unknown config key 'coefficents'\n"),
+        # The schedule and the tolerance are fixed: a config that sets
+        # either is refused by the key's name, whatever the value.
+        *[({key: value}, f"error: bad config: unknown config key {key!r}\n")
+          for key, value in (("t_schedule", 5), ("tolerance", "nan"), ("tolerance", True),
+                             ("tolerance", "abc"), ("tolerance", 10 ** 400),
+                             ("t_schedule", []), ("t_schedule", ["1/10", "1/0"]),
+                             ("t_schedule", ["1e400", "1/10"]))],
+    ], ids=["A-int", "A0-empty", "point-nested", "point-float", "seed-list",
+            "coefficient-missing", "coefficient-zero-denominator", "coefficient-huge",
+            "wide", "misspelled-key", "schedule-int", "tolerance-nan", "tolerance-bool",
+            "tolerance-string", "tolerance-huge", "schedule-empty", "schedule-zero-denominator",
+            "schedule-huge"])
     def test_bad_config_shape_invalid(self, capsys, tmp_path, change, message):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
@@ -548,7 +532,7 @@ def reference_text(payload):
 
 
 BISECT_CONFIGS = {"readme": README_CONFIG, "out-of-order": OUT_OF_ORDER_CONFIG,
-                  "plain": {"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2], "seed": 42}}
+                  "plain": {"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2]}}
 # Every command and action that writes JSON, on inputs of each shape.
 JSON_INVOCATIONS = (
     [["bside", action, "--weights", w] for w in ("2,3", "1", "7", "2,3,4,1", "1,2,3")
