@@ -1,18 +1,17 @@
-"""Marked polytopes, bisections, coherence weights, and the numeric
-critical-value splitting of deformed potentials.
+"""Marked polytopes, bisections, coherence weights, and the critical-value
+splitting of deformed potentials.
 
 Geometry stays in dimensions one and two with exact integer
-predicates.  The deformation machinery perturbs a Laurent polynomial by
-integral weights, tracks its critical values along a decreasing parameter
-schedule, and verifies that they split into the critical values of the two
-halves of a bisection.
+predicates.  The splitting of a 1D bisection is decided exactly from the
+Newton polygon of the potential deformed by its coherence weights: the
+critical points that stay at valuation 0 under each weight are counted in
+integers, and a zero critical value of the second cell is found by a gcd
+over the rationals.  Only the reported critical values are floats.
 """
 
-import cmath
 import itertools
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -20,9 +19,9 @@ from math import gcd
 from .weights import (LatticePolytope, as_2d, as_point, convex_hull_2d, cross,
                       normalized_volume)
 
-# The fixed schedule and matching tolerance of every tracking run, and the
-# seed of its coefficient draw when a config names none.
-T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+# A seeded coefficient draw keeps the float critical values 10 x TOLERANCE
+# apart and away from zero; DEFAULT_SEED is its seed when a config names
+# none.
 TOLERANCE = 1e-4
 DEFAULT_SEED = 42
 
@@ -259,13 +258,6 @@ def coherence_weights(b):
     return eta, {p: v - lam[p] for p, v in eta.items()}
 
 
-def deform_coeffs(coeffs, weight, t):
-    """The coefficients of a Laurent polynomial deformed by an integral
-    weight psi at the parameter t: c_alpha becomes c_alpha * t^(-psi(alpha)),
-    exact rationals."""
-    return {alpha: c * t ** (-weight[alpha]) for alpha, c in coeffs.items()}
-
-
 def critical_values_univariate(coeffs):
     """Critical values of a one-variable Laurent polynomial, given as a map
     from int exponent to coefficient: roots of z f'(z) cleared to an
@@ -323,61 +315,41 @@ def seeded_coefficients(A, seed, a0, a1):
     raise RuntimeError("could not draw a generic coefficient vector")
 
 
-def _extrapolate_to_zero(ts, vs):
-    """Lagrange extrapolation of a sampled trajectory to t = 0."""
-    total = 0j
-    for i, (ti, vi) in enumerate(zip(ts, vs)):
-        weight = 1.0
-        for j, tj in enumerate(ts):
-            if j != i:
-                weight *= (0.0 - tj) / (ti - tj)
-        total += complex(vi) * weight
-    return total
+def _valuation_counts(coeffs, weight):
+    """The critical points of the potential deformed by an integral weight,
+    f_t = sum of c_p t^(-weight(p)) x^p, as (how many have t-adic valuation
+    0, how many there are): the run of the flat edge and the width of the
+    lower hull of {(p, -weight(p)) : p != 0, c_p != 0}."""
+    pts = [(p[0], -weight[p]) for p, c in coeffs.items() if p[0] and c]
+    hull = convex_hull_2d(pts)
+    # The counterclockwise hull runs along its lower chain from the
+    # leftmost point to the rightmost.
+    lower = hull[:hull.index(max(pts)) + 1]
+    flat = sum(b[0] - a[0] for a, b in zip(lower, lower[1:]) if a[1] == b[1])
+    return flat, lower[-1][0] - lower[0][0]
 
 
-def _best_assignment(targets, values):
-    """Injective matching of each target to a distinct value that minimizes
-    the worst error, ties broken toward the lowest value index target by
-    target: the first minimizer in the order of
-    `itertools.permutations(range(len(values)), len(targets))`.  Returns
-    (worst error, combo), where target i matches values[combo[i]].
+def _has_zero_critical_value(f):
+    """Whether a one-variable Laurent polynomial, a map from int exponent to
+    Fraction whose lowest coefficient is nonzero, has a zero critical
+    value: whether f and x f' share a root in C*.  Cleared by the lowest
+    power, f has no root at 0, so this is whether the two polynomials have
+    a gcd of positive degree, from Euclid's algorithm over Q."""
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
 
-    Bottleneck matching in polynomial time: a binary search over the
-    distinct errors finds the least bound that admits a complete matching,
-    then each target in turn takes the lowest free value within the bound
-    that leaves the later targets matchable.  Every test is one run of
-    augmenting paths.
-    """
-    m, n = len(targets), len(values)
-    if m > n:
-        raise ValueError(f"cannot match {m} targets to {n} distinct values")
-    if not m:
-        return 0.0, ()
-    err = [[abs(t - v) for v in values] for t in targets]
-
-    def complete(bound, fixed):
-        """Whether the targets after the fixed prefix can take distinct
-        values outside it, each within bound."""
-        owner = {}
-
-        def augment(i, seen):
-            for j in range(n):
-                if j not in seen and err[i][j] <= bound:
-                    seen.add(j)
-                    if j not in owner or augment(owner[j], seen):
-                        owner[j] = i
-                        return True
-            return False
-
-        return all(augment(i, set(fixed)) for i in range(len(fixed), m))
-
-    levels = sorted({e for row in err for e in row})
-    bound = levels[bisect_left(levels, True, key=lambda e: complete(e, ()))]
-    combo = []
-    for i in range(m):
-        combo.append(next(j for j in range(n) if j not in combo and err[i][j] <= bound
-                          and complete(bound, combo + [j])))
-    return bound, tuple(combo)
+    span = range(min(f), max(f) + 1)
+    u, v = trim([f.get(a, 0) for a in span]), trim([a * f.get(a, 0) for a in span])
+    while v:
+        while len(u) >= len(v):
+            q, shift = u[-1] / v[-1], len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] -= q * c
+            trim(u)
+        u, v = v, u
+    return len(u) > 1
 
 
 @dataclass
@@ -387,110 +359,75 @@ class SplittingReport:
     r: int
     targets_cell0: list
     targets_cell1: list
-    steps: list  # per t: dict with values and matches
     violations: list = field(default_factory=list)
 
 
 def track_splitting(b, coeffs=None, seed=DEFAULT_SEED):
-    """Numerically verify the critical-value splitting of a 1D bisection.
+    """Decide the critical-value splitting of a 1D bisection exactly.
 
-    Along T_SCHEDULE the deformed potential's critical values split: m of
-    them approach the critical values of the restriction to the origin
-    cell, and under the re-based weight the remaining r - m approach those
-    of the other cell, all nonzero, each within TOLERANCE.  Coefficients so
-    far apart that the deformed critical values cannot be evaluated in
-    floats raise ValueError.
+    Deform f = sum of c_p x^p by the coherence weight eta to
+    f_t = sum of c_p t^(-eta(p)) x^p.  The critical points of f_t are the
+    roots of x f_t'(x) = sum of p c_p t^(-eta(p)) x^p, whose coefficient
+    at p has t-adic valuation -eta(p).  By Newton-Puiseux, the roots of
+    valuation s are counted by the lattice length of the edge of slope -s
+    on the lower hull of {(p, -eta(p)) : p != 0, c_p != 0}, and their
+    leading coefficients are the roots of that edge's polynomial, counted
+    with multiplicity.  eta is 0 on cell 0 and the negative wall functional
+    on cell 1, so the hull has two edges, one over each cell.  So m roots
+    have valuation 0; their leading coefficients are the critical points
+    of f restricted to cell 0, and since every other term carries a
+    positive power of t, their critical values tend to those of the
+    restriction.  No simple-root condition is needed.  The re-based weight
+    tau does the same for cell 1.  (Maclagan and Sturmfels, Introduction
+    to Tropical Geometry, ch. 2-3.)
+
+    What is left to decide, in ints and Fractions: (a) the valuation-0
+    counts under eta and tau are the cells' lattice lengths, m and r - m,
+    where r counts all critical points; (b) f restricted to cell 1 has no
+    zero critical value, that is f_1 and x f_1' are coprime over Q.  A
+    zero coefficient at a vertex of a cell would shorten its edge, and
+    raises ValueError naming the point.  The targets, the critical values
+    of the two restrictions, are computed in floats for the report.
     """
-    import numpy as np  # on first use: the exact commands never load numpy
-
     a_all = sorted(set(b.cell0.A) | set(b.cell1.A))
     if any(len(p) != 1 for p in a_all):
         raise ValueError("critical-value tracking is 1D only")
     if coeffs is None:
         coeffs = seeded_coefficients(a_all, seed, a0=b.cell0.A, a1=b.cell1.A)
-    # Sorted by point, so the deformed potential is summed in one order
-    # whatever the order of the given map.
+    # Sorted by point, so the report does not depend on the order of the
+    # given map.
     coeffs = dict(sorted({as_point(k): Fraction(v) for k, v in coeffs.items()}.items()))
     stray = sorted(set(a_all) ^ set(coeffs))
     if stray:
         raise ValueError(f"the coefficients and the marked points differ at {_show(stray[0])}")
-
-    eta, tau = coherence_weights(b)
+    for i, cell in enumerate((b.cell0, b.cell1)):
+        for v in (min(cell.A), max(cell.A)):
+            if not coeffs[v]:
+                raise ValueError(f"the coefficient at {_show(v)}, a vertex of cell {i}, is zero")
 
     def restricted(points):
         return {p[0]: coeffs[p] for p in points}
 
+    f1 = restricted(b.cell1.A)
     targets0 = critical_values_univariate(restricted(b.cell0.A))
-    targets1 = critical_values_univariate(restricted(b.cell1.A))
-    m = len(targets0)
+    targets1 = critical_values_univariate(f1)
 
     violations = []
-    if any(abs(v) < TOLERANCE for v in targets1):
+    if _has_zero_critical_value(f1):
         violations.append("restriction to the second cell has a zero critical value")
-
-    def values_at(weight, t):
-        deformed = deform_coeffs(coeffs, weight, t)
-        try:
-            with np.errstate(all="ignore"):
-                vals = critical_values_univariate({p[0]: c for p, c in deformed.items()})
-        except (ArithmeticError, np.linalg.LinAlgError):
-            vals = None
-        if vals is None or not all(cmath.isfinite(v) for v in vals):
-            # A small t scales the coefficients by t^(-psi) past float range.
-            raise ValueError(f"the deformed critical values at t = {float(t):g} "
-                             "cannot be evaluated in floats")
-        return vals
-
-    r = None
-
-    def sample(t):
-        """The critical values at t under both weights, each matched to its
-        cell's targets; None, with a violation, when a count differs from
-        the first sample's r."""
-        nonlocal r
-        vals, vals_re = values_at(eta, t), values_at(tau, t)
-        if r is None:
-            r = len(vals)
-        if len(vals) != r or len(vals_re) != r:
-            violations.append(f"critical-value count changed at t={t}")
-            return None
-        err0, match0 = _best_assignment(targets0, vals)
-        err1, match1 = _best_assignment(targets1, vals_re)
-        return {"t": t, "values": vals, "values_rebased": vals_re,
-                "match_cell0": match0, "match_cell1": match1,
-                "err_cell0": err0, "err_cell1": err1}
-
-    steps = [s for s in map(sample, T_SCHEDULE) if s is not None]
-    if not steps:
-        violations.append("no schedule step could be evaluated")
-    else:
-        # The matched trajectories are analytic in t, so their values at
-        # t = 0 are recovered by polynomial extrapolation; two refinement
-        # points below the schedule sharpen the limit estimate without
-        # changing the tracked schedule itself.
-        refined = [sample(T_SCHEDULE[-1] / 10), sample(T_SCHEDULE[-1] / 100)]
-        samples = steps + [s for s in refined if s is not None]
-        ts = [float(s["t"]) for s in samples]
-        for key, targets in (("cell0", targets0), ("cell1", targets1)):
-            for ti, target in enumerate(targets):
-                vs = [s["values" if key == "cell0" else "values_rebased"]
-                      [s[f"match_{key}"][ti]] for s in samples]
-                limit = _extrapolate_to_zero(ts, vs)
-                err = abs(limit - target)
-                if err > TOLERANCE:
-                    violations.append(
-                        f"{key} critical value {target:.6g} not reached: "
-                        f"extrapolated error {err:.3g}")
-        if len(steps) > 1 and (steps[-1]["err_cell0"] > steps[0]["err_cell0"] + TOLERANCE
-                               or steps[-1]["err_cell1"] > steps[0]["err_cell1"] + TOLERANCE):
-            violations.append("matching error not decreasing along the schedule")
+    eta, tau = coherence_weights(b)
+    (m, r), (m1, _) = _valuation_counts(coeffs, eta), _valuation_counts(coeffs, tau)
+    for i, (flat, cell) in enumerate(((m, b.cell0), (m1, b.cell1))):
+        length = normalized_volume(cell.Q)
+        if flat != length:
+            violations.append(f"{flat} critical points of valuation 0 under the weight of "
+                              f"cell {i}, whose lattice length is {length}")
     return SplittingReport(
         ok=not violations,
         m=m,
-        r=r or 0,
+        r=r,
         targets_cell0=targets0,
         targets_cell1=targets1,
-        steps=steps,
         violations=violations,
     )
 

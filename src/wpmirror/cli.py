@@ -189,9 +189,7 @@ def _cmd_bisect(args):
         return {"eta": {str(p[0]): v for p, v in eta.items()},
                 "tau": {str(p[0]): v for p, v in tau.items()}}, True
     rep = track_splitting(b, coeffs=cfg.get("coefficients"), seed=cfg["seed"])
-    # The report's fields and the seed; a step without its matchings.
-    steps = [{k: v for k, v in s.items() if not k.startswith("match_")} for s in rep.steps]
-    return {**vars(rep), "seed": cfg["seed"], "steps": steps}, rep.ok
+    return {**vars(rep), "seed": cfg["seed"]}, rep.ok
 
 
 def build_parser():

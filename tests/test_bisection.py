@@ -1,10 +1,13 @@
-"""Tests for marked polytopes, bisections, coherence weights, deformed
-potentials, critical-value tracking, and tracking configs."""
+"""Tests for marked polytopes, bisections, coherence weights, the exact
+critical-value splitting against the float tracker it replaced, and
+tracking configs."""
 
+import cmath
 import itertools
 import json
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -13,12 +16,11 @@ from wpmirror import bisection
 from wpmirror.bisection import (
     Bisection,
     MarkedPolytope,
-    _best_assignment,
+    SplittingReport,
     _meet,
     bisection_from_config,
     coherence_weights,
     critical_values_univariate,
-    deform_coeffs,
     load_config,
     seeded_coefficients,
     track_splitting,
@@ -270,6 +272,169 @@ class TestCoherenceWeights:
             assert isinstance(v, int)
 
 
+class TestCriticalValues:
+    def test_laurent_example(self):
+        vals = sorted(v.real for v in critical_values_univariate({1: 1, -1: 1}))
+        assert vals == pytest.approx([-2.0, 2.0])
+
+    def test_polynomial_example(self):
+        [v] = critical_values_univariate({1: 2, 2: -1})
+        assert v == pytest.approx(1.0)
+
+    def test_count_equals_newton_length(self):
+        vals = critical_values_univariate({-1: 1, 0: 2, 1: -1, 2: 3})
+        assert len(vals) == 3
+
+    def test_too_few_monomials(self):
+        with pytest.raises(ValueError):
+            critical_values_univariate({0: 5})
+
+
+# The float tracker that `track_splitting` replaced, kept as the reference
+# that the exact decision is checked against.  It samples the deformed
+# critical values at each t of a fixed schedule, matches them to each
+# cell's targets, extrapolates the matched trajectories to t = 0, and
+# compares them with the targets within TOLERANCE.
+T_SCHEDULE = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+
+
+def deform_coeffs(coeffs, weight, t):
+    """The coefficients of a Laurent polynomial deformed by an integral
+    weight psi at the parameter t: c_alpha becomes c_alpha * t^(-psi(alpha)),
+    exact rationals."""
+    return {alpha: c * t ** (-weight[alpha]) for alpha, c in coeffs.items()}
+
+
+def extrapolate_to_zero(ts, vs):
+    """Lagrange extrapolation of a sampled trajectory to t = 0."""
+    total = 0j
+    for i, (ti, vi) in enumerate(zip(ts, vs)):
+        weight = 1.0
+        for j, tj in enumerate(ts):
+            if j != i:
+                weight *= (0.0 - tj) / (ti - tj)
+        total += complex(vi) * weight
+    return total
+
+
+def bottleneck_assignment(targets, values):
+    """Injective matching of each target to a distinct value that minimizes
+    the worst error, ties broken toward the lowest value index target by
+    target: the first minimizer in the order of
+    `itertools.permutations(range(len(values)), len(targets))`.  Returns
+    (worst error, combo), where target i matches values[combo[i]].
+
+    Bottleneck matching in polynomial time: a binary search over the
+    distinct errors finds the least bound that admits a complete matching,
+    then each target in turn takes the lowest free value within the bound
+    that leaves the later targets matchable.  Every test is one run of
+    augmenting paths.
+    """
+    m, n = len(targets), len(values)
+    if m > n:
+        raise ValueError(f"cannot match {m} targets to {n} distinct values")
+    if not m:
+        return 0.0, ()
+    err = [[abs(t - v) for v in values] for t in targets]
+
+    def complete(bound, fixed):
+        """Whether the targets after the fixed prefix can take distinct
+        values outside it, each within bound."""
+        owner = {}
+
+        def augment(i, seen):
+            for j in range(n):
+                if j not in seen and err[i][j] <= bound:
+                    seen.add(j)
+                    if j not in owner or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set(fixed)) for i in range(len(fixed), m))
+
+    levels = sorted({e for row in err for e in row})
+    bound = levels[bisect_left(levels, True, key=lambda e: complete(e, ()))]
+    combo = []
+    for i in range(m):
+        combo.append(next(j for j in range(n) if j not in combo and err[i][j] <= bound
+                          and complete(bound, combo + [j])))
+    return bound, tuple(combo)
+
+
+def track_splitting_reference(b, coeffs=None, seed=bisection.DEFAULT_SEED,
+                              match=bottleneck_assignment):
+    """The splitting report of the float tracker, with `match` as its
+    matching: m is the number of cell 0's targets and r the number of
+    deformed critical values."""
+    import numpy as np
+
+    tol = bisection.TOLERANCE
+    a_all = sorted(set(b.cell0.A) | set(b.cell1.A))
+    if coeffs is None:
+        coeffs = seeded_coefficients(a_all, seed, a0=b.cell0.A, a1=b.cell1.A)
+    coeffs = dict(sorted({k: Fraction(v) for k, v in coeffs.items()}.items()))
+    eta, tau = coherence_weights(b)
+
+    def restricted(points):
+        return {p[0]: coeffs[p] for p in points}
+
+    targets0 = critical_values_univariate(restricted(b.cell0.A))
+    targets1 = critical_values_univariate(restricted(b.cell1.A))
+    violations = []
+    if any(abs(v) < tol for v in targets1):
+        violations.append("restriction to the second cell has a zero critical value")
+
+    def values_at(weight, t):
+        deformed = deform_coeffs(coeffs, weight, t)
+        with np.errstate(all="ignore"):
+            vals = critical_values_univariate({p[0]: c for p, c in deformed.items()})
+        assert all(cmath.isfinite(v) for v in vals), t
+        return vals
+
+    r = None
+
+    def sample(t):
+        """The critical values at t under both weights, each matched to its
+        cell's targets; None, with a violation, when a count differs from
+        the first sample's r."""
+        nonlocal r
+        vals, vals_re = values_at(eta, t), values_at(tau, t)
+        if r is None:
+            r = len(vals)
+        if len(vals) != r or len(vals_re) != r:
+            violations.append(f"critical-value count changed at t={t}")
+            return None
+        err0, match0 = match(targets0, vals)
+        err1, match1 = match(targets1, vals_re)
+        return {"t": t, "values": vals, "values_rebased": vals_re,
+                "match_cell0": match0, "match_cell1": match1,
+                "err_cell0": err0, "err_cell1": err1}
+
+    steps = [s for s in map(sample, T_SCHEDULE) if s is not None]
+    if not steps:
+        violations.append("no schedule step could be evaluated")
+    else:
+        # Two refinement points below the schedule sharpen the limit.
+        refined = [sample(T_SCHEDULE[-1] / 10), sample(T_SCHEDULE[-1] / 100)]
+        samples = steps + [s for s in refined if s is not None]
+        ts = [float(s["t"]) for s in samples]
+        for key, targets in (("cell0", targets0), ("cell1", targets1)):
+            for ti, target in enumerate(targets):
+                vs = [s["values" if key == "cell0" else "values_rebased"]
+                      [s[f"match_{key}"][ti]] for s in samples]
+                err = abs(extrapolate_to_zero(ts, vs) - target)
+                if err > tol:
+                    violations.append(f"{key} critical value {target:.6g} not reached: "
+                                      f"extrapolated error {err:.3g}")
+        if len(steps) > 1 and (steps[-1]["err_cell0"] > steps[0]["err_cell0"] + tol
+                               or steps[-1]["err_cell1"] > steps[0]["err_cell1"] + tol):
+            violations.append("matching error not decreasing along the schedule")
+    return SplittingReport(ok=not violations, m=len(targets0), r=r or 0,
+                           targets_cell0=targets0, targets_cell1=targets1,
+                           violations=violations)
+
+
 class TestDeformation:
     COEFFS = {(-1,): Fraction(1), (0,): Fraction(2), (1,): Fraction(-1),
               (2,): Fraction(3)}
@@ -288,24 +453,6 @@ class TestDeformation:
         assert out[(1,)] == self.COEFFS[(1,)]
         assert out[(2,)] == self.COEFFS[(2,)]
         assert out[(-1,)] == Fraction(1, 10 ** 4)
-
-
-class TestCriticalValues:
-    def test_laurent_example(self):
-        vals = sorted(v.real for v in critical_values_univariate({1: 1, -1: 1}))
-        assert vals == pytest.approx([-2.0, 2.0])
-
-    def test_polynomial_example(self):
-        [v] = critical_values_univariate({1: 2, 2: -1})
-        assert v == pytest.approx(1.0)
-
-    def test_count_equals_newton_length(self):
-        vals = critical_values_univariate({-1: 1, 0: 2, 1: -1, 2: 3})
-        assert len(vals) == 3
-
-    def test_too_few_monomials(self):
-        with pytest.raises(ValueError):
-            critical_values_univariate({0: 5})
 
 
 def best_assignment_reference(targets, values):
@@ -337,18 +484,18 @@ class TestBestAssignment:
             m = rng.randint(0, r)
             # Every third case lies on the grid.
             targets, values = (random_points(rng, k, grid=case % 3 == 0) for k in (m, r))
-            assert _best_assignment(targets, values) == \
+            assert bottleneck_assignment(targets, values) == \
                 best_assignment_reference(targets, values), (targets, values)
 
     def test_ties_go_to_the_lowest_value_index(self):
         # Every matching has worst error 1; the first in order is kept.
         targets, values = [0j, 0j], [1 + 0j, 1j, -1 + 0j]
-        assert _best_assignment(targets, values) == (1.0, (0, 1))
+        assert bottleneck_assignment(targets, values) == (1.0, (0, 1))
 
     @pytest.mark.parametrize("r", range(5))
     def test_no_targets(self, r):
         values = random_points(random.Random(r), r, grid=False)
-        assert _best_assignment([], values) == best_assignment_reference([], values) \
+        assert bottleneck_assignment([], values) == best_assignment_reference([], values) \
             == (0.0, ())
 
     @pytest.mark.parametrize("r", range(1, 7))
@@ -356,12 +503,12 @@ class TestBestAssignment:
         rng = random.Random(r)
         for grid in (True, False):
             targets, values = (random_points(rng, r, grid) for _ in range(2))
-            assert _best_assignment(targets, values) == \
+            assert bottleneck_assignment(targets, values) == \
                 best_assignment_reference(targets, values)
 
     def test_more_targets_than_values_refused(self):
         with pytest.raises(ValueError, match="3 targets to 2"):
-            _best_assignment([0j, 1j, 2j], [0j, 1j])
+            bottleneck_assignment([0j, 1j, 2j], [0j, 1j])
 
 
 def bisection_at(lo, split, hi):
@@ -390,9 +537,41 @@ class TestTracking:
         assert not report.ok
         assert any("zero critical value" in v for v in report.violations)
 
+    def test_near_zero_critical_value_passes(self):
+        # On the second cell {6, 7} the restriction z^6 - 3 z^7 has the one
+        # critical value 64/823543, below the tolerance but not zero: the
+        # float tracker read it as zero.
+        b = Bisection(interval(list(range(-1, 7))), interval([6, 7]))
+        coeffs = {(-1,): 2, (0,): -2, (1,): 1, (2,): 3, (3,): 2, (4,): -3, (5,): -1,
+                  (6,): 1, (7,): -3}
+        report = track_splitting(b, coeffs=coeffs)
+        assert report.ok, report.violations
+        assert (report.m, report.r) == (7, 8)
+        [value] = report.targets_cell1
+        assert value == pytest.approx(64 / 823543, rel=1e-9)
+        assert track_splitting_reference(b, coeffs=coeffs).violations == [
+            "restriction to the second cell has a zero critical value"]
+
+    @pytest.mark.parametrize("point, cell", [(-1, 0), (1, 0), (2, 1)])
+    def test_zero_coefficient_at_a_vertex_refused(self, point, cell):
+        coeffs = {(p,): 1 for p in (-1, 0, 1, 2)} | {(point,): 0}
+        with pytest.raises(ValueError, match=f"^the coefficient at {point}, a vertex of "
+                                             f"cell {cell}, is zero$"):
+            track_splitting(B1D, coeffs=coeffs)
+
+    @pytest.mark.parametrize("b, zero, m, r", [(B1D, 0, 2, 3), (bisection_at(-2, 1, 4), -1, 3, 6),
+                                               (bisection_at(-2, 1, 4), 3, 3, 6)])
+    def test_zero_coefficient_off_the_vertices_allowed(self, b, zero, m, r):
+        # The constant term is no point of x f'(x), and a zero inside a
+        # cell leaves the hull's edges as they are.
+        coeffs = {p: 1 + p[0] % 3 for p in set(b.cell0.A) | set(b.cell1.A)} | {(zero,): 0}
+        report = track_splitting(b, coeffs=coeffs)
+        assert report.ok, report.violations
+        assert (report.m, report.r) == (m, r)
+
     def test_report_independent_of_coefficient_order(self):
-        # The deformed potential is summed in point order whatever the order
-        # of the given map, so the floats agree to the last bit.
+        # The coefficients are sorted by point whatever the order of the
+        # given map, so the float targets agree to the last bit.
         b = Bisection(interval([-2, -1, 0, 1]), interval([1, 2, 3]))
         coeffs = {(-2,): 1, (-1,): 1, (0,): -3, (1,): -1, (2,): 2, (3,): 1}
         forward = track_splitting(b, coeffs=coeffs)
@@ -402,7 +581,9 @@ class TestTracking:
 
     @pytest.mark.parametrize("r", range(4, 9))
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_report_equals_brute_force_matching(self, monkeypatch, r, seed):
+    def test_report_equals_brute_force_matching(self, r, seed):
+        # The exact report equals the float tracker's, matched by the scan
+        # of every assignment.
         rng = random.Random(f"{r}:{seed}")
         m = rng.choice((r // 2, r - r // 2))
         lo = rng.randint(1 - m, -1)
@@ -410,15 +591,37 @@ class TestTracking:
         report = track_splitting(b, seed=seed)
         assert report.ok, report.violations
         assert (report.m, report.r) == (m, r)
-        monkeypatch.setattr(bisection, "_best_assignment", best_assignment_reference)
-        assert track_splitting(b, seed=seed) == report
+        assert track_splitting_reference(b, seed=seed, match=best_assignment_reference) == report
+
+    def test_criterion_9_config_equals_reference(self):
+        report = track_splitting(B1D, seed=42)
+        assert report == track_splitting_reference(B1D, seed=42, match=best_assignment_reference)
+        assert report.ok and (report.m, report.r) == (2, 3)
 
     def test_twelve_critical_values(self):
         # 12P7, about 4 million permutations per matching: out of reach of
-        # the brute-force scan.
-        report = track_splitting(bisection_at(-6, 1, 6))
+        # the brute-force scan, so the reference matches in polynomial time.
+        b = bisection_at(-6, 1, 6)
+        report = track_splitting(b)
         assert report.ok, report.violations
         assert (report.m, report.r) == (7, 12)
+        assert track_splitting_reference(b) == report
+
+    @pytest.mark.parametrize("b", [B1D, bisection_at(-3, 2, 5),
+                                   Bisection(interval([-1, 0, 1, 2]), interval([-3, -2, -1]))],
+                             ids=["readme", "right", "left"])
+    def test_negated_wall_changes_the_counts(self, monkeypatch, b):
+        # With the wall functional negated, eta is positive on the second
+        # cell: the lower hull is one sloped edge, so no critical point has
+        # valuation 0 under either weight.
+        clean = track_splitting(b, seed=3)
+        assert clean.ok, clean.violations
+        wall = bisection._wall
+        monkeypatch.setattr(bisection, "_wall", lambda b: {p: -v for p, v in wall(b).items()})
+        report = track_splitting(b, seed=3)
+        assert not report.ok
+        assert (report.m, report.r) == (0, clean.r) != (clean.m, clean.r)
+        assert len(report.violations) == 2, report.violations
 
     def test_generic_coefficients_are_small_nonzero(self):
         coeffs = seeded_coefficients([(-1,), (0,), (1,), (2,)], seed=7, a0=B1D.cell0.A,

@@ -245,33 +245,6 @@ README_TRACK = {"m": 2,
                 "ok": True,
                 "r": 3,
                 "seed": 42,
-                "steps": [{"err_cell0": 0.10830944768111461,
-                           "err_cell1": 0.17979148159933,
-                           "t": {"den": "10", "num": "1"},
-                           "values": [{"im": 0.0, "re": 3.2020851840067},
-                                      {"im": 0.0, "re": 0.7201176770650755},
-                                      {"im": 0.0, "re": -4.922202861071775}],
-                           "values_rebased": [{"im": 0.0, "re": 0.32020851840067},
-                                              {"im": 0.0, "re": -0.4922202861071776},
-                                              {"im": 0.0, "re": 0.07201176770650751}]},
-                          {"err_cell0": 0.010071729649397732,
-                           "err_cell1": 0.01979997999199523,
-                           "t": {"den": "100", "num": "1"},
-                           "values": [{"im": 0.0, "re": 48.020002000800474},
-                                      {"im": 0.0, "re": -4.8383573958972725},
-                                      {"im": 0.0, "re": 0.8183553950967923}],
-                           "values_rebased": [{"im": 0.0, "re": 0.48020002000800477},
-                                              {"im": 0.0, "re": -0.04838357395897273},
-                                              {"im": 0.0, "re": 0.008183553950967922}]},
-                          {"err_cell0": 0.0010007081086412795,
-                           "err_cell1": 0.001997999997999933,
-                           "t": {"den": "1000", "num": "1"},
-                           "values": [{"im": 0.0, "re": 498.002000002},
-                                      {"im": 0.0, "re": 0.8274264166375488},
-                                      {"im": 0.0, "re": -4.829426418637556}],
-                           "values_rebased": [{"im": 0.0, "re": 0.49800200000200007},
-                                              {"im": 0.0, "re": -0.004829426418637556},
-                                              {"im": 0.0, "re": 0.0008274264166375486}]}],
                 "targets_cell0": [{"im": 0.0, "re": -4.82842712474619},
                                   {"im": 0.0, "re": 0.8284271247461901}],
                 "targets_cell1": [{"im": 0.0, "re": 0.5}],
@@ -282,39 +255,6 @@ OUT_OF_ORDER_TRACK = {"m": 2,
                       "ok": False,
                       "r": 4,
                       "seed": 42,
-                      "steps": [{"err_cell0": 0.19079110732789673,
-                                 "err_cell1": 0.11770437008298514,
-                                 "t": {"den": "10", "num": "1"},
-                                 "values": [{"im": 0.0, "re": 1.099753663484897},
-                                            {"im": 0.0, "re": 2.8092088926721033},
-                                            {"im": 0.0, "re": -1.1770437008298513},
-                                            {"im": 0.0, "re": 2.7495626261543324}],
-                                 "values_rebased": [{"im": 0.0, "re": 0.10997536634848992},
-                                                    {"im": 0.0, "re": 0.28092088926721026},
-                                                    {"im": 0.0, "re": -0.11770437008298514},
-                                                    {"im": 0.0, "re": 0.27495626261543327}]},
-                                {"err_cell0": 0.020310466677142536,
-                                 "err_cell1": 0.010300202957200133,
-                                 "t": {"den": "100", "num": "1"},
-                                 "values": [{"im": 0.0, "re": 1.0099997500374798},
-                                            {"im": 0.0, "re": 15.844835110534824},
-                                            {"im": 0.0, "re": 2.9796895333228575},
-                                            {"im": 0.0, "re": -1.0197095790803612}],
-                                 "values_rebased": [{"im": 0.0, "re": 0.010099997500374824},
-                                                    {"im": 0.0, "re": 0.15844835110534827},
-                                                    {"im": 0.0, "re": -0.01019709579080361},
-                                                    {"im": 0.0, "re": 0.029796895333228577}]},
-                                {"err_cell0": 0.0020030100444792254,
-                                 "err_cell1": 0.001003000020250444,
-                                 "t": {"den": "1000", "num": "1"},
-                                 "values": [{"im": 0.0, "re": 1.000999999749979},
-                                            {"im": 0.0, "re": 149.1511481683986},
-                                            {"im": 0.0, "re": -1.0019970099559765},
-                                            {"im": 0.0, "re": 2.9979969899555208}],
-                                 "values_rebased": [{"im": 0.0, "re": 0.0010009999997500074},
-                                                    {"im": 0.0, "re": 0.14915114816839858},
-                                                    {"im": 0.0, "re": -0.0010019970099559767},
-                                                    {"im": 0.0, "re": 0.0029979969899555205}]}],
                       "targets_cell0": [{"im": 0.0, "re": 3.0}, {"im": 0.0, "re": -1.0}],
                       "targets_cell1": [{"im": 0.0, "re": 0.0},
                                         {"im": 0.0, "re": 0.14814814814814814}],
@@ -439,10 +379,11 @@ class TestBisect:
          "error: bad config: the coefficient at 0 is not a number: '1/0'\n"),
         ({"coefficients": {"-1": 1, "0": 1, "1": 1, "2": "1e400"}},
          "error: bad config: the coefficient at 2 is outside float range: '1e400'\n"),
-        # The far point 100 scales its coefficient by t^(-psi) past float
-        # range at the second schedule value, t = 1/100.
-        ({"A": [-1, 0, 1, 100], "A1": [1, 100]},
-         "error: the deformed critical values at t = 0.01 cannot be evaluated in floats\n"),
+        # A zero at a cell's end would shorten the Newton polygon's edge.
+        ({"coefficients": {"-1": 0, "0": 1, "1": 1, "2": 1}},
+         "error: the coefficient at -1, a vertex of cell 0, is zero\n"),
+        ({"coefficients": {"-1": 1, "0": 1, "1": 0, "2": 1}},
+         "error: the coefficient at 1, a vertex of cell 0, is zero\n"),
         # Read as a seeded draw, the misspelled map would pass where its
         # coefficients fail.
         ({key.replace("coefficients", "coefficents"): value
@@ -457,15 +398,32 @@ class TestBisect:
                              ("t_schedule", ["1e400", "1/10"]))],
     ], ids=["A-int", "A0-empty", "point-nested", "point-float", "seed-list",
             "coefficient-missing", "coefficient-zero-denominator", "coefficient-huge",
-            "wide", "misspelled-key", "schedule-int", "tolerance-nan", "tolerance-bool",
-            "tolerance-string", "tolerance-huge", "schedule-empty", "schedule-zero-denominator",
-            "schedule-huge"])
+            "coefficient-zero-end", "coefficient-zero-wall", "misspelled-key", "schedule-int",
+            "tolerance-nan", "tolerance-bool", "tolerance-string", "tolerance-huge",
+            "schedule-empty", "schedule-zero-denominator", "schedule-huge"])
     def test_bad_config_shape_invalid(self, capsys, tmp_path, change, message):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps({"A": [-1, 0, 1, 2], "A0": [-1, 0, 1], "A1": [1, 2],
                                     **change}))
         assert run(["bisect", "track", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("config, m, r", [
+        # Far-apart points: the decision deforms no coefficient in floats.
+        ({"A": [-1, 0, 1, 100], "A0": [-1, 0, 1], "A1": [1, 100]}, 2, 101),
+        # A zero constant term is allowed: 0 is no point of x f'(x).
+        ({**README_CONFIG, "coefficients": {"-1": 1, "0": 0, "1": 1, "2": 1}}, 2, 3),
+        # The second cell's critical value 64/823543 is small, not zero.
+        ({"A": list(range(-1, 8)), "A0": list(range(-1, 7)), "A1": [6, 7],
+          "coefficients": {"-1": 2, "0": -2, "1": 1, "2": 3, "3": 2, "4": -3, "5": -1,
+                           "6": 1, "7": -3}}, 7, 8),
+    ], ids=["wide", "zero-constant", "near-zero-value"])
+    def test_track_passes(self, capsys, tmp_path, config, m, r):
+        path = tmp_path / "pass.json"
+        path.write_text(json.dumps(config))
+        assert run(["bisect", "track", "--config", str(path)]) == 0
+        out = out_json(capsys)
+        assert (out["ok"], out["m"], out["r"], out["violations"]) == (True, m, r, [])
 
     def test_missing_config_invalid(self, capsys, tmp_path):
         assert run(["bisect", "validate", "--config",

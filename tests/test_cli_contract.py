@@ -3,7 +3,7 @@ config file, `cli.run` returns 0, 1 or 2, lets no exception escape and
 prints no traceback.
 
 Weights stay at l <= 12 and config points in [-3, 3], so no certificate or
-factorial matching in `track_splitting` (r <= 6) makes an example slow.
+root solve in `track_splitting` (r <= 6) makes an example slow.
 """
 
 import contextlib
@@ -130,6 +130,7 @@ def test_exit_code_contract(argv):
 @example(config={**GOOD, "A": [[[1]]]}, action="track")
 @example(config={**GOOD, "seed": [1]}, action="track")
 @example(config={**GOOD, "coefficients": {"0": 1, "1": 2, "2": 1}}, action="track")
+@example(config={**GOOD, "coefficients": {"-1": 1, "0": 1, "1": 0.0, "2": 1}}, action="track")
 def test_bisect_config_contract(config, action):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

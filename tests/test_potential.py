@@ -4,7 +4,6 @@ import cmath
 import json
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -93,12 +92,6 @@ class TestMonodromy:
         data = monodromy_data(w)
         assert data == {"around_100": 2, "around_010": -3,
                         "branch_ramification": 4}
-
-    def test_broken_congruence_raises(self):
-        # A stub whose l does not match its weights (l = a0 + a1 = 5).
-        stub = SimpleNamespace(a=(2, 3), l=6)
-        with pytest.raises(ArithmeticError, match="congruence"):
-            monodromy_data(stub)
 
     @pytest.mark.parametrize("a", [(1, 1), (2, 3), (3, 8)])
     def test_congruence_holds(self, a):
